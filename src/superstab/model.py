@@ -6,10 +6,11 @@ any ranked edge).  A matching is super-stable when no edge outside it is
 weakly preferred, by both of its endpoints at once, to whatever those
 endpoints currently hold.
 
-This module owns the data model, the instance text format, induced
-subgraphs, the transpose transform, choice functions, and the
-super-stability predicate.  Everything is immutable and side-effect
-free; solvers live in the sibling modules.
+This module owns the data model, the instance text format and its
+validation, induced subgraphs, the transpose transform, the per-round
+choice scans the closure solver runs, and the super-stability
+predicate.  Everything is immutable and side-effect free; solvers live
+in the sibling modules.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ DOCTOR = "D"
 HOSPITAL = "H"
 
 _SIDE_WORD = {DOCTOR: "doctor", HOSPITAL: "hospital"}
+_OTHER_SIDE = {DOCTOR: HOSPITAL, HOSPITAL: DOCTOR}
 
 
 class Vertex(NamedTuple):
@@ -162,8 +164,20 @@ class Instance:
         return self.rank[v][e] < self.rank[v][f]
 
 
-def _validate_instance(inst: Instance) -> None:
-    for word, names in (("doctor", inst.doctors), ("hospital", inst.hospitals)):
+def _unchecked(
+    doctors: tuple[str, ...],
+    hospitals: tuple[str, ...],
+    edges: frozenset[Edge],
+    rank: Mapping[Vertex, Mapping[Edge, int]],
+) -> Instance:
+    """An Instance from parts already known to be valid; skips `_validate_instance`."""
+    inst = object.__new__(Instance)
+    inst.__dict__.update(doctors=doctors, hospitals=hospitals, edges=edges, rank=rank)
+    return inst
+
+
+def _check_names(doctors: tuple[str, ...], hospitals: tuple[str, ...]) -> None:
+    for word, names in (("doctor", doctors), ("hospital", hospitals)):
         seen: set[str] = set()
         for n in names:
             if not _name_ok(n):
@@ -171,6 +185,10 @@ def _validate_instance(inst: Instance) -> None:
             if n in seen:
                 raise ValueError(f"duplicate {word} name {n!r}")
             seen.add(n)
+
+
+def _validate_instance(inst: Instance) -> None:
+    _check_names(inst.doctors, inst.hospitals)
     dset = set(inst.doctors)
     hset = set(inst.hospitals)
     expected = {Vertex(DOCTOR, d) for d in inst.doctors} | {Vertex(HOSPITAL, h) for h in inst.hospitals}
@@ -195,21 +213,80 @@ def _validate_instance(inst: Instance) -> None:
 PrefInput = Sequence["str | Iterable[str]"]
 
 
-def _normalized_groups(raw: PrefInput, owner: str) -> list[list[str]]:
-    groups: list[list[str]] = []
-    seen: set[str] = set()
-    for item in raw:
-        group = [item] if isinstance(item, str) else list(item)
-        if not group:
-            raise ValueError(f"{owner} has an empty tie group")
-        for name in group:
-            if not isinstance(name, str):
-                raise ValueError(f"{owner} lists a non-string entry {name!r}")
-            if name in seen:
-                raise ValueError(f"{owner} lists {name!r} more than once")
-            seen.add(name)
-        groups.append(group)
-    return groups
+class _ListError(ValueError):
+    """A problem in one preference list: `owner` holds the list and `entry`
+    is the 0-based position of the faulty entry, counted across tie groups
+    (None when no single entry is at fault)."""
+
+    def __init__(self, message: str, owner: Vertex, entry: int | None = None):
+        super().__init__(message)
+        self.owner = owner
+        self.entry = entry
+
+
+def _from_lists(
+    doctors: tuple[str, ...], hospitals: tuple[str, ...], prefs: Mapping[Vertex, PrefInput]
+) -> Instance:
+    """Check one preference list per declared vertex and build the instance.
+
+    The declared names must already be valid and unique.  Problems within
+    a list come first, lists in `prefs` order and entries in list order;
+    then the first one-sided listing in edge order, doctors' lists before
+    hospitals'.  The first problem found raises _ListError, so which one
+    is reported never depends on hashing.
+    """
+    partners = {DOCTOR: frozenset(hospitals), HOSPITAL: frozenset(doctors)}
+    # Per list, partner name -> rank level, in entry order.
+    levels_of: dict[Vertex, dict[str, int]] = {}
+    for owner, raw in prefs.items():
+        levels: dict[str, int] = {}
+        for level, item in enumerate(raw, 1):
+            group = [item] if isinstance(item, str) else list(item)
+            if not group:
+                raise _ListError(f"{owner.describe()} has an empty tie group", owner)
+            for name in group:
+                if not isinstance(name, str):
+                    raise _ListError(
+                        f"{owner.describe()} lists a non-string entry {name!r}", owner, len(levels)
+                    )
+                if name not in partners[owner.side]:
+                    raise _ListError(
+                        f"unknown {_SIDE_WORD[_OTHER_SIDE[owner.side]]} {name!r} "
+                        f"in preference list of {owner.name!r}",
+                        owner,
+                        len(levels),
+                    )
+                if name in levels:
+                    raise _ListError(
+                        f"{owner.name!r} lists {name!r} more than once", owner, len(levels)
+                    )
+                levels[name] = level
+        levels_of[owner] = levels
+
+    one_sided = []
+    for owner, levels in levels_of.items():
+        for name in levels:
+            if owner.name not in levels_of[Vertex(_OTHER_SIDE[owner.side], name)]:
+                pair = (owner.name, name) if owner.side == DOCTOR else (name, owner.name)
+                one_sided.append((owner.side, pair, owner, name))
+    if one_sided:
+        _, _, owner, name = min(one_sided)
+        partner = Vertex(_OTHER_SIDE[owner.side], name)
+        raise _ListError(
+            f"{owner.describe()} lists {name!r} but {partner.describe()} does not list {owner.name!r}",
+            owner,
+            list(levels_of[owner]).index(name),
+        )
+
+    rank: dict[Vertex, dict[Edge, int]] = {}
+    for d in doctors:
+        v = Vertex(DOCTOR, d)
+        rank[v] = {Edge(d, h): r for h, r in levels_of[v].items()}
+    for h in hospitals:
+        v = Vertex(HOSPITAL, h)
+        rank[v] = {Edge(d, h): r for d, r in levels_of[v].items()}
+    edges = frozenset(e for d in doctors for e in rank[Vertex(DOCTOR, d)])
+    return _unchecked(doctors, hospitals, edges, rank)
 
 
 def make_instance(
@@ -228,6 +305,7 @@ def make_instance(
     """
     doctors = tuple(doctors)
     hospitals = tuple(hospitals)
+    _check_names(doctors, hospitals)
     doctor_prefs = dict(doctor_prefs or {})
     hospital_prefs = dict(hospital_prefs or {})
     for word, prefs, declared in (
@@ -238,35 +316,9 @@ def make_instance(
         if extra:
             raise ValueError(f"preferences given for undeclared {word} {sorted(extra)[0]!r}")
 
-    d_groups = {d: _normalized_groups(doctor_prefs.get(d, ()), f"doctor {d!r}") for d in doctors}
-    h_groups = {h: _normalized_groups(hospital_prefs.get(h, ()), f"hospital {h!r}") for h in hospitals}
-
-    hset = set(hospitals)
-    dset = set(doctors)
-    d_lists = {(d, h) for d, gs in d_groups.items() for g in gs for h in g}
-    h_lists = {(d, h) for h, gs in h_groups.items() for g in gs for d in g}
-    for d, h in d_lists:
-        if h not in hset:
-            raise ValueError(f"doctor {d!r} lists unknown hospital {h!r}")
-        if (d, h) not in h_lists:
-            raise ValueError(f"doctor {d!r} lists {h!r} but hospital {h!r} does not list {d!r}")
-    for d, h in h_lists:
-        if d not in dset:
-            raise ValueError(f"hospital {h!r} lists unknown doctor {d!r}")
-        if (d, h) not in d_lists:
-            raise ValueError(f"hospital {h!r} lists {d!r} but doctor {d!r} does not list {h!r}")
-
-    edges = frozenset(Edge(d, h) for d, h in d_lists)
-    rank: dict[Vertex, dict[Edge, int]] = {}
-    for d in doctors:
-        rank[Vertex(DOCTOR, d)] = {
-            Edge(d, h): level for level, g in enumerate(d_groups[d], 1) for h in g
-        }
-    for h in hospitals:
-        rank[Vertex(HOSPITAL, h)] = {
-            Edge(d, h): level for level, g in enumerate(h_groups[h], 1) for d in g
-        }
-    return Instance(doctors, hospitals, edges, rank)
+    lists = {Vertex(DOCTOR, d): doctor_prefs.get(d, ()) for d in doctors}
+    lists.update({Vertex(HOSPITAL, h): hospital_prefs.get(h, ()) for h in hospitals})
+    return _from_lists(doctors, hospitals, lists)
 
 
 def _scan_entries(body: str, lineno: int, offset: int) -> list[list[tuple[str, int]]]:
@@ -365,72 +417,32 @@ def parse_instance(text: str) -> Instance:
         )
 
     dset, hset = set(doctors), set(hospitals)
-    groups_of: dict[str, list[list[tuple[str, int]]]] = {}
+    prefs: dict[Vertex, list[list[str]]] = {}
+    columns: dict[Vertex, list[int]] = {}
     line_of: dict[str, int] = {}
     for name, lineno, groups in pref_lines:
         if name not in dset and name not in hset:
             raise FormatError(f"preference line for undeclared vertex {name!r}", line=lineno)
-        if name in groups_of:
+        if name in line_of:
             raise FormatError(
                 f"second preference line for {name!r} (first on line {line_of[name]})",
                 line=lineno,
             )
-        groups_of[name] = groups
         line_of[name] = lineno
+        v = Vertex(DOCTOR if name in dset else HOSPITAL, name)
+        prefs[v] = [[t for t, _ in g] for g in groups]
+        columns[v] = [col for g in groups for _, col in g]
 
-    for name in list(doctors) + list(hospitals):
-        if name not in groups_of:
+    for name in doctors + hospitals:
+        if name not in line_of:
             side = "doctor" if name in dset else "hospital"
             raise FormatError(f"missing preference line for {side} {name!r}")
 
-    entry_pos: dict[tuple[str, str], tuple[int, int]] = {}
-    for owner, groups in groups_of.items():
-        owner_is_doctor = owner in dset
-        partners = hset if owner_is_doctor else dset
-        side = "hospital" if owner_is_doctor else "doctor"
-        seen: set[str] = set()
-        for g in groups:
-            for token, col in g:
-                if token not in partners:
-                    raise FormatError(
-                        f"unknown {side} {token!r} in preference list of {owner!r}",
-                        line=line_of[owner],
-                        column=col,
-                    )
-                if token in seen:
-                    raise FormatError(
-                        f"{owner!r} lists {token!r} more than once",
-                        line=line_of[owner],
-                        column=col,
-                    )
-                seen.add(token)
-                key = (owner, token) if owner_is_doctor else (token, owner)
-                entry_pos[key] = (line_of[owner], col)
-
-    d_listed = {(d, h) for d in doctors for g in groups_of[d] for h, _ in g}
-    h_listed = {(d, h) for h in hospitals for g in groups_of[h] for d, _ in g}
-    for d, h in sorted(d_listed - h_listed):
-        lineno, col = entry_pos[(d, h)]
-        raise FormatError(
-            f"doctor {d!r} lists {h!r} but hospital {h!r} does not list {d!r}",
-            line=lineno,
-            column=col,
-        )
-    for d, h in sorted(h_listed - d_listed):
-        lineno, col = entry_pos[(d, h)]
-        raise FormatError(
-            f"hospital {h!r} lists {d!r} but doctor {d!r} does not list {h!r}",
-            line=lineno,
-            column=col,
-        )
-
-    strip = lambda groups: [[t for t, _ in g] for g in groups]
-    return make_instance(
-        doctors,
-        hospitals,
-        {d: strip(groups_of[d]) for d in doctors},
-        {h: strip(groups_of[h]) for h in hospitals},
-    )
+    try:
+        return _from_lists(doctors, hospitals, prefs)
+    except _ListError as exc:
+        column = None if exc.entry is None else columns[exc.owner][exc.entry]
+        raise FormatError(str(exc), line=line_of[exc.owner.name], column=column) from None
 
 
 def _parse_name_list(body: str, lineno: int, offset: int, word: str) -> tuple[str, ...]:
@@ -482,7 +494,8 @@ def serialize_instance(inst: Instance) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _require_known(inst: Instance, removed: Iterable[Vertex]) -> frozenset[Vertex]:
+def induced_edges(inst: Instance, removed: Iterable[Vertex] = ()) -> frozenset[Edge]:
+    """Edges of the subgraph left after deleting `removed` vertices."""
     removed = frozenset(removed)
     for v in removed:
         if not isinstance(v, Vertex) or v.side not in _SIDE_WORD:
@@ -490,12 +503,6 @@ def _require_known(inst: Instance, removed: Iterable[Vertex]) -> frozenset[Verte
         known = inst.doctor_set if v.side == DOCTOR else inst.hospital_set
         if v.name not in known:
             raise ValueError(f"unknown {v.describe()}")
-    return removed
-
-
-def induced_edges(inst: Instance, removed: Iterable[Vertex] = ()) -> frozenset[Edge]:
-    """Edges of the subgraph left after deleting `removed` vertices."""
-    removed = _require_known(inst, removed)
     if not removed:
         return inst.edges
     gone_d = {v.name for v in removed if v.side == DOCTOR}
@@ -511,80 +518,30 @@ def induced_instance(inst: Instance, removed: Iterable[Vertex]) -> Instance:
     Declaration order is preserved, edge sets shrink accordingly, and
     surviving rank values carry over unchanged.
     """
-    removed = _require_known(inst, removed)
-    gone_d = {v.name for v in removed if v.side == DOCTOR}
-    gone_h = {v.name for v in removed if v.side == HOSPITAL}
-    doctors = tuple(d for d in inst.doctors if d not in gone_d)
-    hospitals = tuple(h for h in inst.hospitals if h not in gone_h)
-    edges = frozenset(
-        e for e in inst.edges if e.doctor not in gone_d and e.hospital not in gone_h
+    removed = frozenset(removed)
+    if not removed:
+        return inst
+    edges = induced_edges(inst, removed)
+    return _unchecked(
+        tuple(d for d in inst.doctors if Vertex(DOCTOR, d) not in removed),
+        tuple(h for h in inst.hospitals if Vertex(HOSPITAL, h) not in removed),
+        edges,
+        {
+            v: {e: r for e, r in table.items() if e in edges}
+            for v, table in inst.rank.items()
+            if v not in removed
+        },
     )
-    rank = {
-        v: {e: r for e, r in inst.rank[v].items() if e in edges}
-        for v in inst.rank
-        if (v.name not in gone_d if v.side == DOCTOR else v.name not in gone_h)
-    }
-    return Instance(doctors, hospitals, edges, rank)
 
 
 def transpose_instance(inst: Instance) -> Instance:
     """Swap the two sides, preserving every preference."""
     flip = lambda e: Edge(e.hospital, e.doctor)
     rank = {
-        Vertex(HOSPITAL if v.side == DOCTOR else DOCTOR, v.name): {
-            flip(e): r for e, r in table.items()
-        }
+        Vertex(_OTHER_SIDE[v.side], v.name): {flip(e): r for e, r in table.items()}
         for v, table in inst.rank.items()
     }
-    return Instance(
-        doctors=inst.hospitals,
-        hospitals=inst.doctors,
-        edges=frozenset(flip(e) for e in inst.edges),
-        rank=rank,
-    )
-
-
-def doctor_choice(inst: Instance, name: str, pool: Iterable[Edge]) -> frozenset[Edge]:
-    """The weakly best edges for one doctor within `pool` (ties kept)."""
-    if name not in inst.doctor_set:
-        raise ValueError(f"unknown doctor {name!r}")
-    dr = inst.doctor_rank
-    best: int | None = None
-    out: list[Edge] = []
-    for e in pool:
-        if e.doctor != name:
-            continue
-        r = _pool_rank(dr, e)
-        if best is None or r < best:
-            best, out = r, [e]
-        elif r == best:
-            out.append(e)
-    return frozenset(out)
-
-
-def hospital_choice(inst: Instance, name: str, pool: Iterable[Edge]) -> frozenset[Edge]:
-    """The edge one hospital holds within `pool`: its strictly best, if any.
-
-    Returns at most one edge; a tie at the top means the hospital holds
-    nothing.
-    """
-    if name not in inst.hospital_set:
-        raise ValueError(f"unknown hospital {name!r}")
-    hr = inst.hospital_rank
-    best: int | None = None
-    top: Edge | None = None
-    tied = False
-    for e in pool:
-        if e.hospital != name:
-            continue
-        r = _pool_rank(hr, e)
-        if best is None or r < best:
-            best, top, tied = r, e, False
-        elif r == best:
-            tied = True
-    if top is None or tied:
-        return frozenset()
-    return frozenset((top,))
+    return _unchecked(inst.hospitals, inst.doctors, frozenset(flip(e) for e in inst.edges), rank)
 
 
 def _pool_rank(table: dict[Edge, int], e: Edge) -> int:
@@ -628,11 +585,6 @@ def all_hospital_choices(inst: Instance, pool: Iterable[Edge]) -> frozenset[Edge
         elif r == b:
             tied.add(h)
     return frozenset(top[h] for h in top if h not in tied)
-
-
-def doctors_with_edges(pool: Iterable[Edge]) -> frozenset[Vertex]:
-    """The doctors that still have at least one edge in `pool`."""
-    return frozenset(Vertex(DOCTOR, e.doctor) for e in pool)
 
 
 def _assignment(
@@ -702,11 +654,8 @@ __all__ = [
     "induced_edges",
     "induced_instance",
     "transpose_instance",
-    "doctor_choice",
-    "hospital_choice",
     "all_doctor_choices",
     "all_hospital_choices",
-    "doctors_with_edges",
     "blocking_edges",
     "is_super_stable",
 ]

@@ -9,8 +9,6 @@ raise CapExceeded instead of truncating silently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator
 
@@ -28,15 +26,6 @@ from .model import (
 
 class CapExceeded(RuntimeError):
     """An exhaustive search would exceed its configured cap."""
-
-
-@dataclass(frozen=True)
-class OracleReport:
-    """Bundle of brute-force answers for one instance."""
-
-    all_super_stable: tuple[frozenset[Edge], ...]
-    min_hospital_deletion: tuple[int, frozenset[Vertex]]
-    search_space: int
 
 
 def all_matchings(inst: Instance, deleted: Iterable[Vertex] = ()) -> Iterator[frozenset[Edge]]:
@@ -131,10 +120,8 @@ def enumerate_super_stable(
     return found
 
 
-@lru_cache(maxsize=1 << 18)
 def _any_super_stable(inst: Instance, deleted: frozenset[Vertex]) -> bool:
-    """Uncapped existence check, memoized because the subset searches
-    revisit the same (instance, deletions) pairs across budgets."""
+    """Uncapped check: does the graph minus `deleted` have a super-stable matching?"""
     pool = ordered_edges(induced_edges(inst, deleted))
     dr = inst.doctor_rank
     hr = inst.hospital_rank
@@ -236,20 +223,6 @@ def oracle_two_side_deletion(
     return None
 
 
-def oracle_report(
-    inst: Instance, *, max_edges: int = 20, max_hospitals: int = 12
-) -> OracleReport:
-    """Run the enumerations once and package their answers.
-
-    `search_space` is the number of matchings of the full graph, the
-    size of the space the enumeration walks.
-    """
-    stable = tuple(enumerate_super_stable(inst, max_edges=max_edges))
-    minimum = oracle_min_hospital_deletion(inst, max_hospitals=max_hospitals)
-    space = count_matchings(inst, max_edges=max_edges)
-    return OracleReport(stable, minimum, space)
-
-
 def _verify_enumeration(inst: Instance, deleted: Iterable[Vertex] = ()) -> bool:
     """Slow agreement check used by tests: the fused enumeration must equal
     filtering all matchings through the public predicate."""
@@ -260,11 +233,9 @@ def _verify_enumeration(inst: Instance, deleted: Iterable[Vertex] = ()) -> bool:
 
 __all__ = [
     "CapExceeded",
-    "OracleReport",
     "all_matchings",
     "count_matchings",
     "enumerate_super_stable",
     "oracle_min_hospital_deletion",
     "oracle_two_side_deletion",
-    "oracle_report",
 ]

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
+import superstab
 from superstab.cli import generate_instance
 from superstab.model import (
     DOCTOR,
@@ -39,6 +44,14 @@ hospitals: h1
 pref d1: h1
 pref h1: d1
 """
+
+
+def run_python(hash_seed: int, *args: str) -> subprocess.CompletedProcess:
+    """Run `python ARGS` on this checkout's package with PYTHONHASHSEED fixed."""
+    src = str(Path(superstab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONHASHSEED=str(hash_seed), PYTHONPATH=path)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, timeout=60)
 
 
 @pytest.fixture

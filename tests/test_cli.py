@@ -4,10 +4,11 @@ import json
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from conftest import STRICT_2X2_TEXT, TIE_2X2_TEXT
+from conftest import STRICT_2X2_TEXT, TIE_2X2_TEXT, run_python
 from superstab.cli import generate_instance, main
 from superstab.model import (
     Edge,
@@ -334,6 +335,16 @@ def test_missing_and_malformed_files(capsys, tmp_path):
     rc, _, captured = run_cli(capsys, "check", str(bad))
     assert rc == 2
     assert "missing 'hospitals:'" in captured.err
+
+
+@pytest.mark.parametrize("name", ["tie.ssm", "strict.ssm"])
+def test_output_does_not_depend_on_hash_seed(name):
+    path = str(Path(__file__).parent / "data" / name)
+    for args in (["check"], ["solve1", "--q", "1"], ["solve2", "--q1", "0", "--q2", "2"], ["closure"]):
+        cmd = ["-m", "superstab.cli", "--no-timing", args[0], path, *args[1:]]
+        runs = [run_python(seed, *cmd) for seed in (0, 1)]
+        assert runs[0].stdout.startswith(b"{"), runs[0].stderr
+        assert runs[0].stdout == runs[1].stdout
 
 
 def test_module_entry_point(strict_file):

@@ -5,12 +5,15 @@ from itertools import combinations
 import pytest
 from hypothesis import given
 
+import superstab.model
+
 from conftest import (
     ONE_PAIR_TEXT,
     STRICT_2X2_TEXT,
     TIE_2X2_TEXT,
     instances,
     naive_is_super_stable,
+    run_python,
     sample_instances,
 )
 from superstab.model import (
@@ -24,10 +27,7 @@ from superstab.model import (
     all_hospital_choices,
     blocking_edges,
     doctor,
-    doctor_choice,
-    doctors_with_edges,
     hospital,
-    hospital_choice,
     induced_edges,
     induced_instance,
     is_super_stable,
@@ -159,6 +159,41 @@ def test_make_instance_rejects(kwargs, needle):
         make_instance(["d1"], ["h1"], **kwargs)
 
 
+def test_make_instance_reports_list_problems_before_one_sided_entries():
+    with pytest.raises(ValueError, match="unknown doctor 'd9'"):
+        make_instance(["d1"], ["h1", "h2"], {"d1": ["h1"]}, {"h2": ["d9"]})
+
+
+def test_make_instance_error_does_not_depend_on_hash_seed():
+    # Six one-sided doctor entries; the first in sorted order is reported.
+    code = (
+        "from superstab.model import make_instance\n"
+        "n = 6\n"
+        "try:\n"
+        "    make_instance([f'd{i}' for i in range(n)], [f'h{i}' for i in range(n)],\n"
+        "                  {f'd{i}': [f'h{i}'] for i in range(n)}, {})\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+    )
+    outs = {run_python(seed, "-c", code).stdout for seed in (0, 1)}
+    assert outs == {b"doctor 'd0' lists 'h0' but hospital 'h0' does not list 'd0'\n"}
+
+
+def test_public_constructors_skip_revalidation(monkeypatch):
+    def refuse(inst):
+        raise AssertionError("_validate_instance called")
+
+    monkeypatch.setattr(superstab.model, "_validate_instance", refuse)
+    inst = parse_instance(STRICT_2X2_TEXT)
+    made = make_instance(["d1"], ["h1"], {"d1": ["h1"]}, {"h1": ["d1"]})
+    sub = induced_instance(inst, {hospital("h1")})
+    assert sub.edges == edges(("d1", "h2"), ("d2", "h2"))
+    assert transpose_instance(inst).doctors == ("h1", "h2")
+    assert made.edges == edges(("d1", "h1"))
+    with pytest.raises(AssertionError, match="_validate_instance called"):
+        Instance(made.doctors, made.hospitals, made.edges, made.rank)
+
+
 def test_instance_validation_rejects_bad_ranks():
     e = Edge("d1", "h1")
     with pytest.raises(ValueError, match="non-positive rank"):
@@ -284,24 +319,7 @@ def test_transpose_is_an_involution(inst):
     assert transpose_instance(transpose_instance(inst)) == inst
 
 
-def test_doctor_choice_examples(strict_2x2, tie_2x2):
-    assert doctor_choice(strict_2x2, "d1", strict_2x2.edges) == edges(("d1", "h1"))
-    assert doctor_choice(tie_2x2, "d1", tie_2x2.edges) == edges(("d1", "h1"), ("d1", "h2"))
-    assert doctor_choice(strict_2x2, "d1", edges(("d1", "h2"))) == edges(("d1", "h2"))
-    assert doctor_choice(strict_2x2, "d1", frozenset()) == frozenset()
-
-
-def test_hospital_choice_examples(strict_2x2, tie_2x2):
-    assert hospital_choice(strict_2x2, "h1", strict_2x2.edges) == edges(("d1", "h1"))
-    assert hospital_choice(tie_2x2, "h1", tie_2x2.edges) == frozenset()
-    assert hospital_choice(strict_2x2, "h1", edges(("d2", "h1"))) == edges(("d2", "h1"))
-
-
 def test_choice_rejects_unknown_vertex_or_foreign_edge(strict_2x2):
-    with pytest.raises(ValueError, match="unknown doctor"):
-        doctor_choice(strict_2x2, "nope", strict_2x2.edges)
-    with pytest.raises(ValueError, match="unknown hospital"):
-        hospital_choice(strict_2x2, "nope", strict_2x2.edges)
     with pytest.raises(ValueError, match="not an edge of the instance"):
         all_doctor_choices(strict_2x2, {Edge("d1", "h9")})
 
@@ -335,12 +353,6 @@ def test_choices_agree_with_their_definitions(inst):
             }
             assert len(expect) <= 1
             assert chosen_h & mine == expect
-
-
-def test_doctors_with_edges(strict_2x2):
-    assert doctors_with_edges(strict_2x2.edges) == frozenset({doctor("d1"), doctor("d2")})
-    assert doctors_with_edges(edges(("d2", "h1"))) == frozenset({doctor("d2")})
-    assert doctors_with_edges(frozenset()) == frozenset()
 
 
 def test_blocking_edges_examples(strict_2x2, tie_2x2):

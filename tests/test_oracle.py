@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import gc
+import weakref
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 
@@ -12,7 +16,6 @@ from superstab.oracle import (
     count_matchings,
     enumerate_super_stable,
     oracle_min_hospital_deletion,
-    oracle_report,
     oracle_two_side_deletion,
 )
 from superstab.superstable import exists_super_stable
@@ -112,8 +115,6 @@ def test_caps_raise_instead_of_truncating(strict_2x2):
         oracle_min_hospital_deletion(strict_2x2, max_hospitals=1)
     with pytest.raises(CapExceeded, match="subset-search cap"):
         oracle_two_side_deletion(strict_2x2, 0, 0, max_vertices=3)
-    with pytest.raises(CapExceeded, match="enumeration cap"):
-        oracle_report(strict_2x2, max_edges=3)
     assert enumerate_super_stable(strict_2x2, max_edges=None)
 
 
@@ -195,18 +196,11 @@ def test_two_side_witness_respects_budgets():
                 assert exists_super_stable(inst, witness) is not None
 
 
-def test_oracle_report_bundle(strict_2x2):
-    report = oracle_report(strict_2x2)
-    assert report.all_super_stable == (edges(("d1", "h1"), ("d2", "h2")),)
-    assert report.min_hospital_deletion == (0, frozenset())
-    assert report.search_space == 7
-
-
-def test_oracle_report_on_an_unsolvable_instance(tie_2x2):
-    report = oracle_report(tie_2x2)
-    assert report.all_super_stable == ()
-    assert report.min_hospital_deletion == (
-        2,
-        frozenset({hospital("h1"), hospital("h2")}),
-    )
-    assert report.search_space == 7
+def test_oracle_keeps_no_instance_alive():
+    text = (Path(__file__).parent / "data" / "tie.ssm").read_text()
+    inst = parse_instance(text)
+    ref = weakref.ref(inst)
+    assert oracle_min_hospital_deletion(inst) == (2, frozenset({hospital("h1"), hospital("h2")}))
+    del inst
+    gc.collect()
+    assert ref() is None
