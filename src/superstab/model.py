@@ -7,10 +7,13 @@ weakly preferred, by both of its endpoints at once, to whatever those
 endpoints currently hold.
 
 This module owns the data model, the instance text format and its
-validation, induced subgraphs, the transpose transform, the per-round
-choice scans the closure solver runs, and the super-stability
-predicate.  Everything is immutable and side-effect free; solvers live
-in the sibling modules.
+validation, induced subgraphs, the transpose transform, the choice scans
+that define one closure round (each doctor's weakly best edges, each
+hospital's strictly best one), and the super-stability predicate.  The
+closure solver itself only scans a finished result; the round
+definition serves as the reference the tests check it against.
+Everything is immutable and side-effect free; solvers live in the
+sibling modules.
 """
 
 from __future__ import annotations

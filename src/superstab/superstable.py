@@ -1,19 +1,21 @@
 """Fixed-point solver for super-stable matchings and hospital deletions.
 
-The closure loop repeatedly lets every doctor propose along its weakly
-best edges that are not yet forbidden; a hospital holds a proposal only
-when it beats, strictly, every other proposal or already-forbidden edge
-incident to it; proposals nobody holds become forbidden.  At the fixed
-point no super-stable matching can use a forbidden edge, each hospital
-retains at most one candidate, and the hospitals left empty while still
-wanted form a smallest deletion set whose removal restores
-super-stability.
+The closure loop lets every doctor propose along its weakly best edges
+that are not yet forbidden; a hospital holds a proposal only when it
+beats, strictly, every other proposal or already-forbidden edge incident
+to it; proposals nobody holds become forbidden, and the next round
+starts.  Only the frontier moves between rounds: a doctor proposes anew
+only once its whole current tie group is forbidden, and only hospitals
+that receive new proposals decide again.  At the fixed point no
+super-stable matching can use a forbidden edge, each hospital retains at
+most one candidate, and the hospitals left empty while still wanted form
+a smallest deletion set whose removal restores super-stability.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator, Mapping
 
 from .model import (
     HOSPITAL,
@@ -21,7 +23,7 @@ from .model import (
     Instance,
     Vertex,
     all_doctor_choices,
-    all_hospital_choices,
+    all_hospital_choices,  # unused here; bench/tracer.py patches both scans in this module
     induced_instance,
 )
 
@@ -70,6 +72,18 @@ def closure(
 
     Returns the final forbidden edge set and the round-by-round trace.
     `deleted` may only contain hospitals of the instance.
+
+    Each round equals one pass of the definition: every doctor proposes
+    its weakly best edges outside the forbidden set, each hospital holds
+    its strictly best edge among its proposals and forbidden edges if that
+    edge is a proposal, and the proposals not held become forbidden.  The
+    loop itself touches only the frontier.  A doctor's proposals carry
+    over until all of its current tie group is forbidden, and then it
+    moves to its next group.  A hospital's pool of proposed and forbidden
+    edges only grows, so a hospital decides again only when proposals
+    arrive, from its best rank and the number of edges at that rank.
+    Reaching the fixed point costs O(|E| log |E|); building the returned
+    trace costs its size on top.
     """
     deleted = frozenset(deleted)
     for v in deleted:
@@ -78,20 +92,80 @@ def closure(
         if v.name not in inst.hospital_set:
             raise ValueError(f"unknown {v.describe()}")
     gone = {v.name for v in deleted}
+    initial = frozenset().union(*(inst.rank[v] for v in deleted))
 
-    forbidden = frozenset(e for e in inst.edges if e.hospital in gone)
-    initial = forbidden
-    rounds: list[ClosureRound] = []
-    index = 0
+    # Per doctor: its tie groups not yet proposed along, best first, and
+    # how many of its current proposals are not yet forbidden.
+    rest: dict[str, Iterator[list[Edge]]] = {}
+    left: dict[str, int] = {}
+    hospital_table: dict[str, Mapping[Edge, int]] = {}
+    for v, table in inst.rank.items():
+        if v.side == HOSPITAL:
+            hospital_table[v.name] = table
+            continue
+        by_rank: dict[int, list[Edge]] = {}
+        for e, r in table.items():
+            by_rank.setdefault(r, []).append(e)
+        rest[v.name] = iter([by_rank[r] for r in sorted(by_rank)])
+
+    def propose(d: str) -> list[Edge]:
+        """Move `d` to its next tie group with an edge outside the seed."""
+        for group in rest[d]:
+            if gone:
+                group = [e for e in group if e.hospital not in gone]
+            if group:
+                left[d] = len(group)
+                return group
+        return []
+
+    # Per hospital: the best rank in its pool, how many pool edges have
+    # that rank and the first edge to reach it; and the proposal it holds.
+    pool_best: dict[str, tuple[int, int, Edge]] = {}
+    holds: dict[str, Edge] = {}
+    log: list[tuple[list[Edge], list[Edge]]] = []
+    new = [e for d in rest for e in propose(d)]
     while True:
-        index += 1
-        proposed = all_doctor_choices(inst, inst.edges - forbidden)
-        held = all_hospital_choices(inst, proposed | forbidden) & proposed
-        grown = forbidden | (proposed - held)
-        rounds.append(ClosureRound(index, proposed, held, grown))
-        if grown == forbidden:
+        arrivals: dict[str, list[Edge]] = {}
+        for e in new:
+            arrivals.setdefault(e.hospital, []).append(e)
+        lost: list[Edge] = []
+        for h, live in arrivals.items():
+            table = hospital_table[h]
+            b, c, t = pool_best.get(h, (None, 0, None))
+            for e in live:
+                r = table[e]
+                if b is None or r < b:
+                    b, c, t = r, 1, e
+                elif r == b:
+                    c += 1
+            pool_best[h] = b, c, t
+            if h in holds:
+                live.append(holds.pop(h))
+            for e in live:
+                if c == 1 and e == t:
+                    holds[h] = e
+                else:
+                    lost.append(e)
+        log.append((new, lost))
+        if not lost:
             break
-        forbidden = grown
+        new = []
+        for e in lost:
+            left[e.doctor] -= 1
+            if not left[e.doctor]:
+                new.extend(propose(e.doctor))
+
+    rounds: list[ClosureRound] = []
+    proposed: set[Edge] = set()
+    forbidden = initial
+    for index, (new, lost) in enumerate(log, 1):
+        proposed.update(new)
+        offered = frozenset(proposed)
+        if lost:
+            proposed.difference_update(lost)
+            forbidden = forbidden.union(lost)
+        held = frozenset(proposed) if lost else offered
+        rounds.append(ClosureRound(index, offered, held, forbidden))
     return forbidden, ClosureTrace(initial, tuple(rounds))
 
 

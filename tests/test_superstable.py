@@ -1,18 +1,22 @@
 from __future__ import annotations
 
 import logging
+import random
 from itertools import chain, combinations, product
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import closure_trace_violations, instances, naive_is_super_stable, sample_instances
+from superstab.cli import generate_instance
 from superstab.model import (
     Edge,
     doctor,
     hospital,
     induced_instance,
     is_super_stable,
+    make_instance,
     parse_instance,
 )
 from superstab.oracle import enumerate_super_stable, oracle_min_hospital_deletion
@@ -114,11 +118,61 @@ def test_closure_mechanics_on_samples():
             assert closure_trace_violations(inst, deleted, forbidden, trace) == []
 
 
-@given(instances())
+def partly_forbidden_groups(inst, trace) -> int:
+    """Rounds x doctors where a doctor proposes along a tie group that
+    already lost an edge to a hospital's rejection."""
+    hits = 0
+    for prev, cur in zip(trace.rounds, trace.rounds[1:]):
+        lost = prev.forbidden - trace.initial_forbidden
+        for e in cur.proposed:
+            d = doctor(e.doctor)
+            rank = inst.rank_of(d, e)
+            hits += any(f.doctor == e.doctor and inst.rank_of(d, f) == rank for f in lost)
+    return hits
+
+
+def test_closure_mechanics_on_larger_samples():
+    rng = random.Random("closure-large")
+    partly = 0
+    for i in range(40):
+        n, m = rng.randint(4, 12), rng.randint(4, 12)
+        inst = generate_instance(n, m, rng.uniform(0.2, 1.0), rng.uniform(0.0, 0.9), seed=f"large-{i}")
+        deleted = as_hospitals(h for h in inst.hospitals if rng.random() < 0.2)
+        forbidden, trace = closure(inst, deleted)
+        assert closure_trace_violations(inst, deleted, forbidden, trace) == []
+        partly += partly_forbidden_groups(inst, trace)
+    # The sample must reach tie groups that rejections have only thinned.
+    assert partly > 0
+
+
+def test_closure_on_a_master_list_takes_one_round_per_doctor():
+    n = 120
+    rng = random.Random("master-list")
+    doctors = [f"d{i}" for i in range(n)]
+    hospitals = [f"h{i}" for i in range(n)]
+    rng.shuffle(doctors)
+    rng.shuffle(hospitals)
+    inst = make_instance(
+        doctors,
+        hospitals,
+        {d: hospitals for d in doctors},
+        {h: doctors[::-1] for h in hospitals},
+    )
+    cert = solve_min_hospital_deletion(inst)
+    assert cert.trace.iterations == n
+    assert cert.matching == edges(*((doctors[n - 1 - i], hospitals[i]) for i in range(n)))
+    assert cert.critical == frozenset()
+    assert closure_trace_violations(inst, set(), cert.forbidden, cert.trace) == []
+
+
+@given(st.data())
 @settings(max_examples=60)
-def test_closure_mechanics_property(inst):
-    forbidden, trace = closure(inst)
-    assert closure_trace_violations(inst, set(), forbidden, trace) == []
+def test_closure_mechanics_property(data):
+    inst = data.draw(instances())
+    mask = data.draw(st.lists(st.booleans(), min_size=len(inst.hospitals), max_size=len(inst.hospitals)))
+    deleted = as_hospitals(h for h, drop in zip(inst.hospitals, mask) if drop)
+    forbidden, trace = closure(inst, deleted)
+    assert closure_trace_violations(inst, deleted, forbidden, trace) == []
 
 
 def test_forbidden_edges_avoid_every_super_stable_matching():
