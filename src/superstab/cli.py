@@ -81,18 +81,57 @@ def generate_instance(
     return make_instance(doctors, hospitals, doctor_prefs, hospital_prefs)
 
 
-def _pairs(edges: Iterable[Edge]) -> list[list[str]]:
-    return [[e.doctor, e.hospital] for e in ordered_edges(edges)]
-
-
 def _split_names(removed: Iterable[Vertex]) -> tuple[list[str], list[str]]:
     ds = sorted(v.name for v in removed if v.side == DOCTOR)
     hs = sorted(v.name for v in removed if v.side != DOCTOR)
     return ds, hs
 
 
+class _EdgeBlocks(dict):
+    """Edge -> its `json.dumps(..., indent=2)` block at one nesting depth,
+    rendered the first time the edge is printed at that depth."""
+
+    def __init__(self, depth: int) -> None:
+        super().__init__()
+        self.inner = "\n" + "  " * (depth + 1)
+        self.close = "\n" + "  " * depth + "]"
+
+    def __missing__(self, e: Edge) -> str:
+        block = self[e] = (
+            f"[{self.inner}{json.dumps(e.doctor)},{self.inner}{json.dumps(e.hospital)}{self.close}"
+        )
+        return block
+
+
+class _JsonWriter:
+    """`render(value)` is `json.dumps(value, indent=2)`, byte for byte, for
+    any value whose dict keys are strings.
+
+    With `indent` set, the stdlib encodes in pure Python, one call per
+    value.  Here each `Edge` (a `[doctor, hospital]` pair) is rendered
+    once per depth, so a list of edges costs one join over cached blocks;
+    anything but a non-empty dict or list goes to `json.dumps` itself.
+    """
+
+    def __init__(self) -> None:
+        self.blocks: dict[int, _EdgeBlocks] = {}
+
+    def render(self, value: object, depth: int = 0) -> str:
+        if not value or not isinstance(value, (dict, list)):
+            return json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
+        pad = "\n" + "  " * (depth + 1)
+        if isinstance(value, dict):
+            items = [f"{json.dumps(k)}: {self.render(v, depth + 1)}" for k, v in value.items()]
+            return "{" + pad + ("," + pad).join(items) + pad[:-2] + "}"
+        blocks = self.blocks.get(depth + 1)
+        if blocks is None:
+            blocks = self.blocks[depth + 1] = _EdgeBlocks(depth + 1)
+        items = [blocks[v] if isinstance(v, Edge) else self.render(v, depth + 1) for v in value]
+        return "[" + pad + ("," + pad).join(items) + pad[:-2] + "]"
+
+
 def _emit(payload: dict, note: str) -> None:
-    print(json.dumps(payload, indent=2))
+    print(_JsonWriter().render(payload))
     print(note, file=sys.stderr)
 
 
@@ -135,7 +174,7 @@ def _cmd_check(ns: argparse.Namespace) -> int:
     ok = not cert.critical
     payload: dict = {"command": "check", "answer": "yes" if ok else "none"}
     if ok:
-        payload["matching"] = _pairs(cert.matching)
+        payload["matching"] = ordered_edges(cert.matching)
     payload["stats"] = _finish_stats(
         {"iterations": cert.trace.iterations, "forbidden_size": len(cert.forbidden)},
         timer,
@@ -156,7 +195,7 @@ def _cmd_solve1(ns: argparse.Namespace) -> int:
         "command": "solve1",
         "answer": "yes" if ok else "no",
         "deleted_hospitals": sorted(v.name for v in cert.critical),
-        "matching": _pairs(cert.matching),
+        "matching": ordered_edges(cert.matching),
         "stats": _finish_stats(
             {
                 "iterations": cert.trace.iterations,
@@ -189,7 +228,7 @@ def _cmd_solve2(ns: argparse.Namespace) -> int:
         payload["deleted_hospitals"] = hs
         matching = exists_super_stable(inst, witness)
         assert matching is not None
-        payload["matching"] = _pairs(matching)
+        payload["matching"] = ordered_edges(matching)
     payload["stats"] = _finish_stats({"doctor_budget": ns.q1, "hospital_budget": ns.q2}, timer, ns)
     _emit(
         payload,
@@ -203,20 +242,25 @@ def _cmd_closure(ns: argparse.Namespace) -> int:
     removed = frozenset(hospital(name) for name in ns.delete)
     timer = _Timer()
     forbidden, trace = closure(inst, removed)
+    order = ordered_edges(inst.edges)
+
+    def in_order(edges: frozenset[Edge]) -> list[Edge]:
+        return list(filter(edges.__contains__, order))
+
     payload = {
         "command": "closure",
         "deleted_hospitals": sorted(v.name for v in removed),
-        "initial_forbidden": _pairs(trace.initial_forbidden),
+        "initial_forbidden": in_order(trace.initial_forbidden),
         "rounds": [
             {
                 "round": r.index,
-                "proposed": _pairs(r.proposed),
-                "held": _pairs(r.held),
-                "forbidden": _pairs(r.forbidden),
+                "proposed": in_order(r.proposed),
+                "held": in_order(r.held),
+                "forbidden": in_order(r.forbidden),
             }
             for r in trace.rounds
         ],
-        "forbidden": _pairs(forbidden),
+        "forbidden": in_order(forbidden),
         "stats": _finish_stats(
             {"iterations": trace.iterations, "forbidden_size": len(forbidden)}, timer, ns
         ),

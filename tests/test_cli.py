@@ -15,10 +15,11 @@ from superstab.model import (
     doctor,
     hospital,
     is_super_stable,
+    ordered_edges,
     parse_instance,
     serialize_instance,
 )
-from superstab.superstable import closure
+from superstab.superstable import closure, solve_min_hospital_deletion
 from test_hardness import COVER_TEXT
 
 
@@ -157,6 +158,113 @@ def test_closure_pair_lists_are_sorted(capsys, tie_file):
     assert rc == 0
     assert payload["forbidden"] == sorted(payload["forbidden"])
     assert payload["rounds"][0]["proposed"] == sorted(payload["rounds"][0]["proposed"])
+
+
+def reference_pairs(edges):
+    return [[e.doctor, e.hospital] for e in ordered_edges(edges)]
+
+
+def reference_output(command, inst, deleted=(), q=0):
+    """The --no-timing stdout as the stdlib's indenting encoder writes it,
+    from a payload built the way the CLI has always built it."""
+    if command == "closure":
+        removed = frozenset(hospital(name) for name in deleted)
+        forbidden, trace = closure(inst, removed)
+        payload = {
+            "command": "closure",
+            "deleted_hospitals": sorted(v.name for v in removed),
+            "initial_forbidden": reference_pairs(trace.initial_forbidden),
+            "rounds": [
+                {
+                    "round": r.index,
+                    "proposed": reference_pairs(r.proposed),
+                    "held": reference_pairs(r.held),
+                    "forbidden": reference_pairs(r.forbidden),
+                }
+                for r in trace.rounds
+            ],
+            "forbidden": reference_pairs(forbidden),
+            "stats": {"iterations": trace.iterations, "forbidden_size": len(forbidden)},
+        }
+    else:
+        cert = solve_min_hospital_deletion(inst)
+        stats = {"iterations": cert.trace.iterations, "forbidden_size": len(cert.forbidden)}
+        if command == "check":
+            payload = {"command": "check", "answer": "none" if cert.critical else "yes"}
+            if not cert.critical:
+                payload["matching"] = reference_pairs(cert.matching)
+            payload["stats"] = stats
+        else:
+            payload = {
+                "command": "solve1",
+                "answer": "yes" if len(cert.critical) <= q else "no",
+                "deleted_hospitals": sorted(v.name for v in cert.critical),
+                "matching": reference_pairs(cert.matching),
+                "stats": {**stats, "min_deletions": len(cert.critical), "budget": q},
+            }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def test_closure_bytes_match_the_stdlib_encoder(capsys, tmp_path):
+    rng = random.Random("closure-bytes")
+    shapes = [
+        (rng.randint(0, 30), rng.randint(0, 30), rng.uniform(0.05, 1.0), rng.uniform(0.0, 1.0))
+        for _ in range(40)
+    ]
+    shapes.append((200, 200, 0.05, 0.8))
+    path = tmp_path / "gen.ssm"
+    for i, shape in enumerate(shapes):
+        inst = generate_instance(*shape, seed=f"closure-bytes-{i}")
+        path.write_text(serialize_instance(inst))
+        deleted = rng.sample(inst.hospitals, rng.randint(0, min(4, len(inst.hospitals))))
+        delete_args = ["--delete", *deleted] if deleted or rng.random() < 0.5 else []
+        rc, _, captured = run_cli(capsys, "--no-timing", "closure", str(path), *delete_args)
+        assert rc == 0, captured.err
+        assert captured.out == reference_output("closure", inst, deleted)
+
+
+ESCAPES_TEXT = """doctors: d"1 d\\2 dé
+hospitals: h\x011 hД h3
+pref d"1: h\x011 hД
+pref d\\2: hД h3
+pref dé: h3 h\x011
+pref h\x011: d"1 dé
+pref hД: (d\\2 d"1)
+pref h3: dé d\\2
+"""
+
+
+@pytest.mark.parametrize(
+    "args, reference",
+    [
+        (["check"], {}),
+        (["solve1", "--q", "1"], {"q": 1}),
+        (["closure", "--delete", "hД"], {"deleted": ["hД"]}),
+    ],
+    ids=["check", "solve1", "closure"],
+)
+def test_names_are_escaped_like_the_stdlib_encoder(capsys, tmp_path, args, reference):
+    path = tmp_path / "escapes.ssm"
+    path.write_text(ESCAPES_TEXT, encoding="utf-8")
+    inst = parse_instance(ESCAPES_TEXT)
+    assert {'d"1', "d\\2", "dé"} == set(inst.doctors)
+    assert {"h\x011", "hД", "h3"} == set(inst.hospitals)
+    rc, _, captured = run_cli(capsys, "--no-timing", args[0], str(path), *args[1:])
+    assert rc == 0, captured.err
+    assert captured.out.isascii()
+    assert captured.out == reference_output(args[0], inst, **reference)
+    for quoted in ['"d\\"1"', '"d\\\\2"', '"d\\u00e9"', '"h\\u00011"', '"h\\u0414"']:
+        assert quoted in captured.out
+
+
+def test_timing_adds_only_elapsed_ms(capsys, tie_file):
+    _, _, untimed = run_cli(capsys, "--no-timing", "closure", tie_file)
+    rc, timed, captured = run_cli(capsys, "closure", tie_file)
+    assert rc == 0
+    assert list(timed["stats"])[-1] == "elapsed_ms"
+    assert isinstance(timed["stats"].pop("elapsed_ms"), int)
+    assert json.dumps(timed, indent=2) + "\n" == untimed.out
+    assert json.dumps(json.loads(captured.out), indent=2) + "\n" == captured.out
 
 
 def test_closure_rejects_unknown_hospital(capsys, strict_file):
