@@ -30,14 +30,13 @@ from .model import (
     transpose_instance,
 )
 from .oracle import (
+    CAP_ENV,
     count_matchings,
     enumerate_super_stable,
     oracle_min_hospital_deletion,
     oracle_two_side_deletion,
 )
 from .superstable import closure, exists_super_stable, solve_min_hospital_deletion
-
-CAP_ENV = "SUPERSTAB_ORACLE_CAP"
 
 
 def generate_instance(

@@ -1,10 +1,17 @@
 """Exhaustive ground truth for desk-scale instances.
 
 Everything here enumerates: matchings by binary include/exclude over the
-edge list, deletion sets by subset size.  Nothing shares logic with the
-fixed-point solver, which is the point; use these to cross-check it,
-never for real workloads.  Hard caps guard against runaway searches and
-raise CapExceeded instead of truncating silently.
+edge list, in one iterative walk that no recursion limit bounds.  Nothing
+shares logic with the fixed-point solver, which is the point; use these
+to cross-check it, never for real workloads.  Hard caps guard against
+runaway searches and raise CapExceeded instead of truncating silently.
+
+Minimum hospital deletion takes one walk.  For a matching M of G, let
+B(M) be the hospitals of the edges that block M in G.  Deleting
+hospitals keeps the order of the remaining ranks, so M is super-stable
+in G minus a hospital set S exactly when S holds none of M's hospitals
+and all of B(M).  The minimum is the least |B(M)| over matchings M that
+leave all of B(M) unmatched, and each feasible set of that size is one.
 """
 
 from __future__ import annotations
@@ -23,34 +30,91 @@ from .model import (
     ordered_edges,
 )
 
+CAP_ENV = "SUPERSTAB_ORACLE_CAP"
+
 
 class CapExceeded(RuntimeError):
     """An exhaustive search would exceed its configured cap."""
 
 
+def _cap_exceeded(count: int, what: str, search: str, keyword: str, cap: int) -> CapExceeded:
+    return CapExceeded(
+        f"{count} {what} exceed the {search} cap of {cap}; raise {keyword}, "
+        f"or set {CAP_ENV} for `superstab verify`"
+    )
+
+
+def _walk(
+    pool: list[Edge], ranks: tuple[dict, dict] | None = None, take_first: bool = False
+) -> Iterator[tuple[dict, dict]]:
+    """Visit every matching within `pool` once, and yield it as
+    (doctor -> edge, hospital -> edge).  Each edge is left out before it
+    is taken, or, with `take_first`, taken first: searches that stop at
+    the first hit meet large matchings sooner.
+
+    The dicts are live: read them before resuming.  Given the doctor and
+    hospital rank tables, skip every branch that leaves out an edge whose
+    endpoints are both matched elsewhere and neither strictly prefers its
+    partner: that edge blocks every matching below, at a matched hospital.
+    """
+    by_d: dict[str, Edge] = {}
+    by_h: dict[str, Edge] = {}
+    # Entries: next pool index, matched edges to keep, edge to add or None.
+    stack: list[tuple[int, int, Edge | None]] = [(0, 0, None)]
+    while stack:
+        i, keep, add = stack.pop()
+        while len(by_d) > keep:
+            del by_h[by_d.popitem()[1].hospital]  # popitem drops the newest
+        if add is not None:
+            by_d[add.doctor] = by_h[add.hospital] = add
+        if i == len(pool):
+            yield by_d, by_h
+            continue
+        e = pool[i]
+        md = by_d.get(e.doctor)
+        mh = by_h.get(e.hospital)
+        take = md is None and mh is None
+        if take and not take_first:
+            stack.append((i + 1, len(by_d), e))
+        if (
+            md is None or mh is None or ranks is None
+            or ranks[0][md] < ranks[0][e] or ranks[1][mh] < ranks[1][e]
+        ):
+            stack.append((i + 1, len(by_d), None))
+        if take and take_first:
+            stack.append((i + 1, len(by_d), e))
+
+
+def _blocking_hospitals(
+    pool: list[Edge], ranks: tuple[dict, dict], by_d: dict, by_h: dict, limit: int
+) -> set[str] | None:
+    """B(M): the hospitals of the edges in `pool` that block the matching.
+
+    None as soon as a blocking edge's hospital is matched, or B(M) has
+    more than `limit` members.  With limit 0, a set comes back exactly
+    when the matching is super-stable, and it is empty.
+    """
+    dr, hr = ranks
+    out: set[str] = set()
+    for e in pool:
+        md = by_d.get(e.doctor)
+        if md == e or (md is not None and dr[md] < dr[e]):
+            continue
+        mh = by_h.get(e.hospital)
+        if mh is not None:
+            if hr[mh] < hr[e]:
+                continue
+            return None
+        out.add(e.hospital)
+        if len(out) > limit:
+            return None
+    return out
+
+
 def all_matchings(inst: Instance, deleted: Iterable[Vertex] = ()) -> Iterator[frozenset[Edge]]:
     """Yield every matching of the graph minus `deleted`, each exactly once."""
-    pool = ordered_edges(induced_edges(inst, deleted))
-    used_d: set[str] = set()
-    used_h: set[str] = set()
-    chosen: list[Edge] = []
-
-    def walk(i: int) -> Iterator[frozenset[Edge]]:
-        if i == len(pool):
-            yield frozenset(chosen)
-            return
-        e = pool[i]
-        yield from walk(i + 1)
-        if e.doctor not in used_d and e.hospital not in used_h:
-            used_d.add(e.doctor)
-            used_h.add(e.hospital)
-            chosen.append(e)
-            yield from walk(i + 1)
-            used_d.discard(e.doctor)
-            used_h.discard(e.hospital)
-            chosen.pop()
-
-    yield from walk(0)
+    for by_d, _ in _walk(ordered_edges(induced_edges(inst, deleted))):
+        yield frozenset(by_d.values())
 
 
 def count_matchings(inst: Instance, deleted: Iterable[Vertex] = (), *, max_edges: int = 20) -> int:
@@ -62,8 +126,17 @@ def count_matchings(inst: Instance, deleted: Iterable[Vertex] = (), *, max_edges
 def _check_edge_cap(inst: Instance, deleted: Iterable[Vertex], max_edges: int | None) -> frozenset[Edge]:
     pool = induced_edges(inst, deleted)
     if max_edges is not None and len(pool) > max_edges:
-        raise CapExceeded(f"{len(pool)} edges exceed the enumeration cap of {max_edges}")
+        raise _cap_exceeded(len(pool), "edges", "enumeration", "max_edges", max_edges)
     return pool
+
+
+def _super_stable(
+    inst: Instance, pool: list[Edge], take_first: bool = False
+) -> Iterator[frozenset[Edge]]:
+    ranks = (inst.doctor_rank, inst.hospital_rank)
+    for by_d, by_h in _walk(pool, ranks, take_first):
+        if _blocking_hospitals(pool, ranks, by_d, by_h, 0) is not None:
+            yield frozenset(by_d.values())
 
 
 def enumerate_super_stable(
@@ -74,94 +147,13 @@ def enumerate_super_stable(
     Deterministic order.  Membership is exactly `is_super_stable`; the
     search walks all matchings and keeps the ones with no blocking edge.
     """
-    pool = ordered_edges(_check_edge_cap(inst, deleted, max_edges))
-    dr = inst.doctor_rank
-    hr = inst.hospital_rank
-    by_d: dict[str, Edge] = {}
-    by_h: dict[str, Edge] = {}
-    chosen: list[Edge] = []
-    found: list[frozenset[Edge]] = []
-
-    def leaf_is_stable() -> bool:
-        for e in pool:
-            md = by_d.get(e.doctor)
-            if md == e:
-                continue
-            if md is not None and dr[md] < dr[e]:
-                continue
-            mh = by_h.get(e.hospital)
-            if mh is not None and hr[mh] < hr[e]:
-                continue
-            return False
-        return True
-
-    def walk(i: int) -> None:
-        if i == len(pool):
-            if leaf_is_stable():
-                found.append(frozenset(chosen))
-            return
-        e = pool[i]
-        # Once both endpoints are matched elsewhere and neither strictly
-        # prefers its partner, e blocks every completion of this branch.
-        md = by_d.get(e.doctor)
-        mh = by_h.get(e.hospital)
-        if md is None or mh is None or dr[md] < dr[e] or hr[mh] < hr[e]:
-            walk(i + 1)
-        if e.doctor not in by_d and e.hospital not in by_h:
-            by_d[e.doctor] = e
-            by_h[e.hospital] = e
-            chosen.append(e)
-            walk(i + 1)
-            del by_d[e.doctor]
-            del by_h[e.hospital]
-            chosen.pop()
-
-    walk(0)
-    return found
+    return list(_super_stable(inst, ordered_edges(_check_edge_cap(inst, deleted, max_edges))))
 
 
 def _any_super_stable(inst: Instance, deleted: frozenset[Vertex]) -> bool:
     """Uncapped check: does the graph minus `deleted` have a super-stable matching?"""
     pool = ordered_edges(induced_edges(inst, deleted))
-    dr = inst.doctor_rank
-    hr = inst.hospital_rank
-    by_d: dict[str, Edge] = {}
-    by_h: dict[str, Edge] = {}
-
-    def leaf_is_stable() -> bool:
-        for e in pool:
-            md = by_d.get(e.doctor)
-            if md == e:
-                continue
-            if md is not None and dr[md] < dr[e]:
-                continue
-            mh = by_h.get(e.hospital)
-            if mh is not None and hr[mh] < hr[e]:
-                continue
-            return False
-        return True
-
-    def walk(i: int) -> bool:
-        if i == len(pool):
-            return leaf_is_stable()
-        e = pool[i]
-        if e.doctor not in by_d and e.hospital not in by_h:
-            by_d[e.doctor] = e
-            by_h[e.hospital] = e
-            hit = walk(i + 1)
-            del by_d[e.doctor]
-            del by_h[e.hospital]
-            if hit:
-                return True
-        # Same exclusion prune as the enumerator; order here is free
-        # because only the boolean matters, so try inclusions first.
-        md = by_d.get(e.doctor)
-        mh = by_h.get(e.hospital)
-        if md is None or mh is None or dr[md] < dr[e] or hr[mh] < hr[e]:
-            return walk(i + 1)
-        return False
-
-    return walk(0)
+    return next(_super_stable(inst, pool, True), None) is not None
 
 
 def oracle_min_hospital_deletion(
@@ -169,20 +161,27 @@ def oracle_min_hospital_deletion(
 ) -> tuple[int, frozenset[Vertex]]:
     """Smallest hospital set whose removal leaves a super-stable matching.
 
-    Tries subsets by increasing size, names in sorted order, and returns
-    the first hit, so the witness is deterministic.
+    One walk over the matchings M of the whole graph keeps the least B(M)
+    (see the module docstring) whose hospitals M leaves unmatched, first
+    by size, then as a sorted tuple of names, and stops at the first
+    empty one.  Every minimum-size feasible set is some such B(M), so the
+    witness is the first hit of a scan over subsets by size in sorted
+    name order, and deterministic.
     """
     if len(inst.hospitals) > max_hospitals:
-        raise CapExceeded(
-            f"{len(inst.hospitals)} hospitals exceed the subset-search cap of {max_hospitals}"
+        raise _cap_exceeded(
+            len(inst.hospitals), "hospitals", "subset-search", "max_hospitals", max_hospitals
         )
-    names = sorted(inst.hospitals)
-    for size in range(len(names) + 1):
-        for combo in combinations(names, size):
-            removed = frozenset(hospital(n) for n in combo)
-            if _any_super_stable(inst, removed):
-                return size, removed
-    raise AssertionError("removing every hospital always leaves the empty matching")
+    pool = ordered_edges(inst.edges)
+    ranks = (inst.doctor_rank, inst.hospital_rank)
+    best = sorted(inst.hospitals)  # deleting them all leaves the empty matching
+    for by_d, by_h in _walk(pool, ranks, True):
+        found = _blocking_hospitals(pool, ranks, by_d, by_h, len(best))
+        if found is not None and (len(found), sorted(found)) < (len(best), best):
+            best = sorted(found)
+            if not best:
+                break
+    return len(best), frozenset(hospital(n) for n in best)
 
 
 def oracle_two_side_deletion(
@@ -202,8 +201,8 @@ def oracle_two_side_deletion(
         raise ValueError("budgets must be non-negative")
     total_vertices = len(inst.doctors) + len(inst.hospitals)
     if total_vertices > max_vertices:
-        raise CapExceeded(
-            f"{total_vertices} vertices exceed the subset-search cap of {max_vertices}"
+        raise _cap_exceeded(
+            total_vertices, "vertices", "subset-search", "max_vertices", max_vertices
         )
     ds = sorted(inst.doctors)
     hs = sorted(inst.hospitals)

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -19,9 +20,12 @@ from superstab.model import (
     Vertex,
     all_doctor_choices,
     all_hospital_choices,
+    hospital,
+    is_super_stable,
     make_instance,
     parse_instance,
 )
+from superstab.oracle import all_matchings
 
 STRICT_2X2_TEXT = """doctors: d1 d2
 hospitals: h1 h2
@@ -44,6 +48,13 @@ hospitals: h1
 pref d1: h1
 pref h1: d1
 """
+
+
+def one_hospital_tie_text(n_doctors: int) -> str:
+    """One hospital `h` that every doctor lists and that ties all of them."""
+    names = " ".join(f"d{i}" for i in range(1, n_doctors + 1))
+    prefs = "".join(f"pref d{i}: h\n" for i in range(1, n_doctors + 1))
+    return f"doctors: {names}\nhospitals: h\n{prefs}pref h: ({names})\n"
 
 
 def run_python(hash_seed: int, *args: str) -> subprocess.CompletedProcess:
@@ -133,6 +144,19 @@ def naive_is_super_stable(inst: Instance, removed, matching) -> bool:
         if d_wants and h_wants:
             return False
     return True
+
+
+def reference_min_hospital_deletion(inst: Instance) -> tuple[int, frozenset[Vertex]]:
+    """The minimum hospital deletion by its definition: hospital subsets by
+    size, names in sorted order, each tested by filtering every matching of
+    what is left through `is_super_stable`; the first hit wins."""
+    names = sorted(inst.hospitals)
+    for size in range(len(names) + 1):
+        for combo in combinations(names, size):
+            removed = frozenset(hospital(n) for n in combo)
+            if any(is_super_stable(inst, removed, m) for m in all_matchings(inst, removed)):
+                return size, removed
+    raise AssertionError("removing every hospital always leaves the empty matching")
 
 
 def closure_trace_violations(inst: Instance, deleted, forbidden, trace) -> list[str]:

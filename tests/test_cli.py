@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import STRICT_2X2_TEXT, TIE_2X2_TEXT, run_python
+from conftest import STRICT_2X2_TEXT, TIE_2X2_TEXT, one_hospital_tie_text, run_python
 from superstab.cli import generate_instance, main
 from superstab.model import (
     Edge,
@@ -294,6 +294,15 @@ def test_verify_problem1(capsys, tie_file):
         "oracle_min": 2,
         "elapsed_ms": payload["stats"]["elapsed_ms"],
     }
+
+
+def test_verify_problem1_on_a_long_edge_list(capsys, tmp_path):
+    path = tmp_path / "star.ssm"
+    path.write_text(one_hospital_tie_text(1200))
+    rc, payload, captured = run_cli(capsys, "--no-timing", "verify", str(path), "--mode", "problem1")
+    assert rc == 0
+    assert payload["stats"] == {"solver_min": 1, "oracle_min": 1}
+    assert captured.err.strip() == "AGREE"
 
 
 def test_verify_problem2(capsys, tie_file):

@@ -7,8 +7,14 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
-from conftest import instances, naive_is_super_stable, sample_instances
-from superstab.model import Edge, doctor, hospital, parse_instance
+from conftest import (
+    instances,
+    naive_is_super_stable,
+    one_hospital_tie_text,
+    reference_min_hospital_deletion,
+    sample_instances,
+)
+from superstab.model import Edge, doctor, hospital, parse_instance, transpose_instance
 from superstab.oracle import (
     CapExceeded,
     _verify_enumeration,
@@ -53,6 +59,26 @@ def test_enumerate_frozen_values(strict_2x2, tie_2x2, one_pair):
     assert enumerate_super_stable(strict_2x2) == [edges(("d1", "h1"), ("d2", "h2"))]
     assert enumerate_super_stable(tie_2x2) == []
     assert enumerate_super_stable(one_pair) == [edges(("d1", "h1"))]
+
+
+def test_enumeration_leaves_each_edge_out_before_taking_it():
+    inst = parse_instance(
+        "doctors: d1 d2\nhospitals: h1 h2\n"
+        "pref d1: h1 h2\npref d2: h2 h1\npref h1: d2 d1\npref h2: d1 d2\n"
+    )
+    assert list(all_matchings(inst)) == [
+        edges(),
+        edges(("d2", "h2")),
+        edges(("d2", "h1")),
+        edges(("d1", "h2")),
+        edges(("d1", "h2"), ("d2", "h1")),
+        edges(("d1", "h1")),
+        edges(("d1", "h1"), ("d2", "h2")),
+    ]
+    assert enumerate_super_stable(inst) == [
+        edges(("d1", "h2"), ("d2", "h1")),
+        edges(("d1", "h1"), ("d2", "h2")),
+    ]
 
 
 def test_enumerate_respects_deletions(tie_2x2):
@@ -107,13 +133,16 @@ def test_pruned_existence_equals_plain_filtering_property(inst):
 
 
 def test_caps_raise_instead_of_truncating(strict_2x2):
-    with pytest.raises(CapExceeded, match="enumeration cap"):
+    def cap_message(search, keyword):
+        return f"{search} cap of \\d+; raise {keyword}, or set SUPERSTAB_ORACLE_CAP"
+
+    with pytest.raises(CapExceeded, match=cap_message("enumeration", "max_edges")):
         count_matchings(strict_2x2, max_edges=3)
-    with pytest.raises(CapExceeded, match="enumeration cap"):
+    with pytest.raises(CapExceeded, match=cap_message("enumeration", "max_edges")):
         enumerate_super_stable(strict_2x2, max_edges=3)
-    with pytest.raises(CapExceeded, match="subset-search cap"):
+    with pytest.raises(CapExceeded, match=cap_message("subset-search", "max_hospitals")):
         oracle_min_hospital_deletion(strict_2x2, max_hospitals=1)
-    with pytest.raises(CapExceeded, match="subset-search cap"):
+    with pytest.raises(CapExceeded, match=cap_message("subset-search", "max_vertices")):
         oracle_two_side_deletion(strict_2x2, 0, 0, max_vertices=3)
     assert enumerate_super_stable(strict_2x2, max_edges=None)
 
@@ -129,6 +158,41 @@ def test_min_deletion_witness_is_the_lexicographically_first():
         "doctors: d1\nhospitals: h1 h2\npref d1: (h1 h2)\npref h1: d1\npref h2: d1\n"
     )
     assert oracle_min_hospital_deletion(inst) == (1, frozenset({hospital("h1")}))
+
+
+def test_min_deletion_equals_the_subset_reference():
+    sample = sample_instances(300, max_side=6, seed="oracle-reference")
+    answers = [
+        (oracle_min_hospital_deletion(inst), reference_min_hospital_deletion(inst))
+        for inst in sample
+        if len(inst.edges) <= 16
+    ]
+    assert len(answers) > 250
+    assert {size for (size, _), _ in answers} >= {0, 1, 2, 3, 4}
+    for got, want in answers:
+        assert got == want
+
+
+@given(instances(max_doctors=4, max_hospitals=4))
+@settings(max_examples=80)
+def test_min_deletion_equals_the_subset_reference_property(inst):
+    assert oracle_min_hospital_deletion(inst) == reference_min_hospital_deletion(inst)
+
+
+def test_walks_do_not_recurse_once_per_edge():
+    inst = parse_instance(one_hospital_tie_text(1200))
+    assert count_matchings(inst, max_edges=None) == 1201
+    assert enumerate_super_stable(inst, max_edges=None) == []
+    assert oracle_min_hospital_deletion(inst) == (1, frozenset({hospital("h")}))
+
+
+@given(instances())
+@settings(max_examples=60)
+def test_existence_is_symmetric_under_transpose(inst):
+    flipped = transpose_instance(inst)
+    assert (exists_super_stable(inst) is None) == (exists_super_stable(flipped) is None)
+    flip = lambda m: frozenset(Edge(e.hospital, e.doctor) for e in m)
+    assert {flip(m) for m in enumerate_super_stable(inst)} == set(enumerate_super_stable(flipped))
 
 
 def test_min_deletion_witness_actually_works():
