@@ -1,11 +1,19 @@
 """Two-side deletion: an exact solver and a coverage-built instance family.
 
-The exact solver enumerates doctor deletions only; each candidate set is
-finished off by the polynomial hospital-side routine, so the search is
-2^|D| closure runs rather than a walk over all vertex subsets.  The
-instance builder turns set-coverage data (pick exactly `picks` families,
-keep their union within `cover_limit`) into a fully indifferent matching
-instance whose deletion budgets mirror the coverage question.
+Two-side deletion is NP-complete, so the exact solver enumerates doctor
+deletions, by size and then name order.  Each doctor set is completed by
+the polynomial hospital-side routine, whose answer is the critical set
+of the remaining instance.  The search needs only that set's size, so
+it builds every doctor's tie groups once and, per doctor set, runs the
+closure loop of `superstable` with those doctors skipped.  At the loop's
+fixed point the critical count is the number of hospitals whose pool is
+non-empty minus the number of doctors still on a tie group; the proof is
+in `solve_two_side_deletion`.  The full certificate, an induced instance
+and its hospital-side solution, is built only for the first doctor set
+that fits the budget.  The instance builder turns set-coverage data
+(pick exactly `picks` families, keep their union within `cover_limit`)
+into a fully indifferent matching instance whose deletion budgets mirror
+the coverage question.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from .model import (
     make_instance,
 )
 from .oracle import CapExceeded
-from .superstable import solve_min_hospital_deletion
+from .superstable import _critical_count, _tie_groups, solve_min_hospital_deletion
 
 
 @dataclass(frozen=True)
@@ -216,19 +224,31 @@ def solve_two_side_deletion(
     is completed by the one-side solver, so the witness's hospital part
     is that subproblem's critical set and the whole answer is
     deterministic.
+
+    The tie groups are built once, and each subset runs the closure loop
+    with its doctors skipped.  At the fixed point the critical count is
+    |hospitals whose pool is non-empty| - |doctors still on a group|:
+    every proposed edge is either forbidden or held, so a non-empty pool
+    is exactly what `critical_hospitals` calls wanted; and each live
+    doctor's smallest-name live edge is held by a hospital of its own, so
+    the matched hospitals are one per live doctor, all of them wanted.
+    Only the first subset within the hospital budget gets the induced
+    instance and the one-side solver, which give the witness.
     """
     if doctor_budget < 0 or hospital_budget < 0:
         raise ValueError("budgets must be non-negative")
     if len(inst.doctors) > max_doctors:
         raise CapExceeded(
-            f"{len(inst.doctors)} doctors exceed the subset-search cap of {max_doctors}"
+            f"{len(inst.doctors)} doctors exceed the subset-search cap of {max_doctors}; "
+            "raise max_doctors"
         )
+    groups = _tie_groups(inst)
     names = sorted(inst.doctors)
     for size in range(min(doctor_budget, len(names)) + 1):
         for combo in combinations(names, size):
-            removed = frozenset(doctor(n) for n in combo)
-            cert = solve_min_hospital_deletion(induced_instance(inst, removed))
-            if len(cert.critical) <= hospital_budget:
+            if _critical_count(groups, combo) <= hospital_budget:
+                removed = frozenset(doctor(n) for n in combo)
+                cert = solve_min_hospital_deletion(induced_instance(inst, removed))
                 return removed | cert.critical
     return None
 

@@ -10,12 +10,17 @@ that receive new proposals decide again.  At the fixed point no
 super-stable matching can use a forbidden edge, each hospital retains at
 most one candidate, and the hospitals left empty while still wanted form
 a smallest deletion set whose removal restores super-stability.
+
+One loop serves every caller: `closure` builds the tie groups, runs the
+loop and rebuilds the rounds from its log, while the two-side search in
+`hardness` builds the groups once and runs the loop once per doctor
+subset, reading only its final state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Collection, Iterable
 
 from .model import (
     HOSPITAL,
@@ -26,6 +31,12 @@ from .model import (
     all_hospital_choices,  # unused here; bench/tracer.py patches both scans in this module
     induced_instance,
 )
+
+
+# An edge with its rank on the hospital's list, and per doctor its tie
+# groups of those, best first.
+_Entry = tuple[Edge, int]
+_TieGroups = dict[str, list[list[_Entry]]]
 
 
 @dataclass(frozen=True)
@@ -65,6 +76,102 @@ class DeletionCertificate:
     trace: ClosureTrace
 
 
+def _tie_groups(inst: Instance) -> _TieGroups:
+    """Each doctor's tie groups, best first, in the instance's doctor order.
+
+    Entries carry the hospital's rank, so the loop never looks a
+    hospital's table up.
+    """
+    hospital_rank: dict[Edge, int] = {}
+    for v, table in inst.rank.items():
+        if v.side == HOSPITAL:
+            hospital_rank.update(table)
+    groups: _TieGroups = {}
+    for v, table in inst.rank.items():
+        if v.side == HOSPITAL:
+            continue
+        by_rank: dict[int, list[_Entry]] = {}
+        for e, r in table.items():
+            by_rank.setdefault(r, []).append((e, hospital_rank[e]))
+        groups[v.name] = [by_rank[r] for r in sorted(by_rank)]
+    return groups
+
+
+def _fixed_point(
+    groups: _TieGroups,
+    gone: Collection[str] = (),
+    skip: Collection[str] = (),
+) -> tuple[
+    list[tuple[list[_Entry], list[Edge]]], dict[str, tuple[int, int, Edge]], dict[str, int]
+]:
+    """Run the forbidding loop over prepared tie groups.
+
+    Hospitals named in `gone` are deleted, and doctors named in `skip` are
+    left out as if they were deleted.  Returns the log of what each round
+    newly proposed and newly forbade, `pool_best` (per hospital whose pool
+    of proposed and forbidden edges is non-empty: its best rank, how many
+    pool edges have that rank and the first edge to reach it) and each
+    doctor's position: the index of its current tie group, or the number
+    of its groups once every edge is forbidden.
+    """
+    # Per doctor: its current group and how many of its current proposals
+    # are not yet forbidden.
+    position: dict[str, int] = {}
+    left: dict[str, int] = {}
+
+    def propose(d: str) -> list[_Entry]:
+        """Move `d` to its next tie group with an edge outside the seed."""
+        mine = groups[d]
+        i = position.get(d, -1) + 1
+        while i < len(mine):
+            group = mine[i]
+            if gone:
+                group = [p for p in group if p[0].hospital not in gone]
+            if group:
+                break
+            i += 1
+        else:
+            group = []
+        position[d] = i
+        left[d] = len(group)
+        return group
+
+    # Per hospital: its pool summary, and the proposal it holds.
+    pool_best: dict[str, tuple[int, int, Edge]] = {}
+    holds: dict[str, _Entry] = {}
+    log: list[tuple[list[_Entry], list[Edge]]] = []
+    new = [p for d in groups if d not in skip for p in propose(d)]
+    while True:
+        arrivals: dict[str, list[_Entry]] = {}
+        for p in new:
+            arrivals.setdefault(p[0].hospital, []).append(p)
+        lost: list[Edge] = []
+        for h, live in arrivals.items():
+            b, c, t = pool_best.get(h, (None, 0, None))
+            for e, r in live:
+                if b is None or r < b:
+                    b, c, t = r, 1, e
+                elif r == b:
+                    c += 1
+            pool_best[h] = b, c, t
+            if h in holds:
+                live.append(holds.pop(h))
+            for p in live:
+                if c == 1 and p[0] == t:
+                    holds[h] = p
+                else:
+                    lost.append(p[0])
+        log.append((new, lost))
+        if not lost:
+            break
+        new = []
+        for e in lost:
+            left[e.doctor] -= 1
+            if not left[e.doctor]:
+                new.extend(propose(e.doctor))
+    return log, pool_best, position
+
+
 def closure(
     inst: Instance, deleted: Iterable[Vertex] = ()
 ) -> tuple[frozenset[Edge], ClosureTrace]:
@@ -91,75 +198,14 @@ def closure(
             raise ValueError(f"closure deletes hospitals only, got {v!r}")
         if v.name not in inst.hospital_set:
             raise ValueError(f"unknown {v.describe()}")
-    gone = {v.name for v in deleted}
     initial = frozenset().union(*(inst.rank[v] for v in deleted))
-
-    # Per doctor: its tie groups not yet proposed along, best first, and
-    # how many of its current proposals are not yet forbidden.
-    rest: dict[str, Iterator[list[Edge]]] = {}
-    left: dict[str, int] = {}
-    hospital_table: dict[str, Mapping[Edge, int]] = {}
-    for v, table in inst.rank.items():
-        if v.side == HOSPITAL:
-            hospital_table[v.name] = table
-            continue
-        by_rank: dict[int, list[Edge]] = {}
-        for e, r in table.items():
-            by_rank.setdefault(r, []).append(e)
-        rest[v.name] = iter([by_rank[r] for r in sorted(by_rank)])
-
-    def propose(d: str) -> list[Edge]:
-        """Move `d` to its next tie group with an edge outside the seed."""
-        for group in rest[d]:
-            if gone:
-                group = [e for e in group if e.hospital not in gone]
-            if group:
-                left[d] = len(group)
-                return group
-        return []
-
-    # Per hospital: the best rank in its pool, how many pool edges have
-    # that rank and the first edge to reach it; and the proposal it holds.
-    pool_best: dict[str, tuple[int, int, Edge]] = {}
-    holds: dict[str, Edge] = {}
-    log: list[tuple[list[Edge], list[Edge]]] = []
-    new = [e for d in rest for e in propose(d)]
-    while True:
-        arrivals: dict[str, list[Edge]] = {}
-        for e in new:
-            arrivals.setdefault(e.hospital, []).append(e)
-        lost: list[Edge] = []
-        for h, live in arrivals.items():
-            table = hospital_table[h]
-            b, c, t = pool_best.get(h, (None, 0, None))
-            for e in live:
-                r = table[e]
-                if b is None or r < b:
-                    b, c, t = r, 1, e
-                elif r == b:
-                    c += 1
-            pool_best[h] = b, c, t
-            if h in holds:
-                live.append(holds.pop(h))
-            for e in live:
-                if c == 1 and e == t:
-                    holds[h] = e
-                else:
-                    lost.append(e)
-        log.append((new, lost))
-        if not lost:
-            break
-        new = []
-        for e in lost:
-            left[e.doctor] -= 1
-            if not left[e.doctor]:
-                new.extend(propose(e.doctor))
+    log, _, _ = _fixed_point(_tie_groups(inst), {v.name for v in deleted})
 
     rounds: list[ClosureRound] = []
     proposed: set[Edge] = set()
     forbidden = initial
     for index, (new, lost) in enumerate(log, 1):
-        proposed.update(new)
+        proposed.update(e for e, _ in new)
         offered = frozenset(proposed)
         if lost:
             proposed.difference_update(lost)
@@ -210,6 +256,15 @@ def critical_hospitals(
     return frozenset(
         Vertex(HOSPITAL, h) for h in inst.hospitals if h not in matched and h in wanted
     )
+
+
+def _critical_count(groups: _TieGroups, skip: Collection[str]) -> int:
+    """How many hospitals the one-side solver deletes once the doctors in
+    `skip` are gone: at the loop's fixed point, the hospitals whose pool
+    is non-empty minus the doctors still on a tie group (see
+    `hardness.solve_two_side_deletion` for why)."""
+    _, pool_best, position = _fixed_point(groups, skip=skip)
+    return len(pool_best) - sum(i < len(groups[d]) for d, i in position.items())
 
 
 def solve_min_hospital_deletion(inst: Instance) -> DeletionCertificate:

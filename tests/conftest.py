@@ -20,12 +20,15 @@ from superstab.model import (
     Vertex,
     all_doctor_choices,
     all_hospital_choices,
+    doctor,
     hospital,
+    induced_instance,
     is_super_stable,
     make_instance,
     parse_instance,
 )
 from superstab.oracle import all_matchings
+from superstab.superstable import solve_min_hospital_deletion
 
 STRICT_2X2_TEXT = """doctors: d1 d2
 hospitals: h1 h2
@@ -157,6 +160,22 @@ def reference_min_hospital_deletion(inst: Instance) -> tuple[int, frozenset[Vert
             if any(is_super_stable(inst, removed, m) for m in all_matchings(inst, removed)):
                 return size, removed
     raise AssertionError("removing every hospital always leaves the empty matching")
+
+
+def reference_two_side_deletion(
+    inst: Instance, doctor_budget: int, hospital_budget: int
+) -> frozenset[Vertex] | None:
+    """The two-side search on induced instances: doctor subsets by size,
+    names in sorted order, each completed by the one-side solver on the
+    instance without them; the first within the hospital budget wins."""
+    names = sorted(inst.doctors)
+    for size in range(min(doctor_budget, len(names)) + 1):
+        for combo in combinations(names, size):
+            removed = frozenset(doctor(n) for n in combo)
+            cert = solve_min_hospital_deletion(induced_instance(inst, removed))
+            if len(cert.critical) <= hospital_budget:
+                return removed | cert.critical
+    return None
 
 
 def closure_trace_violations(inst: Instance, deleted, forbidden, trace) -> list[str]:

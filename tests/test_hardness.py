@@ -1,9 +1,13 @@
 from __future__ import annotations
 
-from itertools import combinations, product
+import random
+from itertools import chain, combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from superstab.cli import generate_instance
 from superstab.hardness import (
     CoverageInstance,
     oracle_min_coverage,
@@ -11,11 +15,16 @@ from superstab.hardness import (
     reduce_min_coverage,
     solve_two_side_deletion,
 )
-from superstab.model import Edge, FormatError, doctor, hospital
+from superstab.model import Edge, FormatError, doctor, hospital, induced_instance
 from superstab.oracle import CapExceeded, oracle_two_side_deletion
-from superstab.superstable import exists_super_stable
+from superstab.superstable import (
+    _critical_count,
+    _tie_groups,
+    exists_super_stable,
+    solve_min_hospital_deletion,
+)
 
-from conftest import sample_instances
+from conftest import instances, reference_two_side_deletion, sample_instances
 
 COVER_TEXT = """ground: a b
 set A: a
@@ -179,8 +188,9 @@ def test_solver_rejects_negative_budgets(tie_2x2):
 
 
 def test_solver_doctor_cap(strict_2x2):
-    with pytest.raises(CapExceeded, match="subset-search cap"):
+    with pytest.raises(CapExceeded) as err:
         solve_two_side_deletion(strict_2x2, 0, 0, max_doctors=1)
+    assert str(err.value) == "2 doctors exceed the subset-search cap of 1; raise max_doctors"
 
 
 def test_full_budgets_always_find_a_witness():
@@ -240,3 +250,39 @@ def test_coverage_and_deletion_answers_coincide_everywhere_small():
                 assert want == via_solver == via_oracle
                 checked += 1
     assert checked > 100
+
+
+def critical_count_samples():
+    """Strict and tied random instances up to 7x7, plus small coverage
+    reductions, all seeded."""
+    rng = random.Random("two-side-count")
+    for i in range(160):
+        n, m = rng.randint(1, 7), rng.randint(1, 7)
+        tie = (0.0, 0.3, 0.7, 1.0)[i % 4]
+        yield generate_instance(n, m, rng.uniform(0.3, 1.0), tie, seed=f"count-{i}")
+    for i in range(24):
+        ground = [f"e{j}" for j in range(1, rng.randint(2, 5) + 1)]
+        fams = [rng.sample(ground, rng.randint(1, len(ground))) for _ in range(rng.randint(2, 5))]
+        yield reduce_min_coverage(cover(ground, fams, 1, 0)).instance
+
+
+def test_loop_critical_count_equals_the_induced_solver_on_every_doctor_subset():
+    subsets = 0
+    counts = set()
+    for inst in critical_count_samples():
+        groups = _tie_groups(inst)
+        names = sorted(inst.doctors)
+        for combo in chain.from_iterable(combinations(names, k) for k in range(len(names) + 1)):
+            sub = induced_instance(inst, [doctor(n) for n in combo])
+            expect = len(solve_min_hospital_deletion(sub).critical)
+            assert _critical_count(groups, combo) == expect, (inst, combo)
+            counts.add(expect)
+            subsets += 1
+    assert subsets > 6000
+    assert len(counts) >= 4
+
+
+@given(instances(max_doctors=5, max_hospitals=5), st.integers(0, 5), st.integers(0, 5))
+@settings(max_examples=120, deadline=None)
+def test_solver_witness_equals_the_induced_scan_property(inst, q1, q2):
+    assert solve_two_side_deletion(inst, q1, q2) == reference_two_side_deletion(inst, q1, q2)
