@@ -14,10 +14,14 @@ closure solver itself only scans a finished result; the round
 definition serves as the reference the tests check it against.
 Everything is immutable and side-effect free; solvers live in the
 sibling modules.
+
+`Instance.rank` is the one rank store; `incident`, `doctor_rank`,
+`hospital_rank` and the serializer's tie groups all derive from it.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -67,14 +71,16 @@ class FormatError(ValueError):
         super().__init__(where + message)
 
 
-# Names must survive the text format: one token, no grouping or delimiter chars.
-_BANNED_NAME_CHARS = frozenset("()#:")
+# Names must survive the text format: one token, no grouping or delimiter
+# chars.  `\s` matches exactly the characters `str.isspace` accepts.
+_NOT_IN_NAME = re.compile(r"[\s()#:]")
+# Tokens of a `pref` body (parentheses and names) and of a name line.
+_PREF_TOKEN = re.compile(r"[()]|[^\s()]+")
+_NAME_TOKEN = re.compile(r"\S+")
 
 
 def _name_ok(name: object) -> bool:
-    if not isinstance(name, str) or not name:
-        return False
-    return not any(c.isspace() or c in _BANNED_NAME_CHARS for c in name)
+    return isinstance(name, str) and bool(name) and not _NOT_IN_NAME.search(name)
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,20 +131,19 @@ class Instance:
     @cached_property
     def doctor_rank(self) -> dict[Edge, int]:
         """Each edge's rank on its doctor's list."""
-        return {e: self.rank[Vertex(DOCTOR, e.doctor)][e] for e in self.edges}
+        return self._side_rank(DOCTOR)
 
     @cached_property
     def hospital_rank(self) -> dict[Edge, int]:
         """Each edge's rank on its hospital's list."""
-        return {e: self.rank[Vertex(HOSPITAL, e.hospital)][e] for e in self.edges}
+        return self._side_rank(HOSPITAL)
 
-    @cached_property
-    def _incident(self) -> dict[Vertex, frozenset[Edge]]:
-        by: dict[Vertex, set[Edge]] = {v: set() for v in self.rank}
-        for e in self.edges:
-            by[Vertex(DOCTOR, e.doctor)].add(e)
-            by[Vertex(HOSPITAL, e.hospital)].add(e)
-        return {v: frozenset(s) for v, s in by.items()}
+    def _side_rank(self, side: str) -> dict[Edge, int]:
+        merged: dict[Edge, int] = {}
+        for v, table in self.rank.items():
+            if v.side == side:
+                merged.update(table)
+        return merged
 
     def vertices(self) -> Iterator[Vertex]:
         for d in self.doctors:
@@ -148,23 +153,9 @@ class Instance:
 
     def incident(self, v: Vertex) -> frozenset[Edge]:
         try:
-            return self._incident[v]
+            return frozenset(self.rank[v])
         except KeyError:
             raise ValueError(f"unknown {v.describe()}") from None
-
-    def rank_of(self, v: Vertex, e: Edge) -> int:
-        return self.rank[v][e]
-
-    def weakly_prefers(self, v: Vertex, e: Edge, f: Edge | None) -> bool:
-        """True when `e` is at least as good as `f` for `v` (None = unmatched)."""
-        if f is None:
-            return True
-        return self.rank[v][e] <= self.rank[v][f]
-
-    def strictly_prefers(self, v: Vertex, e: Edge, f: Edge | None) -> bool:
-        if f is None:
-            return True
-        return self.rank[v][e] < self.rank[v][f]
 
 
 def _unchecked(
@@ -324,46 +315,69 @@ def make_instance(
     return _from_lists(doctors, hospitals, lists)
 
 
-def _scan_entries(body: str, lineno: int, offset: int) -> list[list[tuple[str, int]]]:
-    """Tokenize a preference line body into tie groups with column info."""
-    groups: list[list[tuple[str, int]]] = []
-    open_group: list[tuple[str, int]] | None = None
-    open_col = 0
-    i = 0
-    while i < len(body):
-        c = body[i]
-        col = offset + i + 1
-        if c.isspace():
-            i += 1
-        elif c == "(":
-            if open_group is not None:
-                raise FormatError("nested tie group", line=lineno, column=col)
-            open_group = []
-            open_col = col
-            i += 1
-        elif c == ")":
-            if open_group is None:
-                raise FormatError("unmatched ')'", line=lineno, column=col)
-            if not open_group:
-                raise FormatError("empty tie group", line=lineno, column=col)
-            groups.append(open_group)
-            open_group = None
-            i += 1
+def _token_column(pattern: re.Pattern[str], body: str, offset: int, k: int) -> int:
+    """1-based column of the `k`-th token `pattern` finds in a line body
+    that starts `offset` characters into its line."""
+    starts = [m.start() for m in pattern.finditer(body)]
+    return offset + starts[k] + 1
+
+
+def _scan_groups(body: str, lineno: int, offset: int) -> list[list[str]]:
+    """Tokenize a preference line body into tie groups of names."""
+    groups: list[list[str]] = []
+    group: list[str] | None = None
+    opened = 0
+    for k, token in enumerate(_PREF_TOKEN.findall(body)):
+        if token == "(":
+            if group is not None:
+                problem = "nested tie group"
+                break
+            group = []
+            opened = k
+        elif token == ")":
+            if group is None:
+                problem = "unmatched ')'"
+                break
+            if not group:
+                problem = "empty tie group"
+                break
+            groups.append(group)
+            group = None
+        elif not _name_ok(token):
+            problem = f"invalid name {token!r}"
+            break
+        elif group is None:
+            groups.append([token])
         else:
-            j = i
-            while j < len(body) and not body[j].isspace() and body[j] not in "()":
-                j += 1
-            token = body[i:j]
-            if not _name_ok(token):
-                raise FormatError(f"invalid name {token!r}", line=lineno, column=col)
-            if open_group is None:
-                groups.append([(token, col)])
-            else:
-                open_group.append((token, col))
-            i = j
-    if open_group is not None:
-        raise FormatError("unclosed tie group", line=lineno, column=open_col)
-    return groups
+            group.append(token)
+    else:
+        if group is None:
+            return groups
+        problem, k = "unclosed tie group", opened
+    raise FormatError(problem, line=lineno, column=_token_column(_PREF_TOKEN, body, offset, k))
+
+
+def _name_list(body: str, lineno: int, offset: int, word: str) -> tuple[str, ...]:
+    names = _NAME_TOKEN.findall(body)
+    seen: set[str] = set()
+    for k, token in enumerate(names):
+        if not _name_ok(token):
+            problem = f"invalid {word} name {token!r}"
+        elif token in seen:
+            problem = f"duplicate {word} name {token!r}"
+        else:
+            seen.add(token)
+            continue
+        raise FormatError(problem, line=lineno, column=_token_column(_NAME_TOKEN, body, offset, k))
+    return tuple(names)
+
+
+def _entry_column(text: str, lineno: int, entry: int) -> int:
+    """Column of the `entry`-th name (0-based, across tie groups) on the
+    `pref` line `lineno` of `text`."""
+    head, _, body = text.splitlines()[lineno - 1].split("#", 1)[0].partition(":")
+    names = [k for k, t in enumerate(_PREF_TOKEN.findall(body)) if t not in ("(", ")")]
+    return _token_column(_PREF_TOKEN, body, len(head) + 1, names[entry])
 
 
 def parse_instance(text: str) -> Instance:
@@ -377,7 +391,7 @@ def parse_instance(text: str) -> Instance:
     """
     doctors: tuple[str, ...] | None = None
     hospitals: tuple[str, ...] | None = None
-    pref_lines: list[tuple[str, int, list[list[tuple[str, int]]]]] = []
+    pref_lines: list[tuple[str, int, list[list[str]]]] = []
 
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0]
@@ -391,18 +405,18 @@ def parse_instance(text: str) -> Instance:
         if words == ["doctors"]:
             if doctors is not None:
                 raise FormatError("second 'doctors:' line", line=lineno)
-            doctors = _parse_name_list(body, lineno, offset, "doctor")
+            doctors = _name_list(body, lineno, offset, "doctor")
         elif words == ["hospitals"]:
             if hospitals is not None:
                 raise FormatError("second 'hospitals:' line", line=lineno)
-            hospitals = _parse_name_list(body, lineno, offset, "hospital")
+            hospitals = _name_list(body, lineno, offset, "hospital")
         elif len(words) == 2 and words[0] == "pref":
             if doctors is None or hospitals is None:
                 raise FormatError("preference line before 'doctors:' and 'hospitals:'", line=lineno)
             name = words[1]
             if not _name_ok(name):
                 raise FormatError(f"invalid name {name!r}", line=lineno)
-            pref_lines.append((name, lineno, _scan_entries(body, lineno, offset)))
+            pref_lines.append((name, lineno, _scan_groups(body, lineno, offset)))
         else:
             raise FormatError(
                 "expected 'doctors:', 'hospitals:' or 'pref NAME:'", line=lineno, column=1
@@ -421,7 +435,6 @@ def parse_instance(text: str) -> Instance:
 
     dset, hset = set(doctors), set(hospitals)
     prefs: dict[Vertex, list[list[str]]] = {}
-    columns: dict[Vertex, list[int]] = {}
     line_of: dict[str, int] = {}
     for name, lineno, groups in pref_lines:
         if name not in dset and name not in hset:
@@ -432,9 +445,7 @@ def parse_instance(text: str) -> Instance:
                 line=lineno,
             )
         line_of[name] = lineno
-        v = Vertex(DOCTOR if name in dset else HOSPITAL, name)
-        prefs[v] = [[t for t, _ in g] for g in groups]
-        columns[v] = [col for g in groups for _, col in g]
+        prefs[Vertex(DOCTOR if name in dset else HOSPITAL, name)] = groups
 
     for name in doctors + hospitals:
         if name not in line_of:
@@ -444,38 +455,16 @@ def parse_instance(text: str) -> Instance:
     try:
         return _from_lists(doctors, hospitals, prefs)
     except _ListError as exc:
-        column = None if exc.entry is None else columns[exc.owner][exc.entry]
-        raise FormatError(str(exc), line=line_of[exc.owner.name], column=column) from None
-
-
-def _parse_name_list(body: str, lineno: int, offset: int, word: str) -> tuple[str, ...]:
-    names: list[str] = []
-    seen: set[str] = set()
-    i = 0
-    while i < len(body):
-        if body[i].isspace():
-            i += 1
-            continue
-        j = i
-        while j < len(body) and not body[j].isspace():
-            j += 1
-        token = body[i:j]
-        col = offset + i + 1
-        if not _name_ok(token):
-            raise FormatError(f"invalid {word} name {token!r}", line=lineno, column=col)
-        if token in seen:
-            raise FormatError(f"duplicate {word} name {token!r}", line=lineno, column=col)
-        seen.add(token)
-        names.append(token)
-        i = j
-    return tuple(names)
+        lineno = line_of[exc.owner.name]
+        column = None if exc.entry is None else _entry_column(text, lineno, exc.entry)
+        raise FormatError(str(exc), line=lineno, column=column) from None
 
 
 def _pref_groups(inst: Instance, v: Vertex) -> list[list[str]]:
     partner = (lambda e: e.hospital) if v.side == DOCTOR else (lambda e: e.doctor)
     by_rank: dict[int, list[str]] = {}
-    for e in inst.incident(v):
-        by_rank.setdefault(inst.rank[v][e], []).append(partner(e))
+    for e, r in inst.rank[v].items():
+        by_rank.setdefault(r, []).append(partner(e))
     return [sorted(by_rank[r]) for r in sorted(by_rank)]
 
 

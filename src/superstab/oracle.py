@@ -26,7 +26,6 @@ from .model import (
     doctor,
     hospital,
     induced_edges,
-    is_super_stable,
     ordered_edges,
 )
 
@@ -220,14 +219,6 @@ def oracle_two_side_deletion(
                     if _any_super_stable(inst, removed):
                         return removed
     return None
-
-
-def _verify_enumeration(inst: Instance, deleted: Iterable[Vertex] = ()) -> bool:
-    """Slow agreement check used by tests: the fused enumeration must equal
-    filtering all matchings through the public predicate."""
-    fused = enumerate_super_stable(inst, deleted, max_edges=None)
-    plain = [m for m in all_matchings(inst, deleted) if is_super_stable(inst, deleted, m)]
-    return fused == plain
 
 
 __all__ = [

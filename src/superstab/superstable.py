@@ -82,10 +82,7 @@ def _tie_groups(inst: Instance) -> _TieGroups:
     Entries carry the hospital's rank, so the loop never looks a
     hospital's table up.
     """
-    hospital_rank: dict[Edge, int] = {}
-    for v, table in inst.rank.items():
-        if v.side == HOSPITAL:
-            hospital_rank.update(table)
+    hospital_rank = inst.hospital_rank
     groups: _TieGroups = {}
     for v, table in inst.rank.items():
         if v.side == HOSPITAL:

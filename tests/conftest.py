@@ -16,8 +16,11 @@ from superstab.model import (
     DOCTOR,
     HOSPITAL,
     Edge,
+    FormatError,
     Instance,
     Vertex,
+    _from_lists,
+    _ListError,
     all_doctor_choices,
     all_hospital_choices,
     doctor,
@@ -27,7 +30,7 @@ from superstab.model import (
     make_instance,
     parse_instance,
 )
-from superstab.oracle import all_matchings
+from superstab.oracle import all_matchings, enumerate_super_stable
 from superstab.superstable import solve_min_hospital_deletion
 
 STRICT_2X2_TEXT = """doctors: d1 d2
@@ -142,11 +145,19 @@ def naive_is_super_stable(inst: Instance, removed, matching) -> bool:
         h = Vertex(HOSPITAL, e.hospital)
         d_cur = held.get(d)
         h_cur = held.get(h)
-        d_wants = d_cur is None or inst.rank_of(d, e) <= inst.rank_of(d, d_cur)
-        h_wants = h_cur is None or inst.rank_of(h, e) <= inst.rank_of(h, h_cur)
+        d_wants = d_cur is None or inst.rank[d][e] <= inst.rank[d][d_cur]
+        h_wants = h_cur is None or inst.rank[h][e] <= inst.rank[h][h_cur]
         if d_wants and h_wants:
             return False
     return True
+
+
+def verify_enumeration(inst: Instance, deleted=()) -> bool:
+    """The fused enumeration must equal filtering all matchings through the
+    public predicate."""
+    fused = enumerate_super_stable(inst, deleted, max_edges=None)
+    plain = [m for m in all_matchings(inst, deleted) if is_super_stable(inst, deleted, m)]
+    return fused == plain
 
 
 def reference_min_hospital_deletion(inst: Instance) -> tuple[int, frozenset[Vertex]]:
@@ -237,3 +248,149 @@ def closure_trace_violations(inst: Instance, deleted, forbidden, trace) -> list[
             if d in best_left and worst > best_left[d]:
                 bad.append(f"stage {stage_no}: doctor {d!r} lost a worse edge than one it kept")
     return bad
+
+
+def _reference_name_ok(name: str) -> bool:
+    return bool(name) and not any(c.isspace() or c in "()#:" for c in name)
+
+
+def _reference_scan_entries(body: str, lineno: int, offset: int) -> list[list[tuple[str, int]]]:
+    """Tokenize a preference line body into tie groups with column info."""
+    groups: list[list[tuple[str, int]]] = []
+    open_group: list[tuple[str, int]] | None = None
+    open_col = 0
+    i = 0
+    while i < len(body):
+        c = body[i]
+        col = offset + i + 1
+        if c.isspace():
+            i += 1
+        elif c == "(":
+            if open_group is not None:
+                raise FormatError("nested tie group", line=lineno, column=col)
+            open_group = []
+            open_col = col
+            i += 1
+        elif c == ")":
+            if open_group is None:
+                raise FormatError("unmatched ')'", line=lineno, column=col)
+            if not open_group:
+                raise FormatError("empty tie group", line=lineno, column=col)
+            groups.append(open_group)
+            open_group = None
+            i += 1
+        else:
+            j = i
+            while j < len(body) and not body[j].isspace() and body[j] not in "()":
+                j += 1
+            token = body[i:j]
+            if not _reference_name_ok(token):
+                raise FormatError(f"invalid name {token!r}", line=lineno, column=col)
+            if open_group is None:
+                groups.append([(token, col)])
+            else:
+                open_group.append((token, col))
+            i = j
+    if open_group is not None:
+        raise FormatError("unclosed tie group", line=lineno, column=open_col)
+    return groups
+
+
+def _reference_name_list(body: str, lineno: int, offset: int, word: str) -> tuple[str, ...]:
+    names: list[str] = []
+    seen: set[str] = set()
+    i = 0
+    while i < len(body):
+        if body[i].isspace():
+            i += 1
+            continue
+        j = i
+        while j < len(body) and not body[j].isspace():
+            j += 1
+        token = body[i:j]
+        col = offset + i + 1
+        if not _reference_name_ok(token):
+            raise FormatError(f"invalid {word} name {token!r}", line=lineno, column=col)
+        if token in seen:
+            raise FormatError(f"duplicate {word} name {token!r}", line=lineno, column=col)
+        seen.add(token)
+        names.append(token)
+        i = j
+    return tuple(names)
+
+
+def reference_parse_instance(text: str) -> Instance:
+    """The character-by-character parser that `parse_instance` replaced:
+    it records every entry's column and keeps them all for the error path.
+    The list checks are the library's `_from_lists`."""
+    doctors: tuple[str, ...] | None = None
+    hospitals: tuple[str, ...] | None = None
+    pref_lines: list[tuple[str, int, list[list[tuple[str, int]]]]] = []
+
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0]
+        if not line.strip():
+            continue
+        head, sep, body = line.partition(":")
+        if not sep:
+            raise FormatError("expected ':'", line=lineno, column=len(line.rstrip()) + 1)
+        words = head.split()
+        offset = len(head) + 1
+        if words == ["doctors"]:
+            if doctors is not None:
+                raise FormatError("second 'doctors:' line", line=lineno)
+            doctors = _reference_name_list(body, lineno, offset, "doctor")
+        elif words == ["hospitals"]:
+            if hospitals is not None:
+                raise FormatError("second 'hospitals:' line", line=lineno)
+            hospitals = _reference_name_list(body, lineno, offset, "hospital")
+        elif len(words) == 2 and words[0] == "pref":
+            if doctors is None or hospitals is None:
+                raise FormatError("preference line before 'doctors:' and 'hospitals:'", line=lineno)
+            name = words[1]
+            if not _reference_name_ok(name):
+                raise FormatError(f"invalid name {name!r}", line=lineno)
+            pref_lines.append((name, lineno, _reference_scan_entries(body, lineno, offset)))
+        else:
+            raise FormatError(
+                "expected 'doctors:', 'hospitals:' or 'pref NAME:'", line=lineno, column=1
+            )
+
+    if doctors is None:
+        raise FormatError("missing 'doctors:' line")
+    if hospitals is None:
+        raise FormatError("missing 'hospitals:' line")
+    both = set(doctors) & set(hospitals)
+    if both:
+        raise FormatError(
+            f"name {sorted(both)[0]!r} appears on both sides; the text format keeps the "
+            "two name spaces disjoint"
+        )
+
+    dset, hset = set(doctors), set(hospitals)
+    prefs: dict[Vertex, list[list[str]]] = {}
+    columns: dict[Vertex, list[int]] = {}
+    line_of: dict[str, int] = {}
+    for name, lineno, groups in pref_lines:
+        if name not in dset and name not in hset:
+            raise FormatError(f"preference line for undeclared vertex {name!r}", line=lineno)
+        if name in line_of:
+            raise FormatError(
+                f"second preference line for {name!r} (first on line {line_of[name]})",
+                line=lineno,
+            )
+        line_of[name] = lineno
+        v = Vertex(DOCTOR if name in dset else HOSPITAL, name)
+        prefs[v] = [[t for t, _ in g] for g in groups]
+        columns[v] = [col for g in groups for _, col in g]
+
+    for name in doctors + hospitals:
+        if name not in line_of:
+            side = "doctor" if name in dset else "hospital"
+            raise FormatError(f"missing preference line for {side} {name!r}")
+
+    try:
+        return _from_lists(doctors, hospitals, prefs)
+    except _ListError as exc:
+        column = None if exc.entry is None else columns[exc.owner][exc.entry]
+        raise FormatError(str(exc), line=line_of[exc.owner.name], column=column) from None

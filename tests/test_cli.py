@@ -355,7 +355,7 @@ def test_gen_full_density_no_ties_is_complete_and_strict(capsys):
     inst = parse_instance(captured.out)
     assert len(inst.edges) == 9
     for v in inst.vertices():
-        ranks = [inst.rank_of(v, e) for e in inst.incident(v)]
+        ranks = list(inst.rank[v].values())
         assert sorted(ranks) == list(range(1, len(ranks) + 1))
 
 

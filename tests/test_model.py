@@ -1,9 +1,11 @@
 from __future__ import annotations
 
-from itertools import combinations
+import random
+import re
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 import superstab.model
 
@@ -13,9 +15,11 @@ from conftest import (
     TIE_2X2_TEXT,
     instances,
     naive_is_super_stable,
+    reference_parse_instance,
     run_python,
     sample_instances,
 )
+from superstab.cli import generate_instance
 from superstab.model import (
     DOCTOR,
     HOSPITAL,
@@ -38,6 +42,9 @@ from superstab.model import (
     transpose_instance,
 )
 from superstab.oracle import all_matchings
+from superstab.superstable import closure
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def edges(*pairs):
@@ -49,15 +56,15 @@ def test_parse_strict_shape():
     assert inst.doctors == ("d1", "d2")
     assert inst.hospitals == ("h1", "h2")
     assert inst.edges == edges(("d1", "h1"), ("d1", "h2"), ("d2", "h1"), ("d2", "h2"))
-    assert inst.rank_of(doctor("d1"), Edge("d1", "h1")) == 1
-    assert inst.rank_of(doctor("d1"), Edge("d1", "h2")) == 2
-    assert inst.rank_of(hospital("h2"), Edge("d2", "h2")) == 2
+    assert inst.rank[doctor("d1")][Edge("d1", "h1")] == 1
+    assert inst.rank[doctor("d1")][Edge("d1", "h2")] == 2
+    assert inst.rank[hospital("h2")][Edge("d2", "h2")] == 2
 
 
 def test_parse_ties_share_a_rank():
     inst = parse_instance(TIE_2X2_TEXT)
     for v in inst.vertices():
-        assert {inst.rank_of(v, e) for e in inst.incident(v)} == {1}
+        assert set(inst.rank[v].values()) == {1}
 
 
 def test_parse_mixed_groups_and_comments():
@@ -72,9 +79,9 @@ pref h1: d1 (d2)
 pref h2: (d1 d2)
 """
     inst = parse_instance(text)
-    assert inst.rank_of(doctor("d1"), Edge("d1", "h2")) == 2
-    assert inst.rank_of(doctor("d2"), Edge("d2", "h1")) == 1
-    assert inst.rank_of(doctor("d2"), Edge("d2", "h2")) == 1
+    assert inst.rank[doctor("d1")][Edge("d1", "h2")] == 2
+    assert inst.rank[doctor("d2")][Edge("d2", "h1")] == 1
+    assert inst.rank[doctor("d2")][Edge("d2", "h2")] == 1
     assert inst.incident(doctor("d3")) == frozenset()
 
 
@@ -85,33 +92,33 @@ def test_parse_empty_instance():
     assert inst.edges == frozenset()
 
 
-@pytest.mark.parametrize(
-    "text,needle",
-    [
-        ("doctors d1\nhospitals:\n", "expected ':'"),
-        ("doctors: d1\nhospitals: h1\nwhat x: y\n", "expected 'doctors:'"),
-        ("doctors: d1 d1\nhospitals:\n", "duplicate doctor name 'd1'"),
-        ("doctors: d1\ndoctors: d2\nhospitals:\n", "second 'doctors:'"),
-        ("hospitals: h1\n", "missing 'doctors:'"),
-        ("doctors: d1\n", "missing 'hospitals:'"),
-        ("pref d1: h1\ndoctors: d1\nhospitals: h1\npref h1: d1\n", "before 'doctors:'"),
-        ("doctors: d1\nhospitals: h1\npref d1: ((h1))\npref h1: d1\n", "nested tie group"),
-        ("doctors: d1\nhospitals: h1\npref d1: h1)\npref h1: d1\n", r"unmatched '\)'"),
-        ("doctors: d1\nhospitals: h1\npref d1: (h1\npref h1: d1\n", "unclosed tie group"),
-        ("doctors: d1\nhospitals: h1\npref d1: () h1\npref h1: d1\n", "empty tie group"),
-        ("doctors: d1\nhospitals: h1\npref d1: h1 h1\npref h1: d1\n", "more than once"),
-        ("doctors: d1\nhospitals: h1\npref d1: h9\npref h1: d1\n", "unknown hospital 'h9'"),
-        ("doctors: d1\nhospitals: h1\npref d2: h1\npref h1: d1\n", "undeclared vertex 'd2'"),
-        (
-            "doctors: d1\nhospitals: h1\npref d1: h1\npref d1: h1\npref h1: d1\n",
-            "second preference line for 'd1'",
-        ),
-        ("doctors: d1\nhospitals: h1\npref d1: h1\n", "missing preference line for hospital 'h1'"),
-        ("doctors: d1\nhospitals: h1\npref d1: h1\npref h1:\n", "does not list"),
-        ("doctors: d1\nhospitals: h1\npref d1:\npref h1: d1\n", "does not list"),
-        ("doctors: x\nhospitals: x\npref x: x\n", "appears on both sides"),
-    ],
-)
+PARSE_ERRORS = [
+    ("doctors d1\nhospitals:\n", "expected ':'"),
+    ("doctors: d1\nhospitals: h1\nwhat x: y\n", "expected 'doctors:'"),
+    ("doctors: d1 d1\nhospitals:\n", "duplicate doctor name 'd1'"),
+    ("doctors: d1\ndoctors: d2\nhospitals:\n", "second 'doctors:'"),
+    ("hospitals: h1\n", "missing 'doctors:'"),
+    ("doctors: d1\n", "missing 'hospitals:'"),
+    ("pref d1: h1\ndoctors: d1\nhospitals: h1\npref h1: d1\n", "before 'doctors:'"),
+    ("doctors: d1\nhospitals: h1\npref d1: ((h1))\npref h1: d1\n", "nested tie group"),
+    ("doctors: d1\nhospitals: h1\npref d1: h1)\npref h1: d1\n", r"unmatched '\)'"),
+    ("doctors: d1\nhospitals: h1\npref d1: (h1\npref h1: d1\n", "unclosed tie group"),
+    ("doctors: d1\nhospitals: h1\npref d1: () h1\npref h1: d1\n", "empty tie group"),
+    ("doctors: d1\nhospitals: h1\npref d1: h1 h1\npref h1: d1\n", "more than once"),
+    ("doctors: d1\nhospitals: h1\npref d1: h9\npref h1: d1\n", "unknown hospital 'h9'"),
+    ("doctors: d1\nhospitals: h1\npref d2: h1\npref h1: d1\n", "undeclared vertex 'd2'"),
+    (
+        "doctors: d1\nhospitals: h1\npref d1: h1\npref d1: h1\npref h1: d1\n",
+        "second preference line for 'd1'",
+    ),
+    ("doctors: d1\nhospitals: h1\npref d1: h1\n", "missing preference line for hospital 'h1'"),
+    ("doctors: d1\nhospitals: h1\npref d1: h1\npref h1:\n", "does not list"),
+    ("doctors: d1\nhospitals: h1\npref d1:\npref h1: d1\n", "does not list"),
+    ("doctors: x\nhospitals: x\npref x: x\n", "appears on both sides"),
+]
+
+
+@pytest.mark.parametrize("text,needle", PARSE_ERRORS)
 def test_parse_errors(text, needle):
     with pytest.raises(FormatError, match=needle):
         parse_instance(text)
@@ -133,6 +140,69 @@ def test_parse_asymmetry_points_at_the_one_sided_entry():
     assert info.value.line == 4
 
 
+# Characters the parser treats specially, whitespace beyond ASCII that
+# `str.isspace` accepts (U+001C also ends a line), and a non-ASCII letter.
+FUZZ_CHARS = "()#:\t\x1c\u3000\u00e9"
+
+
+def _mutate(text: str, rng: random.Random) -> str:
+    """One to three single-character inserts, deletes or replacements.
+    Each edit picks a line first, so the short header lines are hit as
+    often as the long preference lines."""
+    for _ in range(rng.randint(1, 3)):
+        lines = text.splitlines(keepends=True) or [""]
+        k = rng.randrange(len(lines))
+        i = sum(map(len, lines[:k])) + rng.randrange(len(lines[k]) + 1)
+        c = rng.choice(FUZZ_CHARS if rng.random() < 0.5 else text or " ")
+        kind = rng.randrange(3)
+        text = text[:i] + ("" if kind == 1 else c) + text[i + (kind != 0):]
+    return text
+
+
+def _outcome(parse, text: str):
+    try:
+        return serialize_instance(parse(text))
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None)
+
+
+def test_parser_matches_the_character_scanner_on_mutated_files():
+    """Mutations of valid files, and of texts that already fail with one of
+    the `PARSE_ERRORS` kinds, parse to the same instance or the same error
+    (type, message, line and column) with both parsers."""
+    files = [path.read_text() for path in sorted(DATA.glob("*.ssm"))]
+    files.append(serialize_instance(generate_instance(30, 30, 0.3, 0.5, seed="fuzz-30")))
+    failing = [text for text, _ in PARSE_ERRORS]
+    rng = random.Random("parser-fuzz")
+    parsed, errors = 0, []
+    for n in range(2000):
+        text = _mutate(rng.choice(files if n % 2 else failing), rng)
+        got = _outcome(parse_instance, text)
+        assert got == _outcome(reference_parse_instance, text), text
+        if isinstance(got, tuple):
+            errors.append(got)
+        else:
+            parsed += 1
+    assert parsed >= 20
+    assert {kind for kind, *_ in errors} == {FormatError}
+    for _, needle in PARSE_ERRORS:
+        assert any(re.search(needle, message) for _, message, _, _ in errors), needle
+    for needle in ("unknown (doctor|hospital)", "more than once", "does not list"):
+        assert any(
+            re.search(needle, message) and column is not None for _, message, _, column in errors
+        ), needle
+
+
+@given(instances(), st.randoms(use_true_random=False))
+def test_pref_line_order_does_not_change_the_instance_or_its_closure(inst, rng):
+    lines = serialize_instance(inst).splitlines(keepends=True)
+    header, prefs = lines[:2], lines[2:]
+    rng.shuffle(prefs)
+    again = parse_instance("".join(header + prefs))
+    assert again == inst
+    assert closure(again) == closure(inst)
+
+
 def test_make_instance_accepts_names_and_groups():
     inst = make_instance(
         ["d1", "d2"],
@@ -140,8 +210,8 @@ def test_make_instance_accepts_names_and_groups():
         {"d1": ["h1", ["h2"]], "d2": [["h1", "h2"]]},
         {"h1": ["d1", "d2"], "h2": [["d1", "d2"]]},
     )
-    assert inst.rank_of(doctor("d1"), Edge("d1", "h2")) == 2
-    assert inst.rank_of(doctor("d2"), Edge("d2", "h2")) == 1
+    assert inst.rank[doctor("d1")][Edge("d1", "h2")] == 2
+    assert inst.rank[doctor("d2")][Edge("d2", "h2")] == 1
 
 
 @pytest.mark.parametrize(
@@ -255,28 +325,12 @@ def test_roundtrip_parse_serialize_parse(inst):
     assert serialize_instance(again) == text
 
 
-@given(instances())
-def test_preference_relation_is_total_and_transitive(inst):
-    for v in inst.vertices():
-        incident = sorted(inst.incident(v))
-        for e, f in combinations(incident, 2):
-            assert inst.weakly_prefers(v, e, f) or inst.weakly_prefers(v, f, e)
-        for e in incident:
-            for f in incident:
-                for g in incident:
-                    if inst.weakly_prefers(v, e, f) and inst.weakly_prefers(v, f, g):
-                        assert inst.weakly_prefers(v, e, g)
-        for e in incident:
-            assert inst.weakly_prefers(v, e, None)
-            assert inst.strictly_prefers(v, e, None)
-
-
 def test_induced_drops_hospital_and_keeps_rank_values(strict_2x2):
     sub = induced_instance(strict_2x2, {hospital("h1")})
     assert sub.doctors == ("d1", "d2")
     assert sub.hospitals == ("h2",)
     assert sub.edges == edges(("d1", "h2"), ("d2", "h2"))
-    assert sub.rank_of(doctor("d1"), Edge("d1", "h2")) == 2
+    assert sub.rank[doctor("d1")][Edge("d1", "h2")] == 2
 
 
 def test_induced_with_nothing_removed_is_identical(strict_2x2):
@@ -311,7 +365,7 @@ def test_transpose_swaps_sides():
     assert flipped.doctors == ("h1", "h2")
     assert flipped.hospitals == ("d1",)
     assert flipped.edges == edges(("h1", "d1"), ("h2", "d1"))
-    assert flipped.rank_of(hospital("d1"), Edge("h1", "d1")) == 1
+    assert flipped.rank[hospital("d1")][Edge("h1", "d1")] == 1
 
 
 @given(instances())
@@ -344,12 +398,12 @@ def test_choices_agree_with_their_definitions(inst):
     for v in inst.vertices():
         mine = {e for e in pool if (e.doctor if v.side == DOCTOR else e.hospital) == v.name}
         if v.side == DOCTOR:
-            expect = {e for e in mine if all(inst.weakly_prefers(v, e, f) for f in mine)}
+            expect = {e for e in mine if all(inst.rank[v][e] <= inst.rank[v][f] for f in mine)}
             assert chosen_d & mine == expect
             assert bool(mine) == bool(expect)
         else:
             expect = {
-                e for e in mine if all(inst.strictly_prefers(v, e, f) for f in mine if f != e)
+                e for e in mine if all(inst.rank[v][e] < inst.rank[v][f] for f in mine if f != e)
             }
             assert len(expect) <= 1
             assert chosen_h & mine == expect

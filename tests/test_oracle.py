@@ -13,11 +13,11 @@ from conftest import (
     one_hospital_tie_text,
     reference_min_hospital_deletion,
     sample_instances,
+    verify_enumeration,
 )
 from superstab.model import Edge, doctor, hospital, parse_instance, transpose_instance
 from superstab.oracle import (
     CapExceeded,
-    _verify_enumeration,
     all_matchings,
     count_matchings,
     enumerate_super_stable,
@@ -94,15 +94,15 @@ def test_enumeration_members_pass_the_naive_checker():
 
 def test_fused_walk_equals_plain_filtering():
     for inst in sample_instances(25, seed="oracle-fused"):
-        assert _verify_enumeration(inst)
+        assert verify_enumeration(inst)
         if inst.hospitals:
-            assert _verify_enumeration(inst, {hospital(inst.hospitals[0])})
+            assert verify_enumeration(inst, {hospital(inst.hospitals[0])})
 
 
 @given(instances())
 @settings(max_examples=50)
 def test_fused_walk_equals_plain_filtering_property(inst):
-    assert _verify_enumeration(inst)
+    assert verify_enumeration(inst)
 
 
 def test_pruned_existence_equals_plain_filtering():

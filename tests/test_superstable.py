@@ -126,8 +126,8 @@ def partly_forbidden_groups(inst, trace) -> int:
         lost = prev.forbidden - trace.initial_forbidden
         for e in cur.proposed:
             d = doctor(e.doctor)
-            rank = inst.rank_of(d, e)
-            hits += any(f.doctor == e.doctor and inst.rank_of(d, f) == rank for f in lost)
+            rank = inst.rank[d][e]
+            hits += any(f.doctor == e.doctor and inst.rank[d][f] == rank for f in lost)
     return hits
 
 
@@ -246,8 +246,8 @@ def test_every_tie_breaking_choice_leaves_the_same_deletion_count():
         per_doctor: dict[str, list[Edge]] = {}
         for e in sorted(pool):
             d = doctor(e.doctor)
-            best = min(inst.rank_of(d, f) for f in inst.incident(d) & pool)
-            if inst.rank_of(d, e) == best:
+            best = min(r for f, r in inst.rank[d].items() if f in pool)
+            if inst.rank[d][e] == best:
                 per_doctor.setdefault(e.doctor, []).append(e)
         variants = 1
         for options in per_doctor.values():
