@@ -8,9 +8,9 @@ it builds every doctor's tie groups once and, per doctor set, runs the
 closure loop of `superstable` with those doctors skipped.  At the loop's
 fixed point the critical count is the number of hospitals whose pool is
 non-empty minus the number of doctors still on a tie group; the proof is
-in `solve_two_side_deletion`.  The full certificate, an induced instance
-and its hospital-side solution, is built only for the first doctor set
-that fits the budget.  The instance builder turns set-coverage data
+in `solve_two_side_deletion`.  The first doctor set that fits the
+budget takes its critical set from the same run, as the one-side solver
+reads its own.  The instance builder turns set-coverage data
 (pick exactly `picks` families, keep their union within `cover_limit`)
 into a fully indifferent matching instance whose deletion budgets mirror
 the coverage question.
@@ -29,11 +29,11 @@ from .model import (
     _name_ok,
     doctor,
     hospital,
-    induced_instance,
+    induced_instance,  # unused here; bench/tracer.py counts subsets through it
     make_instance,
 )
 from .oracle import CapExceeded
-from .superstable import _critical_count, _tie_groups, solve_min_hospital_deletion
+from .superstable import _critical_count, _fixed_point, _outcome, _tie_groups
 
 
 @dataclass(frozen=True)
@@ -232,8 +232,9 @@ def solve_two_side_deletion(
     is exactly what `critical_hospitals` calls wanted; and each live
     doctor's smallest-name live edge is held by a hospital of its own, so
     the matched hospitals are one per live doctor, all of them wanted.
-    Only the first subset within the hospital budget gets the induced
-    instance and the one-side solver, which give the witness.
+    The first subset within the hospital budget reads its critical set
+    from the same run, as `solve_min_hospital_deletion` would on the
+    instance without those doctors.
     """
     if doctor_budget < 0 or hospital_budget < 0:
         raise ValueError("budgets must be non-negative")
@@ -246,10 +247,10 @@ def solve_two_side_deletion(
     names = sorted(inst.doctors)
     for size in range(min(doctor_budget, len(names)) + 1):
         for combo in combinations(names, size):
-            if _critical_count(groups, combo) <= hospital_budget:
-                removed = frozenset(doctor(n) for n in combo)
-                cert = solve_min_hospital_deletion(induced_instance(inst, removed))
-                return removed | cert.critical
+            run = _fixed_point(groups, skip=combo)
+            if _critical_count(groups, run) <= hospital_budget:
+                _, critical = _outcome(run[0])
+                return frozenset(doctor(n) for n in combo) | critical
     return None
 
 

@@ -10,10 +10,10 @@ This module owns the data model, the instance text format and its
 validation, induced subgraphs, the transpose transform, the choice scans
 that define one closure round (each doctor's weakly best edges, each
 hospital's strictly best one), and the super-stability predicate.  The
-closure solver itself only scans a finished result; the round
-definition serves as the reference the tests check it against.
-Everything is immutable and side-effect free; solvers live in the
-sibling modules.
+solvers, in the sibling modules, never run the choice scans: they are
+the round definition the tests check the closure against, and what the
+plain `extract_matching` and `critical_hospitals` rescan with.
+Everything is immutable and side-effect free.
 
 `Instance.rank` is the one rank store; `incident`, `doctor_rank`,
 `hospital_rank` and the serializer's tie groups all derive from it.
@@ -257,13 +257,30 @@ def _from_lists(
                 levels[name] = level
         levels_of[owner] = levels
 
-    one_sided = []
-    for owner, levels in levels_of.items():
-        for name in levels:
-            if owner.name not in levels_of[Vertex(_OTHER_SIDE[owner.side], name)]:
-                pair = (owner.name, name) if owner.side == DOCTOR else (name, owner.name)
-                one_sided.append((owner.side, pair, owner, name))
-    if one_sided:
+    # Each edge is built once, for its doctor, and looked up for its hospital.
+    # When every lookup hits, equal entry counts mean every listing is mutual;
+    # otherwise an ordered scan finds the first one-sided listing.
+    edge_of: dict[str, dict[str, Edge]] = {}
+    rank: dict[Vertex, dict[Edge, int]] = {}
+    for d in doctors:
+        levels = levels_of[Vertex(DOCTOR, d)]
+        mine = edge_of[d] = {h: Edge(d, h) for h in levels}
+        rank[Vertex(DOCTOR, d)] = dict(zip(mine.values(), levels.values()))
+    edges = frozenset(e for mine in edge_of.values() for e in mine.values())
+    try:
+        for h in hospitals:
+            levels = levels_of[Vertex(HOSPITAL, h)]
+            rank[Vertex(HOSPITAL, h)] = {edge_of[d][h]: r for d, r in levels.items()}
+        mutual = len(edges) == sum(len(rank[Vertex(HOSPITAL, h)]) for h in hospitals)
+    except KeyError:
+        mutual = False
+    if not mutual:
+        one_sided = []
+        for owner, levels in levels_of.items():
+            for name in levels:
+                if owner.name not in levels_of[Vertex(_OTHER_SIDE[owner.side], name)]:
+                    pair = (owner.name, name) if owner.side == DOCTOR else (name, owner.name)
+                    one_sided.append((owner.side, pair, owner, name))
         _, _, owner, name = min(one_sided)
         partner = Vertex(_OTHER_SIDE[owner.side], name)
         raise _ListError(
@@ -271,15 +288,6 @@ def _from_lists(
             owner,
             list(levels_of[owner]).index(name),
         )
-
-    rank: dict[Vertex, dict[Edge, int]] = {}
-    for d in doctors:
-        v = Vertex(DOCTOR, d)
-        rank[v] = {Edge(d, h): r for h, r in levels_of[v].items()}
-    for h in hospitals:
-        v = Vertex(HOSPITAL, h)
-        rank[v] = {Edge(d, h): r for d, r in levels_of[v].items()}
-    edges = frozenset(e for d in doctors for e in rank[Vertex(DOCTOR, d)])
     return _unchecked(doctors, hospitals, edges, rank)
 
 
@@ -327,6 +335,7 @@ def _scan_groups(body: str, lineno: int, offset: int) -> list[list[str]]:
     groups: list[list[str]] = []
     group: list[str] | None = None
     opened = 0
+    colon = ":" in body  # a token holds no '#', space or parenthesis, so only ':' can be bad
     for k, token in enumerate(_PREF_TOKEN.findall(body)):
         if token == "(":
             if group is not None:
@@ -343,7 +352,7 @@ def _scan_groups(body: str, lineno: int, offset: int) -> list[list[str]]:
                 break
             groups.append(group)
             group = None
-        elif not _name_ok(token):
+        elif colon and not _name_ok(token):
             problem = f"invalid name {token!r}"
             break
         elif group is None:
@@ -536,47 +545,30 @@ def transpose_instance(inst: Instance) -> Instance:
     return _unchecked(inst.hospitals, inst.doctors, frozenset(flip(e) for e in inst.edges), rank)
 
 
-def _pool_rank(table: dict[Edge, int], e: Edge) -> int:
-    try:
-        return table[e]
-    except KeyError:
-        raise ValueError(f"edge {tuple(e)} is not an edge of the instance") from None
+def _best_edges(table: dict[Edge, int], pool: Iterable[Edge], end: int) -> list[list[Edge]]:
+    """Per endpoint `e[end]` of the edges in `pool`, its best ones by `table`."""
+    keep: dict[str, tuple[int, list[Edge]]] = {}
+    for e in pool:
+        try:
+            r = table[e]
+        except KeyError:
+            raise ValueError(f"edge {tuple(e)} is not an edge of the instance") from None
+        b = keep.get(e[end])
+        if b is None or r < b[0]:
+            keep[e[end]] = (r, [e])
+        elif r == b[0]:
+            b[1].append(e)
+    return [es for _, es in keep.values()]
 
 
 def all_doctor_choices(inst: Instance, pool: Iterable[Edge]) -> frozenset[Edge]:
     """Union of every doctor's weakly best edges within `pool`."""
-    dr = inst.doctor_rank
-    best: dict[str, int] = {}
-    keep: dict[str, list[Edge]] = {}
-    for e in pool:
-        r = _pool_rank(dr, e)
-        d = e.doctor
-        b = best.get(d)
-        if b is None or r < b:
-            best[d] = r
-            keep[d] = [e]
-        elif r == b:
-            keep[d].append(e)
-    return frozenset(e for es in keep.values() for e in es)
+    return frozenset(e for es in _best_edges(inst.doctor_rank, pool, 0) for e in es)
 
 
 def all_hospital_choices(inst: Instance, pool: Iterable[Edge]) -> frozenset[Edge]:
     """Union of every hospital's held edge within `pool` (strict bests only)."""
-    hr = inst.hospital_rank
-    best: dict[str, int] = {}
-    top: dict[str, Edge] = {}
-    tied: set[str] = set()
-    for e in pool:
-        r = _pool_rank(hr, e)
-        h = e.hospital
-        b = best.get(h)
-        if b is None or r < b:
-            best[h] = r
-            top[h] = e
-            tied.discard(h)
-        elif r == b:
-            tied.add(h)
-    return frozenset(top[h] for h in top if h not in tied)
+    return frozenset(es[0] for es in _best_edges(inst.hospital_rank, pool, 1) if len(es) == 1)
 
 
 def _assignment(

@@ -11,15 +11,18 @@ super-stable matching can use a forbidden edge, each hospital retains at
 most one candidate, and the hospitals left empty while still wanted form
 a smallest deletion set whose removal restores super-stability.
 
-One loop serves every caller: `closure` builds the tie groups, runs the
-loop and rebuilds the rounds from its log, while the two-side search in
-`hardness` builds the groups once and runs the loop once per doctor
-subset, reading only its final state.
+The loop logs, per round, the edges newly proposed and newly forbidden,
+O(|E|) in all, and that log is the only store of a run: the trace keeps
+it and builds the full rounds on first access, and the matching and the
+critical set are read straight from it.  The two-side search in
+`hardness` builds the tie groups once and runs the loop per doctor subset.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Collection, Iterable
 
 from .model import (
@@ -33,10 +36,13 @@ from .model import (
 )
 
 
-# An edge with its rank on the hospital's list, and per doctor its tie
-# groups of those, best first.
+# An edge with its rank on the hospital's list; per doctor, its tie groups
+# of those, best first; per round of the loop, the entries newly proposed and
+# the edges newly forbidden; and what one run leaves (see `_fixed_point`).
 _Entry = tuple[Edge, int]
 _TieGroups = dict[str, list[list[_Entry]]]
+_Log = list[tuple[list[_Entry], list[Edge]]]
+_Run = tuple[_Log, dict[str, tuple[int, int, Edge]], dict[str, int]]
 
 
 @dataclass(frozen=True)
@@ -49,20 +55,47 @@ class ClosureRound:
     forbidden: frozenset[Edge]
 
 
-@dataclass(frozen=True)
 class ClosureTrace:
-    """Every round of one closure run, including the final no-change round."""
+    """Every round of one closure run, including the final no-change round.
 
-    initial_forbidden: frozenset[Edge]
-    rounds: tuple[ClosureRound, ...]
+    A trace from `closure` stores only the loop's O(|E|) log and builds
+    `rounds` from it on first access, at the cost of the whole history;
+    `iterations` and `result` (the final forbidden set) never build them.
+    """
 
-    @property
-    def iterations(self) -> int:
-        return len(self.rounds)
+    def __init__(self, initial_forbidden: frozenset[Edge], rounds: Iterable[ClosureRound] = (),
+                 *, log: _Log | None = None) -> None:
+        self.initial_forbidden = initial_forbidden
+        self._log = log
+        if log is None:
+            self.rounds = tuple(rounds)
+            self.iterations = len(self.rounds)
+            self.result = self.rounds[-1].forbidden if self.rounds else initial_forbidden
+        else:
+            self.iterations = len(log)
+            self.result = initial_forbidden.union(*(lost for _, lost in log))
 
-    @property
-    def result(self) -> frozenset[Edge]:
-        return self.rounds[-1].forbidden if self.rounds else self.initial_forbidden
+    @cached_property
+    def rounds(self) -> tuple[ClosureRound, ...]:
+        out: list[ClosureRound] = []
+        proposed: set[Edge] = set()
+        forbidden = self.initial_forbidden
+        for index, (new, lost) in enumerate(self._log, 1):
+            proposed.update(e for e, _ in new)
+            offered = frozenset(proposed)
+            if lost:
+                proposed.difference_update(lost)
+                forbidden = forbidden.union(lost)
+            held = frozenset(proposed) if lost else offered
+            out.append(ClosureRound(index, offered, held, forbidden))
+        return tuple(out)
+
+    def __eq__(self, other: object) -> bool:
+        same = (self.initial_forbidden, self.rounds)
+        return isinstance(other, ClosureTrace) and same == (other.initial_forbidden, other.rounds)
+
+    def __hash__(self) -> int:
+        return hash((self.initial_forbidden, self.iterations, self.result))
 
 
 @dataclass(frozen=True)
@@ -77,11 +110,8 @@ class DeletionCertificate:
 
 
 def _tie_groups(inst: Instance) -> _TieGroups:
-    """Each doctor's tie groups, best first, in the instance's doctor order.
-
-    Entries carry the hospital's rank, so the loop never looks a
-    hospital's table up.
-    """
+    """Each doctor's tie groups, best first, in the instance's doctor order;
+    entries carry the hospital's rank, so the loop never looks it up."""
     hospital_rank = inst.hospital_rank
     groups: _TieGroups = {}
     for v, table in inst.rank.items():
@@ -94,22 +124,14 @@ def _tie_groups(inst: Instance) -> _TieGroups:
     return groups
 
 
-def _fixed_point(
-    groups: _TieGroups,
-    gone: Collection[str] = (),
-    skip: Collection[str] = (),
-) -> tuple[
-    list[tuple[list[_Entry], list[Edge]]], dict[str, tuple[int, int, Edge]], dict[str, int]
-]:
-    """Run the forbidding loop over prepared tie groups.
+def _fixed_point(groups: _TieGroups, gone: Collection[str] = (), skip: Collection[str] = ()) -> _Run:
+    """Run the forbidding loop over prepared tie groups, with the hospitals
+    named in `gone` deleted and the doctors named in `skip` left out.
 
-    Hospitals named in `gone` are deleted, and doctors named in `skip` are
-    left out as if they were deleted.  Returns the log of what each round
-    newly proposed and newly forbade, `pool_best` (per hospital whose pool
-    of proposed and forbidden edges is non-empty: its best rank, how many
-    pool edges have that rank and the first edge to reach it) and each
-    doctor's position: the index of its current tie group, or the number
-    of its groups once every edge is forbidden.
+    Returns the log, `pool_best` (per hospital whose pool of proposed and
+    forbidden edges is non-empty: its best rank, how many pool edges have
+    it and the first edge to reach it) and each doctor's position (its
+    current tie group, or its number of groups once all are forbidden).
     """
     # Per doctor: its current group and how many of its current proposals
     # are not yet forbidden.
@@ -136,7 +158,7 @@ def _fixed_point(
     # Per hospital: its pool summary, and the proposal it holds.
     pool_best: dict[str, tuple[int, int, Edge]] = {}
     holds: dict[str, _Entry] = {}
-    log: list[tuple[list[_Entry], list[Edge]]] = []
+    log: _Log = []
     new = [p for d in groups if d not in skip for p in propose(d)]
     while True:
         arrivals: dict[str, list[_Entry]] = {}
@@ -174,20 +196,14 @@ def closure(
 ) -> tuple[frozenset[Edge], ClosureTrace]:
     """Run the forbidding loop with the edges of `deleted` hospitals seeded.
 
-    Returns the final forbidden edge set and the round-by-round trace.
-    `deleted` may only contain hospitals of the instance.
-
-    Each round equals one pass of the definition: every doctor proposes
-    its weakly best edges outside the forbidden set, each hospital holds
-    its strictly best edge among its proposals and forbidden edges if that
-    edge is a proposal, and the proposals not held become forbidden.  The
-    loop itself touches only the frontier.  A doctor's proposals carry
-    over until all of its current tie group is forbidden, and then it
-    moves to its next group.  A hospital's pool of proposed and forbidden
-    edges only grows, so a hospital decides again only when proposals
-    arrive, from its best rank and the number of edges at that rank.
-    Reaching the fixed point costs O(|E| log |E|); building the returned
-    trace costs its size on top.
+    Returns the final forbidden edge set and the trace, whose rounds
+    each equal one pass of the definition (see the module docstring).
+    `deleted` may only contain hospitals of the instance.  A doctor's
+    proposals carry over until all of its current tie group is forbidden,
+    and a hospital's pool of proposed and forbidden edges only grows, so
+    it decides again only when proposals arrive, from its best rank and
+    the number of edges at that rank.  Reaching the fixed point costs
+    O(|E| log |E|), and the trace keeps the loop's O(|E|) log.
     """
     deleted = frozenset(deleted)
     for v in deleted:
@@ -197,19 +213,13 @@ def closure(
             raise ValueError(f"unknown {v.describe()}")
     initial = frozenset().union(*(inst.rank[v] for v in deleted))
     log, _, _ = _fixed_point(_tie_groups(inst), {v.name for v in deleted})
+    trace = ClosureTrace(initial, log=log)
+    return trace.result, trace
 
-    rounds: list[ClosureRound] = []
-    proposed: set[Edge] = set()
-    forbidden = initial
-    for index, (new, lost) in enumerate(log, 1):
-        proposed.update(e for e, _ in new)
-        offered = frozenset(proposed)
-        if lost:
-            proposed.difference_update(lost)
-            forbidden = forbidden.union(lost)
-        held = frozenset(proposed) if lost else offered
-        rounds.append(ClosureRound(index, offered, held, forbidden))
-    return forbidden, ClosureTrace(initial, tuple(rounds))
+
+def _smallest_per_doctor(edges: Iterable[Edge]) -> frozenset[Edge]:
+    """Each doctor's edge with the smallest hospital name among `edges`."""
+    return frozenset({e.doctor: e for e in sorted(edges, reverse=True)}.values())
 
 
 def extract_matching(inst: Instance, forbidden: Iterable[Edge]) -> frozenset[Edge]:
@@ -219,23 +229,14 @@ def extract_matching(inst: Instance, forbidden: Iterable[Edge]) -> frozenset[Edg
     most one doctor's choice set.  Each doctor with choices left takes
     the one with the smallest hospital name.
     """
-    pool = inst.edges - frozenset(forbidden)
-    choices = all_doctor_choices(inst, pool)
-    per_hospital: dict[str, int] = {}
-    for e in choices:
-        per_hospital[e.hospital] = per_hospital.get(e.hospital, 0) + 1
-    crowded = [h for h, c in per_hospital.items() if c > 1]
+    choices = all_doctor_choices(inst, inst.edges - frozenset(forbidden))
+    crowded = [h for h, c in Counter(e.hospital for e in choices).items() if c > 1]
     if crowded:
         raise ValueError(
             f"hospital {sorted(crowded)[0]!r} is chosen by several doctors; "
             "the forbidden set is not a completed closure result"
         )
-    best: dict[str, Edge] = {}
-    for e in choices:
-        cur = best.get(e.doctor)
-        if cur is None or e.hospital < cur.hospital:
-            best[e.doctor] = e
-    return frozenset(best.values())
+    return _smallest_per_doctor(choices)
 
 
 def critical_hospitals(
@@ -247,21 +248,30 @@ def critical_hospitals(
     has a forbidden edge or appears in some doctor's current choices.
     """
     forbidden = frozenset(forbidden)
-    choices = all_doctor_choices(inst, inst.edges - forbidden)
-    matched = {e.hospital for e in matching}
-    wanted = {e.hospital for e in forbidden} | {e.hospital for e in choices}
-    return frozenset(
-        Vertex(HOSPITAL, h) for h in inst.hospitals if h not in matched and h in wanted
-    )
+    wanted = {e.hospital for e in forbidden | all_doctor_choices(inst, inst.edges - forbidden)}
+    wanted.difference_update(e.hospital for e in matching)
+    return frozenset(Vertex(HOSPITAL, h) for h in inst.hospitals if h in wanted)
 
 
-def _critical_count(groups: _TieGroups, skip: Collection[str]) -> int:
-    """How many hospitals the one-side solver deletes once the doctors in
-    `skip` are gone: at the loop's fixed point, the hospitals whose pool
-    is non-empty minus the doctors still on a tie group (see
-    `hardness.solve_two_side_deletion` for why)."""
-    _, pool_best, position = _fixed_point(groups, skip=skip)
+def _critical_count(groups: _TieGroups, run: _Run) -> int:
+    """How many hospitals the one-side solver deletes, read from a finished
+    `_fixed_point` run over `groups`: the hospitals whose pool is non-empty minus
+    the doctors still on a tie group (`hardness.solve_two_side_deletion` says why)."""
+    _, pool_best, position = run
     return len(pool_best) - sum(i < len(groups[d]) for d, i in position.items())
+
+
+def _outcome(log: _Log) -> tuple[frozenset[Edge], frozenset[Vertex]]:
+    """The matching and the critical hospitals at the loop's fixed point,
+    in O(|E|) over its log: the proposals never forbidden are the held
+    edges, and each doctor takes the one with the smallest hospital name;
+    the critical hospitals received a proposal and are left unmatched.
+    """
+    proposed = [e for new, _ in log for e, _ in new]
+    lost = {e for _, forbade in log for e in forbade}
+    matching = _smallest_per_doctor(e for e in proposed if e not in lost)
+    wanted = {e.hospital for e in proposed} - {e.hospital for e in matching}
+    return matching, frozenset(Vertex(HOSPITAL, h) for h in wanted)
 
 
 def solve_min_hospital_deletion(inst: Instance) -> DeletionCertificate:
@@ -269,10 +279,11 @@ def solve_min_hospital_deletion(inst: Instance) -> DeletionCertificate:
 
     The returned certificate's `critical` set is that minimum; its
     `matching` is super-stable once the critical hospitals are removed.
+    Both are read from the closure's log without rescanning the edges, so
+    the whole solve takes O(|E| log |E|) time and O(|E|) memory.
     """
     forbidden, trace = closure(inst)
-    matching = extract_matching(inst, forbidden)
-    critical = critical_hospitals(inst, forbidden, matching)
+    matching, critical = _outcome(trace._log)
     return DeletionCertificate(forbidden, matching, critical, trace)
 
 
@@ -284,17 +295,14 @@ def decide_hospital_deletion(inst: Instance, budget: int) -> tuple[bool, Deletio
     return len(cert.critical) <= budget, cert
 
 
-def exists_super_stable(
-    inst: Instance, deleted: Iterable[Vertex] = ()
-) -> frozenset[Edge] | None:
+def exists_super_stable(inst: Instance, deleted: Iterable[Vertex] = ()) -> frozenset[Edge] | None:
     """A super-stable matching of the graph minus `deleted`, or None.
 
     `deleted` may mix doctors and hospitals.  Note that the empty
     matching is a valid answer, so compare against None rather than
     relying on truthiness.
     """
-    sub = induced_instance(inst, deleted)
-    cert = solve_min_hospital_deletion(sub)
+    cert = solve_min_hospital_deletion(induced_instance(inst, deleted))
     return None if cert.critical else cert.matching
 
 

@@ -31,7 +31,7 @@ from superstab.model import (
     parse_instance,
 )
 from superstab.oracle import all_matchings, enumerate_super_stable
-from superstab.superstable import solve_min_hospital_deletion
+from superstab.superstable import ClosureRound, solve_min_hospital_deletion
 
 STRICT_2X2_TEXT = """doctors: d1 d2
 hospitals: h1 h2
@@ -99,6 +99,24 @@ def sample_instances(count: int = 30, max_side: int = 3, seed: str = "unit") -> 
             )
         )
     return out
+
+
+def master_list_instance(n: int, seed: str = "master-list") -> Instance:
+    """Every doctor ranks the hospitals in their declared order and every
+    hospital ranks the doctors in reverse declared order; `seed` shuffles
+    both declarations.  The closure takes n rounds, and the unique
+    super-stable matching pairs hospitals[i] with doctors[n - 1 - i]."""
+    rng = random.Random(seed)
+    doctors = [f"d{i}" for i in range(n)]
+    hospitals = [f"h{i}" for i in range(n)]
+    rng.shuffle(doctors)
+    rng.shuffle(hospitals)
+    return make_instance(
+        doctors,
+        hospitals,
+        {d: hospitals for d in doctors},
+        {h: doctors[::-1] for h in hospitals},
+    )
 
 
 @st.composite
@@ -187,6 +205,24 @@ def reference_two_side_deletion(
             if len(cert.critical) <= hospital_budget:
                 return removed | cert.critical
     return None
+
+
+def reference_rounds(initial: frozenset[Edge], log) -> tuple[ClosureRound, ...]:
+    """The rounds of one closure run, rebuilt eagerly from the loop's log
+    (per round: the (edge, rank) entries newly proposed, the edges newly
+    forbidden), as `closure` built them before its trace became lazy."""
+    rounds: list[ClosureRound] = []
+    proposed: set[Edge] = set()
+    forbidden = initial
+    for index, (new, lost) in enumerate(log, 1):
+        proposed.update(e for e, _ in new)
+        offered = frozenset(proposed)
+        if lost:
+            proposed.difference_update(lost)
+            forbidden = forbidden.union(lost)
+        held = frozenset(proposed) if lost else offered
+        rounds.append(ClosureRound(index, offered, held, forbidden))
+    return tuple(rounds)
 
 
 def closure_trace_violations(inst: Instance, deleted, forbidden, trace) -> list[str]:

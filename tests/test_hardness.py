@@ -19,6 +19,8 @@ from superstab.model import Edge, FormatError, doctor, hospital, induced_instanc
 from superstab.oracle import CapExceeded, oracle_two_side_deletion
 from superstab.superstable import (
     _critical_count,
+    _fixed_point,
+    _outcome,
     _tie_groups,
     exists_super_stable,
     solve_min_hospital_deletion,
@@ -273,8 +275,11 @@ def test_loop_critical_count_equals_the_induced_solver_on_every_doctor_subset():
         names = sorted(inst.doctors)
         for combo in chain.from_iterable(combinations(names, k) for k in range(len(names) + 1)):
             sub = induced_instance(inst, [doctor(n) for n in combo])
-            expect = len(solve_min_hospital_deletion(sub).critical)
-            assert _critical_count(groups, combo) == expect, (inst, combo)
+            cert = solve_min_hospital_deletion(sub)
+            expect = len(cert.critical)
+            run = _fixed_point(groups, skip=combo)
+            assert _critical_count(groups, run) == expect, (inst, combo)
+            assert _outcome(run[0]) == (cert.matching, cert.critical), (inst, combo)
             counts.add(expect)
             subsets += 1
     assert subsets > 6000

@@ -2,21 +2,30 @@ from __future__ import annotations
 
 import logging
 import random
+import tracemalloc
 from itertools import chain, combinations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import closure_trace_violations, instances, naive_is_super_stable, sample_instances
+from conftest import (
+    closure_trace_violations,
+    instances,
+    master_list_instance,
+    naive_is_super_stable,
+    reference_rounds,
+    sample_instances,
+)
 from superstab.cli import generate_instance
+from superstab.hardness import CoverageInstance, reduce_min_coverage
 from superstab.model import (
     Edge,
+    all_doctor_choices,
     doctor,
     hospital,
     induced_instance,
     is_super_stable,
-    make_instance,
     parse_instance,
 )
 from superstab.oracle import enumerate_super_stable, oracle_min_hospital_deletion
@@ -147,22 +156,72 @@ def test_closure_mechanics_on_larger_samples():
 
 def test_closure_on_a_master_list_takes_one_round_per_doctor():
     n = 120
-    rng = random.Random("master-list")
-    doctors = [f"d{i}" for i in range(n)]
-    hospitals = [f"h{i}" for i in range(n)]
-    rng.shuffle(doctors)
-    rng.shuffle(hospitals)
-    inst = make_instance(
-        doctors,
-        hospitals,
-        {d: hospitals for d in doctors},
-        {h: doctors[::-1] for h in hospitals},
-    )
+    inst = master_list_instance(n)
+    doctors, hospitals = inst.doctors, inst.hospitals
     cert = solve_min_hospital_deletion(inst)
     assert cert.trace.iterations == n
     assert cert.matching == edges(*((doctors[n - 1 - i], hospitals[i]) for i in range(n)))
     assert cert.critical == frozenset()
     assert closure_trace_violations(inst, set(), cert.forbidden, cert.trace) == []
+
+
+def log_samples():
+    """Seeded random instances up to 8x8 with tie 0, 0.3, 0.7 and 1,
+    master-list instances and small coverage reductions."""
+    rng = random.Random("closure-log")
+    for i in range(160):
+        n, m = rng.randint(1, 8), rng.randint(1, 8)
+        tie = (0.0, 0.3, 0.7, 1.0)[i % 4]
+        yield generate_instance(n, m, rng.uniform(0.3, 1.0), tie, seed=f"log-{i}")
+    for n in (1, 2, 7, 30):
+        yield master_list_instance(n, seed=f"log-{n}")
+    for i in range(24):
+        ground = tuple(f"e{j}" for j in range(1, rng.randint(2, 5) + 1))
+        fams = tuple(
+            frozenset(rng.sample(ground, rng.randint(1, len(ground))))
+            for _ in range(rng.randint(2, 5))
+        )
+        yield reduce_min_coverage(CoverageInstance(ground, fams, 1, 0)).instance
+
+
+def test_solver_reads_from_the_log_what_the_rescans_and_the_eager_rounds_give():
+    rng = random.Random("closure-log-deletions")
+    for inst in log_samples():
+        cert = solve_min_hospital_deletion(inst)
+        trace = cert.trace
+        assert "rounds" not in trace.__dict__
+        assert cert.matching == extract_matching(inst, cert.forbidden)
+        assert cert.critical == critical_hospitals(inst, cert.forbidden, cert.matching)
+        choices = all_doctor_choices(inst, inst.edges - cert.forbidden)
+        first = {}
+        for e in sorted(choices):
+            first.setdefault(e.doctor, e)
+        assert cert.matching == frozenset(first.values())
+        assert trace.result == cert.forbidden
+        assert trace.rounds == reference_rounds(trace.initial_forbidden, trace._log)
+        assert trace.iterations == len(trace.rounds)
+
+        deleted = as_hospitals(h for h in inst.hospitals if rng.random() < 0.3)
+        forbidden, trace = closure(inst, deleted)
+        assert forbidden == trace.result
+        assert trace.rounds == reference_rounds(trace.initial_forbidden, trace._log)
+        assert trace.iterations == len(trace.rounds)
+        assert trace == ClosureTrace(trace.initial_forbidden, trace.rounds)
+
+
+def test_solver_memory_grows_with_the_edges_not_the_rounds():
+    peaks = []
+    for n in (80, 160):
+        inst = master_list_instance(n, seed="memory")
+        tracemalloc.start()
+        try:
+            solve_min_hospital_deletion(inst)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # Doubling n takes 4x the edges and 2x the rounds, so keeping every
+    # round's sets would take about 8x the memory; the log takes about 4x.
+    assert peaks[1] <= 5 * peaks[0], peaks
 
 
 @given(st.data())
