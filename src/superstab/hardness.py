@@ -33,7 +33,7 @@ from .model import (
     make_instance,
 )
 from .oracle import CapExceeded
-from .superstable import _critical_count, _fixed_point, _outcome, _tie_groups
+from .superstable import _fixed_point, _outcome, _tie_groups
 
 
 @dataclass(frozen=True)
@@ -247,9 +247,9 @@ def solve_two_side_deletion(
     names = sorted(inst.doctors)
     for size in range(min(doctor_budget, len(names)) + 1):
         for combo in combinations(names, size):
-            run = _fixed_point(groups, skip=combo)
-            if _critical_count(groups, run) <= hospital_budget:
-                _, critical = _outcome(run[0])
+            log, count = _fixed_point(groups, skip=combo)
+            if count <= hospital_budget:
+                _, critical = _outcome(log)
                 return frozenset(doctor(n) for n in combo) | critical
     return None
 

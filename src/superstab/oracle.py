@@ -12,6 +12,9 @@ hospitals keeps the order of the remaining ranks, so M is super-stable
 in G minus a hospital set S exactly when S holds none of M's hospitals
 and all of B(M).  The minimum is the least |B(M)| over matchings M that
 leave all of B(M) unmatched, and each feasible set of that size is one.
+
+Two-side deletion is a loop over doctor subsets D', each running that
+walk on G minus D', whose ranks keep their order too.
 """
 
 from __future__ import annotations
@@ -129,15 +132,6 @@ def _check_edge_cap(inst: Instance, deleted: Iterable[Vertex], max_edges: int | 
     return pool
 
 
-def _super_stable(
-    inst: Instance, pool: list[Edge], take_first: bool = False
-) -> Iterator[frozenset[Edge]]:
-    ranks = (inst.doctor_rank, inst.hospital_rank)
-    for by_d, by_h in _walk(pool, ranks, take_first):
-        if _blocking_hospitals(pool, ranks, by_d, by_h, 0) is not None:
-            yield frozenset(by_d.values())
-
-
 def enumerate_super_stable(
     inst: Instance, deleted: Iterable[Vertex] = (), *, max_edges: int | None = 20
 ) -> list[frozenset[Edge]]:
@@ -146,32 +140,19 @@ def enumerate_super_stable(
     Deterministic order.  Membership is exactly `is_super_stable`; the
     search walks all matchings and keeps the ones with no blocking edge.
     """
-    return list(_super_stable(inst, ordered_edges(_check_edge_cap(inst, deleted, max_edges))))
+    pool = ordered_edges(_check_edge_cap(inst, deleted, max_edges))
+    ranks = (inst.doctor_rank, inst.hospital_rank)
+    return [
+        frozenset(by_d.values())
+        for by_d, by_h in _walk(pool, ranks)
+        if _blocking_hospitals(pool, ranks, by_d, by_h, 0) is not None
+    ]
 
 
-def _any_super_stable(inst: Instance, deleted: frozenset[Vertex]) -> bool:
-    """Uncapped check: does the graph minus `deleted` have a super-stable matching?"""
-    pool = ordered_edges(induced_edges(inst, deleted))
-    return next(_super_stable(inst, pool, True), None) is not None
-
-
-def oracle_min_hospital_deletion(
-    inst: Instance, *, max_hospitals: int = 12
-) -> tuple[int, frozenset[Vertex]]:
-    """Smallest hospital set whose removal leaves a super-stable matching.
-
-    One walk over the matchings M of the whole graph keeps the least B(M)
-    (see the module docstring) whose hospitals M leaves unmatched, first
-    by size, then as a sorted tuple of names, and stops at the first
-    empty one.  Every minimum-size feasible set is some such B(M), so the
-    witness is the first hit of a scan over subsets by size in sorted
-    name order, and deterministic.
-    """
-    if len(inst.hospitals) > max_hospitals:
-        raise _cap_exceeded(
-            len(inst.hospitals), "hospitals", "subset-search", "max_hospitals", max_hospitals
-        )
-    pool = ordered_edges(inst.edges)
+def _least_blocking(inst: Instance, pool: list[Edge]) -> list[str]:
+    """The least B(M) by size, then sorted names, over the matchings M
+    within `pool` that leave B(M) unmatched, in one walk: the first hit
+    of a scan over hospital subsets by size in sorted name order."""
     ranks = (inst.doctor_rank, inst.hospital_rank)
     best = sorted(inst.hospitals)  # deleting them all leaves the empty matching
     for by_d, by_h in _walk(pool, ranks, True):
@@ -180,6 +161,19 @@ def oracle_min_hospital_deletion(
             best = sorted(found)
             if not best:
                 break
+    return best
+
+
+def oracle_min_hospital_deletion(
+    inst: Instance, *, max_hospitals: int = 12
+) -> tuple[int, frozenset[Vertex]]:
+    """Smallest hospital set whose removal leaves a super-stable matching;
+    of those, the first in sorted name order (`_least_blocking` on G)."""
+    if len(inst.hospitals) > max_hospitals:
+        raise _cap_exceeded(
+            len(inst.hospitals), "hospitals", "subset-search", "max_hospitals", max_hospitals
+        )
+    best = _least_blocking(inst, ordered_edges(inst.edges))
     return len(best), frozenset(hospital(n) for n in best)
 
 
@@ -193,8 +187,14 @@ def oracle_two_side_deletion(
     """Some vertex set within both budgets whose removal restores
     super-stability, or None.
 
-    Subsets are tried by total size, then doctor count, then name order,
-    so the first witness is deterministic.
+    The witness is the first hit of a scan over doctor and hospital sets
+    (D', H') by total size, doctor count, then names.  Each D' within the
+    doctor budget takes one `_least_blocking` walk on G minus D', and the
+    least key (|D'| + |H'|, |D'|, D', H') within the hospital budget wins.
+    That is the scan's first hit: there the minimum deletion of G minus D'
+    is |H'|, or the scan would have hit earlier, and H' is the walk's first
+    set of that size in name order.  Sizes of D' stop at the best total,
+    which a larger D' could only tie with more doctors.
     """
     if doctor_budget < 0 or hospital_budget < 0:
         raise ValueError("budgets must be non-negative")
@@ -203,22 +203,21 @@ def oracle_two_side_deletion(
         raise _cap_exceeded(
             total_vertices, "vertices", "subset-search", "max_vertices", max_vertices
         )
-    ds = sorted(inst.doctors)
-    hs = sorted(inst.hospitals)
-    q_d = min(doctor_budget, len(ds))
-    q_h = min(hospital_budget, len(hs))
-    for total in range(q_d + q_h + 1):
-        for take_d in range(total + 1):
-            take_h = total - take_d
-            if take_d > q_d or take_h > q_h:
-                continue
-            for combo_d in combinations(ds, take_d):
-                part = frozenset(doctor(n) for n in combo_d)
-                for combo_h in combinations(hs, take_h):
-                    removed = part | frozenset(hospital(n) for n in combo_h)
-                    if _any_super_stable(inst, removed):
-                        return removed
-    return None
+    names = sorted(inst.doctors)
+    pool = ordered_edges(inst.edges)
+    best = None
+    for size in range(min(doctor_budget, len(names)) + 1):
+        if best is not None and size >= best[0]:
+            break
+        for combo in combinations(names, size):
+            hs = _least_blocking(inst, [e for e in pool if e.doctor not in combo])
+            key = (size + len(hs), size, combo, hs)
+            if len(hs) <= hospital_budget and (best is None or key < best):
+                best = key
+    if best is None:
+        return None
+    _, _, combo, hs = best
+    return frozenset(doctor(n) for n in combo) | frozenset(hospital(n) for n in hs)
 
 
 __all__ = [

@@ -37,12 +37,11 @@ from .model import (
 
 
 # An edge with its rank on the hospital's list; per doctor, its tie groups
-# of those, best first; per round of the loop, the entries newly proposed and
-# the edges newly forbidden; and what one run leaves (see `_fixed_point`).
+# of those, best first; and per round of the loop, the entries newly proposed
+# and the edges newly forbidden.
 _Entry = tuple[Edge, int]
 _TieGroups = dict[str, list[list[_Entry]]]
 _Log = list[tuple[list[_Entry], list[Edge]]]
-_Run = tuple[_Log, dict[str, tuple[int, int, Edge]], dict[str, int]]
 
 
 @dataclass(frozen=True)
@@ -124,14 +123,16 @@ def _tie_groups(inst: Instance) -> _TieGroups:
     return groups
 
 
-def _fixed_point(groups: _TieGroups, gone: Collection[str] = (), skip: Collection[str] = ()) -> _Run:
+def _fixed_point(
+    groups: _TieGroups, gone: Collection[str] = (), skip: Collection[str] = ()
+) -> tuple[_Log, int]:
     """Run the forbidding loop over prepared tie groups, with the hospitals
     named in `gone` deleted and the doctors named in `skip` left out.
 
-    Returns the log, `pool_best` (per hospital whose pool of proposed and
-    forbidden edges is non-empty: its best rank, how many pool edges have
-    it and the first edge to reach it) and each doctor's position (its
-    current tie group, or its number of groups once all are forbidden).
+    Returns the log and the critical count: how many hospitals the
+    one-side solver deletes, that is, the hospitals whose pool of proposed
+    and forbidden edges is non-empty minus the doctors still on a tie
+    group (`hardness.solve_two_side_deletion` says why).
     """
     # Per doctor: its current group and how many of its current proposals
     # are not yet forbidden.
@@ -155,7 +156,8 @@ def _fixed_point(groups: _TieGroups, gone: Collection[str] = (), skip: Collectio
         left[d] = len(group)
         return group
 
-    # Per hospital: its pool summary, and the proposal it holds.
+    # Per hospital whose pool is non-empty: its best rank, how many pool
+    # edges have it and the first edge to reach it; and the proposal it holds.
     pool_best: dict[str, tuple[int, int, Edge]] = {}
     holds: dict[str, _Entry] = {}
     log: _Log = []
@@ -188,7 +190,7 @@ def _fixed_point(groups: _TieGroups, gone: Collection[str] = (), skip: Collectio
             left[e.doctor] -= 1
             if not left[e.doctor]:
                 new.extend(propose(e.doctor))
-    return log, pool_best, position
+    return log, len(pool_best) - sum(i < len(groups[d]) for d, i in position.items())
 
 
 def closure(
@@ -212,7 +214,7 @@ def closure(
         if v.name not in inst.hospital_set:
             raise ValueError(f"unknown {v.describe()}")
     initial = frozenset().union(*(inst.rank[v] for v in deleted))
-    log, _, _ = _fixed_point(_tie_groups(inst), {v.name for v in deleted})
+    log, _ = _fixed_point(_tie_groups(inst), {v.name for v in deleted})
     trace = ClosureTrace(initial, log=log)
     return trace.result, trace
 
@@ -251,14 +253,6 @@ def critical_hospitals(
     wanted = {e.hospital for e in forbidden | all_doctor_choices(inst, inst.edges - forbidden)}
     wanted.difference_update(e.hospital for e in matching)
     return frozenset(Vertex(HOSPITAL, h) for h in inst.hospitals if h in wanted)
-
-
-def _critical_count(groups: _TieGroups, run: _Run) -> int:
-    """How many hospitals the one-side solver deletes, read from a finished
-    `_fixed_point` run over `groups`: the hospitals whose pool is non-empty minus
-    the doctors still on a tie group (`hardness.solve_two_side_deletion` says why)."""
-    _, pool_best, position = run
-    return len(pool_best) - sum(i < len(groups[d]) for d, i in position.items())
 
 
 def _outcome(log: _Log) -> tuple[frozenset[Edge], frozenset[Vertex]]:

@@ -207,6 +207,27 @@ def reference_two_side_deletion(
     return None
 
 
+def reference_two_side_oracle(
+    inst: Instance, doctor_budget: int, hospital_budget: int
+) -> frozenset[Vertex] | None:
+    """Two-side deletion by its definition: vertex sets by total size, then
+    doctor count, then names in sorted order, each tested by filtering every
+    matching of what is left through `is_super_stable`; the first hit wins."""
+    ds = sorted(inst.doctors)
+    hs = sorted(inst.hospitals)
+    q_d = min(doctor_budget, len(ds))
+    q_h = min(hospital_budget, len(hs))
+    for total in range(q_d + q_h + 1):
+        for take_d in range(max(0, total - q_h), min(total, q_d) + 1):
+            for combo_d in combinations(ds, take_d):
+                part = frozenset(doctor(n) for n in combo_d)
+                for combo_h in combinations(hs, total - take_d):
+                    removed = part | frozenset(hospital(n) for n in combo_h)
+                    if any(is_super_stable(inst, removed, m) for m in all_matchings(inst, removed)):
+                        return removed
+    return None
+
+
 def reference_rounds(initial: frozenset[Edge], log) -> tuple[ClosureRound, ...]:
     """The rounds of one closure run, rebuilt eagerly from the loop's log
     (per round: the (edge, rank) entries newly proposed, the edges newly

@@ -18,7 +18,6 @@ from superstab.hardness import (
 from superstab.model import Edge, FormatError, doctor, hospital, induced_instance
 from superstab.oracle import CapExceeded, oracle_two_side_deletion
 from superstab.superstable import (
-    _critical_count,
     _fixed_point,
     _outcome,
     _tie_groups,
@@ -277,9 +276,9 @@ def test_loop_critical_count_equals_the_induced_solver_on_every_doctor_subset():
             sub = induced_instance(inst, [doctor(n) for n in combo])
             cert = solve_min_hospital_deletion(sub)
             expect = len(cert.critical)
-            run = _fixed_point(groups, skip=combo)
-            assert _critical_count(groups, run) == expect, (inst, combo)
-            assert _outcome(run[0]) == (cert.matching, cert.critical), (inst, combo)
+            log, count = _fixed_point(groups, skip=combo)
+            assert count == expect, (inst, combo)
+            assert _outcome(log) == (cert.matching, cert.critical), (inst, combo)
             counts.add(expect)
             subsets += 1
     assert subsets > 6000

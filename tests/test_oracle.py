@@ -1,21 +1,33 @@
 from __future__ import annotations
 
 import gc
+import random
 import weakref
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     instances,
     naive_is_super_stable,
     one_hospital_tie_text,
     reference_min_hospital_deletion,
+    reference_two_side_oracle,
     sample_instances,
     verify_enumeration,
 )
-from superstab.model import Edge, doctor, hospital, parse_instance, transpose_instance
+from superstab.cli import generate_instance
+from superstab.model import (
+    Edge,
+    doctor,
+    hospital,
+    induced_instance,
+    is_super_stable,
+    parse_instance,
+    transpose_instance,
+)
 from superstab.oracle import (
     CapExceeded,
     all_matchings,
@@ -24,7 +36,7 @@ from superstab.oracle import (
     oracle_min_hospital_deletion,
     oracle_two_side_deletion,
 )
-from superstab.superstable import exists_super_stable
+from superstab.superstable import exists_super_stable, solve_min_hospital_deletion
 
 
 def edges(*pairs):
@@ -106,9 +118,6 @@ def test_fused_walk_equals_plain_filtering_property(inst):
 
 
 def test_pruned_existence_equals_plain_filtering():
-    from superstab.model import is_super_stable
-    from superstab.oracle import _any_super_stable
-
     for inst in sample_instances(40, max_side=4, seed="oracle-any"):
         removals = [frozenset()]
         if inst.hospitals:
@@ -119,17 +128,14 @@ def test_pruned_existence_equals_plain_filtering():
             plain = any(
                 is_super_stable(inst, removed, m) for m in all_matchings(inst, removed)
             )
-            assert _any_super_stable(inst, removed) == plain
+            assert (oracle_min_hospital_deletion(induced_instance(inst, removed))[0] == 0) == plain
 
 
 @given(instances())
 @settings(max_examples=60)
 def test_pruned_existence_equals_plain_filtering_property(inst):
-    from superstab.model import is_super_stable
-    from superstab.oracle import _any_super_stable
-
     plain = any(is_super_stable(inst, set(), m) for m in all_matchings(inst))
-    assert _any_super_stable(inst, frozenset()) == plain
+    assert (oracle_min_hospital_deletion(inst)[0] == 0) == plain
 
 
 def test_caps_raise_instead_of_truncating(strict_2x2):
@@ -268,3 +274,51 @@ def test_oracle_keeps_no_instance_alive():
     del inst
     gc.collect()
     assert ref() is None
+
+
+def two_side_oracle_samples():
+    rng = random.Random("two-side-oracle")
+    for i in range(200):
+        n, m = rng.randint(1, 6), rng.randint(1, 6)
+        tie = (0.0, 0.3, 0.7, 1.0)[i % 4]
+        inst = generate_instance(n, m, rng.uniform(0.3, 1.0), tie, seed=f"two-side-{i}")
+        yield inst, rng.randint(0, 3), rng.randint(0, 3)
+    yield generate_instance(7, 7, 0.6, 0.6, seed="ts-4"), 2, 2
+
+
+def test_two_side_witness_equals_the_subset_scan():
+    answers = set()
+    for inst, q1, q2 in two_side_oracle_samples():
+        got = oracle_two_side_deletion(inst, q1, q2)
+        assert got == reference_two_side_oracle(inst, q1, q2), (inst, q1, q2)
+        answers.add(None if got is None else tuple(sum(v.side == s for v in got) for s in "DH"))
+    assert None in answers
+    assert any(d and h for d, h in answers - {None})
+    assert len(answers) >= 8
+
+
+@given(instances(max_doctors=4, max_hospitals=4), st.integers(0, 3), st.integers(0, 3))
+@settings(max_examples=100, deadline=None)
+def test_two_side_witness_equals_the_subset_scan_property(inst, q1, q2):
+    assert oracle_two_side_deletion(inst, q1, q2) == reference_two_side_oracle(inst, q1, q2)
+
+
+@given(instances(max_doctors=5, max_hospitals=5))
+@settings(max_examples=100, deadline=None)
+def test_least_doctor_deletion_is_the_transposed_critical_count(inst):
+    # With no hospital budget the least witness is the least doctor set;
+    # answers only grow with the budget, so its size is the least q1.
+    witness = oracle_two_side_deletion(inst, len(inst.doctors), 0)
+    least = len(witness)
+    assert least == len(solve_min_hospital_deletion(transpose_instance(inst)).critical)
+    assert least == 0 or oracle_two_side_deletion(inst, least - 1, 0) is None
+
+
+@given(instances(max_doctors=5, max_hospitals=5))
+@settings(max_examples=100, deadline=None)
+def test_super_stable_matchings_all_match_the_same_vertices(inst):
+    covered = {
+        frozenset(doctor(e.doctor) for e in m) | frozenset(hospital(e.hospital) for e in m)
+        for m in enumerate_super_stable(inst, max_edges=None)
+    }
+    assert len(covered) <= 1
