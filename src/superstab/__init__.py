@@ -1,96 +1,12 @@
 """Super-stable matchings with ties, and deletion problems around them."""
 
-from .hardness import (
-    CoverageInstance,
-    ReductionOutput,
-    oracle_min_coverage,
-    parse_coverage,
-    reduce_min_coverage,
-    solve_two_side_deletion,
-)
-from .model import (
-    DOCTOR,
-    HOSPITAL,
-    Edge,
-    FormatError,
-    Instance,
-    Vertex,
-    all_doctor_choices,
-    all_hospital_choices,
-    blocking_edges,
-    doctor,
-    hospital,
-    induced_edges,
-    induced_instance,
-    is_super_stable,
-    make_instance,
-    ordered_edges,
-    parse_instance,
-    serialize_instance,
-    transpose_instance,
-)
-from .oracle import (
-    CapExceeded,
-    all_matchings,
-    count_matchings,
-    enumerate_super_stable,
-    oracle_min_hospital_deletion,
-    oracle_two_side_deletion,
-)
-from .superstable import (
-    ClosureRound,
-    ClosureTrace,
-    DeletionCertificate,
-    closure,
-    critical_hospitals,
-    decide_hospital_deletion,
-    exists_super_stable,
-    extract_matching,
-    solve_min_hospital_deletion,
-)
+# Each module's `__all__` is the package's public surface; it is listed once, there.
+from . import hardness, model, oracle, superstable
+from .hardness import *
+from .model import *
+from .oracle import *
+from .superstable import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DOCTOR",
-    "HOSPITAL",
-    "Vertex",
-    "Edge",
-    "doctor",
-    "hospital",
-    "FormatError",
-    "Instance",
-    "make_instance",
-    "parse_instance",
-    "serialize_instance",
-    "induced_edges",
-    "induced_instance",
-    "transpose_instance",
-    "all_doctor_choices",
-    "all_hospital_choices",
-    "blocking_edges",
-    "is_super_stable",
-    "ordered_edges",
-    "ClosureRound",
-    "ClosureTrace",
-    "DeletionCertificate",
-    "closure",
-    "extract_matching",
-    "critical_hospitals",
-    "solve_min_hospital_deletion",
-    "decide_hospital_deletion",
-    "exists_super_stable",
-    "CapExceeded",
-    "all_matchings",
-    "count_matchings",
-    "enumerate_super_stable",
-    "oracle_min_hospital_deletion",
-    "oracle_two_side_deletion",
-    "CoverageInstance",
-    "ReductionOutput",
-    "parse_coverage",
-    "reduce_min_coverage",
-    "oracle_min_coverage",
-    "solve_two_side_deletion",
-    "__version__",
-]
+__all__ = [*model.__all__, *superstable.__all__, *oracle.__all__, *hardness.__all__, "__version__"]

@@ -5,7 +5,8 @@ deletions, by size and then name order.  Each doctor set is completed by
 the polynomial hospital-side routine, whose answer is the critical set
 of the remaining instance.  The search needs only that set's size, so
 it builds every doctor's tie groups once and, per doctor set, runs the
-closure loop of `superstable` with those doctors skipped.  At the loop's
+closure loop of `superstable` with those doctors passed as `skip`; no
+hospital is deleted there, so it never passes `gone`.  At the loop's
 fixed point the critical count is the number of hospitals whose pool is
 non-empty minus the number of doctors still on a tie group; the proof is
 in `solve_two_side_deletion`.  The first doctor set that fits the
@@ -26,6 +27,7 @@ from .model import (
     FormatError,
     Instance,
     Vertex,
+    _lines,
     _name_ok,
     doctor,
     hospital,
@@ -86,14 +88,7 @@ def parse_coverage(text: str) -> CoverageInstance:
     picks: int | None = None
     limit: int | None = None
 
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0]
-        if not line.strip():
-            continue
-        head, sep, body = line.partition(":")
-        if not sep:
-            raise FormatError("expected ':'", line=lineno, column=len(line.rstrip()) + 1)
-        words = head.split()
+    for lineno, words, body, _ in _lines(text):
         if words == ["ground"]:
             if ground is not None:
                 raise FormatError("second 'ground:' line", line=lineno)

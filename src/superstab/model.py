@@ -323,6 +323,20 @@ def make_instance(
     return _from_lists(doctors, hospitals, lists)
 
 
+def _lines(text: str) -> Iterator[tuple[int, list[str], str, int]]:
+    """Each line of `text` that is not blank once its `#` comment is cut:
+    its number, the words before its first ':', the body after it, and the
+    body's offset in the line.  A line without ':' raises FormatError."""
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0]
+        if not line.strip():
+            continue
+        head, sep, body = line.partition(":")
+        if not sep:
+            raise FormatError("expected ':'", line=lineno, column=len(line.rstrip()) + 1)
+        yield lineno, head.split(), body, len(head) + 1
+
+
 def _token_column(pattern: re.Pattern[str], body: str, offset: int, k: int) -> int:
     """1-based column of the `k`-th token `pattern` finds in a line body
     that starts `offset` characters into its line."""
@@ -384,9 +398,9 @@ def _name_list(body: str, lineno: int, offset: int, word: str) -> tuple[str, ...
 def _entry_column(text: str, lineno: int, entry: int) -> int:
     """Column of the `entry`-th name (0-based, across tie groups) on the
     `pref` line `lineno` of `text`."""
-    head, _, body = text.splitlines()[lineno - 1].split("#", 1)[0].partition(":")
+    body, offset = next((b, o) for n, _, b, o in _lines(text) if n == lineno)
     names = [k for k, t in enumerate(_PREF_TOKEN.findall(body)) if t not in ("(", ")")]
-    return _token_column(_PREF_TOKEN, body, len(head) + 1, names[entry])
+    return _token_column(_PREF_TOKEN, body, offset, names[entry])
 
 
 def parse_instance(text: str) -> Instance:
@@ -402,15 +416,7 @@ def parse_instance(text: str) -> Instance:
     hospitals: tuple[str, ...] | None = None
     pref_lines: list[tuple[str, int, list[list[str]]]] = []
 
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0]
-        if not line.strip():
-            continue
-        head, sep, body = line.partition(":")
-        if not sep:
-            raise FormatError("expected ':'", line=lineno, column=len(line.rstrip()) + 1)
-        words = head.split()
-        offset = len(head) + 1
+    for lineno, words, body, offset in _lines(text):
         if words == ["doctors"]:
             if doctors is not None:
                 raise FormatError("second 'doctors:' line", line=lineno)
@@ -495,19 +501,34 @@ def serialize_instance(inst: Instance) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _removed_names(inst: Instance, removed: Iterable[Vertex]) -> tuple[set[str], set[str]]:
+    """The doctor names and the hospital names of the vertices in `removed`.
+
+    A member that is not a vertex of `inst` raises ValueError; of several,
+    the one whose repr sorts first is named, so the message never depends
+    on hashing.
+    """
+    known = {DOCTOR: inst.doctor_set, HOSPITAL: inst.hospital_set}
+    names: dict[str, set[str]] = {DOCTOR: set(), HOSPITAL: set()}
+    bad = []
+    for v in removed:
+        if isinstance(v, Vertex) and v.side in known and v.name in known[v.side]:
+            names[v.side].add(v.name)
+        else:
+            bad.append(v)
+    if bad:
+        v = min(bad, key=repr)
+        if not isinstance(v, Vertex) or v.side not in known:
+            raise ValueError(f"unknown vertex {v!r}")
+        raise ValueError(f"unknown {v.describe()}")
+    return names[DOCTOR], names[HOSPITAL]
+
+
 def induced_edges(inst: Instance, removed: Iterable[Vertex] = ()) -> frozenset[Edge]:
     """Edges of the subgraph left after deleting `removed` vertices."""
-    removed = frozenset(removed)
-    for v in removed:
-        if not isinstance(v, Vertex) or v.side not in _SIDE_WORD:
-            raise ValueError(f"unknown vertex {v!r}")
-        known = inst.doctor_set if v.side == DOCTOR else inst.hospital_set
-        if v.name not in known:
-            raise ValueError(f"unknown {v.describe()}")
-    if not removed:
+    gone_d, gone_h = _removed_names(inst, removed)
+    if not gone_d and not gone_h:
         return inst.edges
-    gone_d = {v.name for v in removed if v.side == DOCTOR}
-    gone_h = {v.name for v in removed if v.side == HOSPITAL}
     return frozenset(
         e for e in inst.edges if e.doctor not in gone_d and e.hospital not in gone_h
     )

@@ -14,8 +14,15 @@ a smallest deletion set whose removal restores super-stability.
 The loop logs, per round, the edges newly proposed and newly forbidden,
 O(|E|) in all, and that log is the only store of a run: the trace keeps
 it and builds the full rounds on first access, and the matching and the
-critical set are read straight from it.  The two-side search in
-`hardness` builds the tie groups once and runs the loop per doctor subset.
+critical set are read straight from it.
+
+Every one-side question is one run of `_fixed_point` over `_tie_groups`,
+read with `_outcome`; no caller copies the instance.  Deleted hospitals
+are named in `_tie_groups(inst, gone)`, which leaves their edges out, and
+deleted doctors in `_fixed_point(groups, skip)`, which never lets them
+propose.  `closure` passes `gone` only; `exists_super_stable` passes
+both; the two-side search in `hardness` builds the groups once and
+passes `skip` per doctor subset.
 """
 
 from __future__ import annotations
@@ -30,9 +37,10 @@ from .model import (
     Edge,
     Instance,
     Vertex,
+    _removed_names,
     all_doctor_choices,
     all_hospital_choices,  # unused here; bench/tracer.py patches both scans in this module
-    induced_instance,
+    induced_instance,  # unused here; bench/tracer.py patches it
 )
 
 
@@ -57,22 +65,16 @@ class ClosureRound:
 class ClosureTrace:
     """Every round of one closure run, including the final no-change round.
 
-    A trace from `closure` stores only the loop's O(|E|) log and builds
-    `rounds` from it on first access, at the cost of the whole history;
-    `iterations` and `result` (the final forbidden set) never build them.
+    A trace stores only the loop's O(|E|) log and builds `rounds` from it
+    on first access, at the cost of the whole history; `iterations` and
+    `result` (the final forbidden set) never build them.
     """
 
-    def __init__(self, initial_forbidden: frozenset[Edge], rounds: Iterable[ClosureRound] = (),
-                 *, log: _Log | None = None) -> None:
+    def __init__(self, initial_forbidden: frozenset[Edge], *, log: _Log) -> None:
         self.initial_forbidden = initial_forbidden
         self._log = log
-        if log is None:
-            self.rounds = tuple(rounds)
-            self.iterations = len(self.rounds)
-            self.result = self.rounds[-1].forbidden if self.rounds else initial_forbidden
-        else:
-            self.iterations = len(log)
-            self.result = initial_forbidden.union(*(lost for _, lost in log))
+        self.iterations = len(log)
+        self.result = initial_forbidden.union(*(lost for _, lost in log))
 
     @cached_property
     def rounds(self) -> tuple[ClosureRound, ...]:
@@ -108,9 +110,10 @@ class DeletionCertificate:
     trace: ClosureTrace
 
 
-def _tie_groups(inst: Instance) -> _TieGroups:
-    """Each doctor's tie groups, best first, in the instance's doctor order;
-    entries carry the hospital's rank, so the loop never looks it up."""
+def _tie_groups(inst: Instance, gone: Collection[str] = ()) -> _TieGroups:
+    """Each doctor's tie groups, best first, in the instance's doctor order,
+    without the edges of the hospitals named in `gone`, so no group is
+    empty; entries carry the hospital's rank, so the loop never looks it up."""
     hospital_rank = inst.hospital_rank
     groups: _TieGroups = {}
     for v, table in inst.rank.items():
@@ -118,16 +121,15 @@ def _tie_groups(inst: Instance) -> _TieGroups:
             continue
         by_rank: dict[int, list[_Entry]] = {}
         for e, r in table.items():
-            by_rank.setdefault(r, []).append((e, hospital_rank[e]))
+            if e.hospital not in gone:
+                by_rank.setdefault(r, []).append((e, hospital_rank[e]))
         groups[v.name] = [by_rank[r] for r in sorted(by_rank)]
     return groups
 
 
-def _fixed_point(
-    groups: _TieGroups, gone: Collection[str] = (), skip: Collection[str] = ()
-) -> tuple[_Log, int]:
-    """Run the forbidding loop over prepared tie groups, with the hospitals
-    named in `gone` deleted and the doctors named in `skip` left out.
+def _fixed_point(groups: _TieGroups, skip: Collection[str] = ()) -> tuple[_Log, int]:
+    """Run the forbidding loop over prepared tie groups, with the doctors
+    named in `skip` left out.
 
     Returns the log and the critical count: how many hospitals the
     one-side solver deletes, that is, the hospitals whose pool of proposed
@@ -140,18 +142,10 @@ def _fixed_point(
     left: dict[str, int] = {}
 
     def propose(d: str) -> list[_Entry]:
-        """Move `d` to its next tie group with an edge outside the seed."""
+        """Move `d` to its next tie group."""
         mine = groups[d]
         i = position.get(d, -1) + 1
-        while i < len(mine):
-            group = mine[i]
-            if gone:
-                group = [p for p in group if p[0].hospital not in gone]
-            if group:
-                break
-            i += 1
-        else:
-            group = []
+        group = mine[i] if i < len(mine) else []
         position[d] = i
         left[d] = len(group)
         return group
@@ -200,7 +194,8 @@ def closure(
 
     Returns the final forbidden edge set and the trace, whose rounds
     each equal one pass of the definition (see the module docstring).
-    `deleted` may only contain hospitals of the instance.  A doctor's
+    `deleted` may only contain hospitals of the instance; a doctor or other
+    non-hospital is reported before an unknown hospital.  A doctor's
     proposals carry over until all of its current tie group is forbidden,
     and a hospital's pool of proposed and forbidden edges only grows, so
     it decides again only when proposals arrive, from its best rank and
@@ -208,13 +203,12 @@ def closure(
     O(|E| log |E|), and the trace keeps the loop's O(|E|) log.
     """
     deleted = frozenset(deleted)
-    for v in deleted:
-        if not isinstance(v, Vertex) or v.side != HOSPITAL:
-            raise ValueError(f"closure deletes hospitals only, got {v!r}")
-        if v.name not in inst.hospital_set:
-            raise ValueError(f"unknown {v.describe()}")
+    bad = [v for v in deleted if not isinstance(v, Vertex) or v.side != HOSPITAL]
+    if bad:  # as `_removed_names` does: the member whose repr sorts first
+        raise ValueError(f"closure deletes hospitals only, got {min(bad, key=repr)!r}")
+    _, gone = _removed_names(inst, deleted)
     initial = frozenset().union(*(inst.rank[v] for v in deleted))
-    log, _ = _fixed_point(_tie_groups(inst), {v.name for v in deleted})
+    log, _ = _fixed_point(_tie_groups(inst, gone))
     trace = ClosureTrace(initial, log=log)
     return trace.result, trace
 
@@ -292,12 +286,16 @@ def decide_hospital_deletion(inst: Instance, budget: int) -> tuple[bool, Deletio
 def exists_super_stable(inst: Instance, deleted: Iterable[Vertex] = ()) -> frozenset[Edge] | None:
     """A super-stable matching of the graph minus `deleted`, or None.
 
-    `deleted` may mix doctors and hospitals.  Note that the empty
-    matching is a valid answer, so compare against None rather than
-    relying on truthiness.
+    `deleted` may mix doctors and hospitals.  One run of the loop answers,
+    with the deleted hospitals' edges left out of the tie groups and the
+    deleted doctors skipped, so no instance is copied; the matching is the
+    one `solve_min_hospital_deletion` gives on the graph without
+    `deleted`.  Note that the empty matching is a valid answer, so compare
+    against None rather than relying on truthiness.
     """
-    cert = solve_min_hospital_deletion(induced_instance(inst, deleted))
-    return None if cert.critical else cert.matching
+    gone_d, gone_h = _removed_names(inst, deleted)
+    log, count = _fixed_point(_tie_groups(inst, gone_h), gone_d)
+    return None if count else _outcome(log)[0]
 
 
 __all__ = [

@@ -21,6 +21,7 @@ from superstab.model import (
     Vertex,
     _from_lists,
     _ListError,
+    _pref_groups,
     all_doctor_choices,
     all_hospital_choices,
     doctor,
@@ -189,6 +190,28 @@ def reference_min_hospital_deletion(inst: Instance) -> tuple[int, frozenset[Vert
             if any(is_super_stable(inst, removed, m) for m in all_matchings(inst, removed)):
                 return size, removed
     raise AssertionError("removing every hospital always leaves the empty matching")
+
+
+def reference_exists_super_stable(inst: Instance, deleted=()) -> frozenset[Edge] | None:
+    """Existence on a copy: the full solve of the instance without
+    `deleted`, as `exists_super_stable` answered before it ran the loop on
+    the original instance."""
+    cert = solve_min_hospital_deletion(induced_instance(inst, deleted))
+    return None if cert.critical else cert.matching
+
+
+def disjoint_union(parts: dict[str, Instance]) -> Instance:
+    """One instance holding every part side by side, each vertex renamed
+    to its part's tag followed by its old name; ranks carry over."""
+    doctors: list[str] = []
+    hospitals: list[str] = []
+    prefs: dict[str, dict[str, list[list[str]]]] = {DOCTOR: {}, HOSPITAL: {}}
+    for tag, inst in parts.items():
+        doctors += [tag + d for d in inst.doctors]
+        hospitals += [tag + h for h in inst.hospitals]
+        for v in inst.vertices():
+            prefs[v.side][tag + v.name] = [[tag + n for n in g] for g in _pref_groups(inst, v)]
+    return make_instance(doctors, hospitals, prefs[DOCTOR], prefs[HOSPITAL])
 
 
 def reference_two_side_deletion(

@@ -273,6 +273,14 @@ def test_closure_rejects_unknown_hospital(capsys, strict_file):
     assert "unknown hospital" in captured.err
 
 
+def test_unknown_hospital_error_does_not_depend_on_hash_seed():
+    path = str(Path(__file__).parent / "data" / "tie.ssm")
+    cmd = ["-m", "superstab.cli", "closure", path, "--delete", "h8", "h9", "zz"]
+    for seed in range(6):
+        run = run_python(seed, *cmd)
+        assert (run.returncode, run.stdout, run.stderr) == (2, b"", b"error: unknown hospital 'h8'\n")
+
+
 def test_verify_existence(capsys, strict_file, tie_file):
     rc, payload, captured = run_cli(capsys, "verify", strict_file, "--mode", "existence")
     assert rc == 0

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+import superstab
 import superstab.model
 
 from conftest import (
@@ -357,6 +358,26 @@ def test_induced_rejects_unknown_vertex(strict_2x2):
         induced_instance(strict_2x2, {hospital("h9")})
     with pytest.raises(ValueError, match="unknown vertex"):
         induced_edges(strict_2x2, {Vertex("X", "h1")})
+
+
+def test_induced_names_the_unknown_vertex_whose_repr_sorts_first(strict_2x2):
+    bad = [hospital("zz"), hospital("h9"), hospital("h8"), doctor("d1")]
+    for removed in (bad, bad[::-1], set(bad)):
+        with pytest.raises(ValueError, match="^unknown hospital 'h8'$"):
+            induced_edges(strict_2x2, removed)
+        with pytest.raises(ValueError, match="^unknown hospital 'h8'$"):
+            induced_instance(strict_2x2, removed)
+    with pytest.raises(ValueError, match="^unknown vertex Vertex\\(side='A'"):
+        induced_edges(strict_2x2, bad + [Vertex("A", "h1"), Vertex("X", "h1")])
+
+
+def test_package_lists_every_module_name_once():
+    modules = (superstab.model, superstab.superstable, superstab.oracle, superstab.hardness)
+    names = superstab.__all__
+    assert len(names) == len(set(names))
+    assert names == [n for m in modules for n in m.__all__] + ["__version__"]
+    for name in names:
+        assert getattr(superstab, name) is not None, name
 
 
 def test_transpose_swaps_sides():

@@ -11,16 +11,20 @@ from hypothesis import strategies as st
 
 from conftest import (
     closure_trace_violations,
+    disjoint_union,
     instances,
     master_list_instance,
     naive_is_super_stable,
+    reference_exists_super_stable,
     reference_rounds,
     sample_instances,
 )
 from superstab.cli import generate_instance
 from superstab.hardness import CoverageInstance, reduce_min_coverage
 from superstab.model import (
+    HOSPITAL,
     Edge,
+    Vertex,
     all_doctor_choices,
     doctor,
     hospital,
@@ -105,8 +109,20 @@ def test_closure_rejects_bad_deletions(strict_2x2):
         closure(strict_2x2, {hospital("h9")})
 
 
+def test_deletion_errors_name_the_member_whose_repr_sorts_first(strict_2x2):
+    bad = {hospital("zz"), hospital("h9"), hospital("h8"), hospital("h1")}
+    with pytest.raises(ValueError, match="^unknown hospital 'h8'$"):
+        closure(strict_2x2, bad)
+    with pytest.raises(ValueError, match="^closure deletes hospitals only, got Vertex\\(side='D'"):
+        closure(strict_2x2, bad | {doctor("d1"), Vertex("X", "h1")})
+    with pytest.raises(ValueError, match="^unknown doctor 'd9'$"):
+        exists_super_stable(strict_2x2, bad | {doctor("d9"), doctor("d1")})
+    with pytest.raises(ValueError, match="^unknown vertex 'h0'$"):
+        exists_super_stable(strict_2x2, bad | {"h0"})
+
+
 def test_empty_trace_result_falls_back_to_the_seed():
-    trace = ClosureTrace(edges(("d1", "h1")), ())
+    trace = ClosureTrace(edges(("d1", "h1")), log=[])
     assert trace.iterations == 0
     assert trace.result == edges(("d1", "h1"))
 
@@ -206,7 +222,6 @@ def test_solver_reads_from_the_log_what_the_rescans_and_the_eager_rounds_give():
         assert forbidden == trace.result
         assert trace.rounds == reference_rounds(trace.initial_forbidden, trace._log)
         assert trace.iterations == len(trace.rounds)
-        assert trace == ClosureTrace(trace.initial_forbidden, trace.rounds)
 
 
 def test_solver_memory_grows_with_the_edges_not_the_rounds():
@@ -401,6 +416,57 @@ def test_exists_agrees_with_enumeration_under_deletions():
             assert (got is not None) == bool(found)
             if got is not None:
                 assert got in found
+
+
+def assert_one_run_equals_the_induced_instance(inst, removed):
+    """`exists_super_stable` equals the solve on the induced instance, and a
+    closure with hospitals deleted forbids, beyond their edges, what the
+    closure of the instance without them forbids, in as many rounds."""
+    assert exists_super_stable(inst, removed) == reference_exists_super_stable(inst, removed)
+    gone = frozenset(v for v in removed if v.side == HOSPITAL)
+    forbidden, trace = closure(inst, gone)
+    sub_forbidden, sub_trace = closure(induced_instance(inst, gone))
+    assert forbidden - trace.initial_forbidden == sub_forbidden
+    assert trace.iterations == sub_trace.iterations
+
+
+def test_exists_equals_the_induced_instance_solve_on_mixed_deletions():
+    rng = random.Random("exists-induced")
+    cases = solvable = 0
+    for i in range(3000):
+        n, m = rng.randint(0, 9), rng.randint(0, 9)
+        tie = (0.0, 0.3, 0.7, 1.0)[i % 4]
+        inst = generate_instance(n, m, rng.uniform(0.2, 1.0), tie, seed=f"exists-{i}")
+        p = rng.choice((0.0, 0.15, 0.4))
+        removed = frozenset(v for v in inst.vertices() if rng.random() < p)
+        assert_one_run_equals_the_induced_instance(inst, removed)
+        cases += 1
+        solvable += exists_super_stable(inst, removed) is not None
+    assert cases == 3000
+    assert 300 < solvable < 2700
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_exists_equals_the_induced_instance_solve_property(data):
+    inst = data.draw(instances(max_doctors=5, max_hospitals=5))
+    vertices = list(inst.vertices())
+    mask = data.draw(st.lists(st.booleans(), min_size=len(vertices), max_size=len(vertices)))
+    assert_one_run_equals_the_induced_instance(
+        inst, frozenset(v for v, drop in zip(vertices, mask) if drop)
+    )
+
+
+@given(instances(max_doctors=6, max_hospitals=6), instances(max_doctors=6, max_hospitals=6))
+@settings(max_examples=150, deadline=None)
+def test_critical_set_of_a_disjoint_union_is_the_union_of_critical_sets(a, b):
+    union = disjoint_union({"a": a, "b": b})
+    expect = {
+        hospital(tag + v.name)
+        for tag, inst in (("a", a), ("b", b))
+        for v in solve_min_hospital_deletion(inst).critical
+    }
+    assert solve_min_hospital_deletion(union).critical == expect
 
 
 def test_deeper_rounds_example():
