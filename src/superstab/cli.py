@@ -14,12 +14,12 @@ import os
 import random
 import sys
 import time
+from itertools import compress
 from typing import Iterable, Sequence
 
 from .hardness import parse_coverage, reduce_min_coverage, solve_two_side_deletion
 from .model import (
     DOCTOR,
-    Edge,
     Instance,
     Vertex,
     hospital,
@@ -36,7 +36,12 @@ from .oracle import (
     oracle_min_hospital_deletion,
     oracle_two_side_deletion,
 )
-from .superstable import closure, exists_super_stable, solve_min_hospital_deletion
+from .superstable import (
+    ClosureTrace,
+    closure,
+    exists_super_stable,
+    solve_min_hospital_deletion,
+)
 
 
 def generate_instance(
@@ -86,51 +91,8 @@ def _split_names(removed: Iterable[Vertex]) -> tuple[list[str], list[str]]:
     return ds, hs
 
 
-class _EdgeBlocks(dict):
-    """Edge -> its `json.dumps(..., indent=2)` block at one nesting depth,
-    rendered the first time the edge is printed at that depth."""
-
-    def __init__(self, depth: int) -> None:
-        super().__init__()
-        self.inner = "\n" + "  " * (depth + 1)
-        self.close = "\n" + "  " * depth + "]"
-
-    def __missing__(self, e: Edge) -> str:
-        block = self[e] = (
-            f"[{self.inner}{json.dumps(e.doctor)},{self.inner}{json.dumps(e.hospital)}{self.close}"
-        )
-        return block
-
-
-class _JsonWriter:
-    """`render(value)` is `json.dumps(value, indent=2)`, byte for byte, for
-    any value whose dict keys are strings.
-
-    With `indent` set, the stdlib encodes in pure Python, one call per
-    value.  Here each `Edge` (a `[doctor, hospital]` pair) is rendered
-    once per depth, so a list of edges costs one join over cached blocks;
-    anything but a non-empty dict or list goes to `json.dumps` itself.
-    """
-
-    def __init__(self) -> None:
-        self.blocks: dict[int, _EdgeBlocks] = {}
-
-    def render(self, value: object, depth: int = 0) -> str:
-        if not value or not isinstance(value, (dict, list)):
-            return json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
-        pad = "\n" + "  " * (depth + 1)
-        if isinstance(value, dict):
-            items = [f"{json.dumps(k)}: {self.render(v, depth + 1)}" for k, v in value.items()]
-            return "{" + pad + ("," + pad).join(items) + pad[:-2] + "}"
-        blocks = self.blocks.get(depth + 1)
-        if blocks is None:
-            blocks = self.blocks[depth + 1] = _EdgeBlocks(depth + 1)
-        items = [blocks[v] if isinstance(v, Edge) else self.render(v, depth + 1) for v in value]
-        return "[" + pad + ("," + pad).join(items) + pad[:-2] + "]"
-
-
 def _emit(payload: dict, note: str) -> None:
-    print(_JsonWriter().render(payload))
+    print(json.dumps(payload, indent=2))
     print(note, file=sys.stderr)
 
 
@@ -236,35 +198,78 @@ def _cmd_solve2(ns: argparse.Namespace) -> int:
     return 0 if witness is not None else 1
 
 
+def _write_closure(
+    inst: Instance, removed: frozenset[Vertex], trace: ClosureTrace, stats: dict
+) -> None:
+    """Write the closure payload as `json.dumps(payload, indent=2)` would,
+    one round at a time, straight from `trace.changes()`.
+
+    Each edge's `[doctor, hospital]` block is built once per depth that
+    prints it, at the edge's position in canonical order, and a list of
+    edges is one join over the blocks whose flag is set.  So each round
+    costs O(|E|), and live memory beyond the round being written is O(|E|).
+    """
+    order = ordered_edges(inst.edges)
+    at = {e: i for i, e in enumerate(order)}
+    quoted = {name: json.dumps(name) for name in (*inst.doctors, *inst.hospitals)}
+
+    def blocks(depth: int) -> list[str]:
+        inner = "\n" + "  " * (depth + 1)
+        close = "\n" + "  " * depth + "]"
+        return [f"[{inner}{quoted[d]},{inner}{quoted[h]}{close}" for d, h in order]
+
+    def edges(items: list[str], flags: bytearray, pad: str) -> str:
+        """The list of the flagged blocks, each on a line of its own after `pad`."""
+        body = ("," + pad).join(compress(items, flags))
+        return f"[{pad}{body}{pad[:-2]}]" if body else "[]"
+
+    def indented(value: object) -> str:
+        return json.dumps(value, indent=2).replace("\n", "\n  ")
+
+    top, inside = blocks(2), blocks(4)
+    top_pad, inside_pad = "\n" + "  " * 2, "\n" + "  " * 4
+    held = bytearray(len(order))
+    forbidden = bytearray(len(order))
+    for e in trace.initial_forbidden:
+        forbidden[at[e]] = 1
+    write = sys.stdout.write
+    write(
+        f'{{\n  "command": "closure",\n'
+        f'  "deleted_hospitals": {indented(sorted(v.name for v in removed))},\n'
+        f'  "initial_forbidden": {edges(top, forbidden, top_pad)},\n'
+        f'  "rounds": ['
+    )
+    # A run has at least one round, the last one forbidding nothing.
+    sep = ""
+    for index, new, lost in trace.changes():
+        for e in new:
+            held[at[e]] = 1
+        proposed = edges(inside, held, inside_pad)
+        for e in lost:
+            held[at[e]] = 0
+            forbidden[at[e]] = 1
+        write(
+            f'{sep}\n    {{\n      "round": {index},\n      "proposed": {proposed},\n'
+            f'      "held": {edges(inside, held, inside_pad) if lost else proposed},\n'
+            f'      "forbidden": {edges(inside, forbidden, inside_pad)}\n    }}'
+        )
+        sep = ","
+    write(
+        f'\n  ],\n  "forbidden": {edges(top, forbidden, top_pad)},\n'
+        f'  "stats": {indented(stats)}\n}}\n'
+    )
+
+
 def _cmd_closure(ns: argparse.Namespace) -> int:
     inst = parse_instance(_read(ns.file))
     removed = frozenset(hospital(name) for name in ns.delete)
     timer = _Timer()
     forbidden, trace = closure(inst, removed)
-    order = ordered_edges(inst.edges)
-
-    def in_order(edges: frozenset[Edge]) -> list[Edge]:
-        return list(filter(edges.__contains__, order))
-
-    payload = {
-        "command": "closure",
-        "deleted_hospitals": sorted(v.name for v in removed),
-        "initial_forbidden": in_order(trace.initial_forbidden),
-        "rounds": [
-            {
-                "round": r.index,
-                "proposed": in_order(r.proposed),
-                "held": in_order(r.held),
-                "forbidden": in_order(r.forbidden),
-            }
-            for r in trace.rounds
-        ],
-        "forbidden": in_order(forbidden),
-        "stats": _finish_stats(
-            {"iterations": trace.iterations, "forbidden_size": len(forbidden)}, timer, ns
-        ),
-    }
-    _emit(payload, f"closure fixed point after {trace.iterations} rounds")
+    stats = _finish_stats(
+        {"iterations": trace.iterations, "forbidden_size": len(forbidden)}, timer, ns
+    )
+    _write_closure(inst, removed, trace, stats)
+    print(f"closure fixed point after {trace.iterations} rounds", file=sys.stderr)
     return 0
 
 

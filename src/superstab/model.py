@@ -595,17 +595,27 @@ def all_hospital_choices(inst: Instance, pool: Iterable[Edge]) -> frozenset[Edge
 def _assignment(
     pool: frozenset[Edge], matching: Iterable[Edge]
 ) -> tuple[dict[str, Edge], dict[str, Edge], frozenset[Edge]]:
+    """Each side's partner in `matching`, which must be a matching of `pool`.
+
+    Otherwise ValueError names, as `_removed_names` does, the edge outside
+    `pool` whose repr sorts first, or else says that two edges share an
+    endpoint, so the message never depends on hashing.
+    """
     matching = frozenset(matching)
     by_d: dict[str, Edge] = {}
     by_h: dict[str, Edge] = {}
     for e in matching:
-        if e not in pool:
-            raise ValueError(f"matching edge {tuple(e)} is not in the induced graph")
-        if e.doctor in by_d or e.hospital in by_h:
-            raise ValueError("two matching edges share an endpoint")
+        if e not in pool or e.doctor in by_d or e.hospital in by_h:
+            break
         by_d[e.doctor] = e
         by_h[e.hospital] = e
-    return by_d, by_h, matching
+    else:
+        return by_d, by_h, matching
+    outside = [e for e in matching if e not in pool]
+    if outside:
+        e = min(outside, key=repr)
+        raise ValueError(f"matching edge {tuple(e)} is not in the induced graph")
+    raise ValueError("two matching edges share an endpoint")
 
 
 def blocking_edges(

@@ -13,8 +13,9 @@ a smallest deletion set whose removal restores super-stability.
 
 The loop logs, per round, the edges newly proposed and newly forbidden,
 O(|E|) in all, and that log is the only store of a run: the trace keeps
-it and builds the full rounds on first access, and the matching and the
-critical set are read straight from it.
+it, `ClosureTrace.changes()` walks it round by round, the full rounds are
+built from that walk on first access, and the matching and the critical
+set are read straight from the log.
 
 Every one-side question is one run of `_fixed_point` over `_tie_groups`,
 read with `_outcome`; no caller copies the instance.  Deleted hospitals
@@ -30,7 +31,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Collection, Iterable
+from typing import Collection, Iterable, Iterator
 
 from .model import (
     HOSPITAL,
@@ -65,9 +66,11 @@ class ClosureRound:
 class ClosureTrace:
     """Every round of one closure run, including the final no-change round.
 
-    A trace stores only the loop's O(|E|) log and builds `rounds` from it
-    on first access, at the cost of the whole history; `iterations` and
-    `result` (the final forbidden set) never build them.
+    A trace stores only the loop's O(|E|) log.  `changes()` walks it in
+    O(|E|) in all, yielding per round what changed; `rounds` builds every
+    round's full sets from that walk on first access, at the cost of the
+    whole history, O(rounds·|E|).  `iterations` and `result` (the final
+    forbidden set) need neither.
     """
 
     def __init__(self, initial_forbidden: frozenset[Edge], *, log: _Log) -> None:
@@ -76,13 +79,22 @@ class ClosureTrace:
         self.iterations = len(log)
         self.result = initial_forbidden.union(*(lost for _, lost in log))
 
+    def changes(self) -> Iterator[tuple[int, list[Edge], list[Edge]]]:
+        """Per round, in order: its 1-based index, the edges newly proposed
+        and the edges newly forbidden.  A round's proposed set is the last
+        round's held set plus the new proposals; its held set is that minus
+        the newly forbidden edges; its forbidden set is the last round's
+        (at first `initial_forbidden`) plus them."""
+        for index, (new, lost) in enumerate(self._log, 1):
+            yield index, [e for e, _ in new], lost[:]
+
     @cached_property
     def rounds(self) -> tuple[ClosureRound, ...]:
         out: list[ClosureRound] = []
         proposed: set[Edge] = set()
         forbidden = self.initial_forbidden
-        for index, (new, lost) in enumerate(self._log, 1):
-            proposed.update(e for e, _ in new)
+        for index, new, lost in self.changes():
+            proposed.update(new)
             offered = frozenset(proposed)
             if lost:
                 proposed.difference_update(lost)

@@ -64,11 +64,17 @@ def one_hospital_tie_text(n_doctors: int) -> str:
     return f"doctors: {names}\nhospitals: h\n{prefs}pref h: ({names})\n"
 
 
-def run_python(hash_seed: int, *args: str) -> subprocess.CompletedProcess:
-    """Run `python ARGS` on this checkout's package with PYTHONHASHSEED fixed."""
+def python_env(hash_seed: int) -> dict[str, str]:
+    """The environment for a child `python` that imports this checkout's
+    package, with PYTHONHASHSEED fixed."""
     src = str(Path(superstab.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONHASHSEED=str(hash_seed), PYTHONPATH=path)
+    return dict(os.environ, PYTHONHASHSEED=str(hash_seed), PYTHONPATH=path)
+
+
+def run_python(hash_seed: int, *args: str) -> subprocess.CompletedProcess:
+    """Run `python ARGS` on this checkout's package with PYTHONHASHSEED fixed."""
+    env = python_env(hash_seed)
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, timeout=60)
 
 

@@ -8,18 +8,25 @@ from pathlib import Path
 
 import pytest
 
-from conftest import STRICT_2X2_TEXT, TIE_2X2_TEXT, one_hospital_tie_text, run_python
+from conftest import (
+    STRICT_2X2_TEXT,
+    TIE_2X2_TEXT,
+    one_hospital_tie_text,
+    python_env,
+    run_python,
+)
 from superstab.cli import generate_instance, main
 from superstab.model import (
     Edge,
     doctor,
     hospital,
     is_super_stable,
+    make_instance,
     ordered_edges,
     parse_instance,
     serialize_instance,
 )
-from superstab.superstable import closure, solve_min_hospital_deletion
+from superstab.superstable import ClosureTrace, closure, solve_min_hospital_deletion
 from test_hardness import COVER_TEXT
 
 
@@ -205,6 +212,35 @@ def reference_output(command, inst, deleted=(), q=0):
     return json.dumps(payload, indent=2) + "\n"
 
 
+def tie_trace_instance(n=400, n_edges=4000, tie_prob=0.8, seed="tie-trace"):
+    """n doctors and n hospitals joined by `n_edges` random pairs, each
+    list tied up as `generate_instance` does: the benchmark's tie-trace
+    shape, with 8 closure rounds and a 1.9 MB round trace."""
+    rng = random.Random(seed)
+    doctors = [f"d{i}" for i in range(1, n + 1)]
+    hospitals = [f"h{i}" for i in range(1, n + 1)]
+    lists = {v: [] for v in doctors + hospitals}
+    for k in rng.sample(range(n * n), n_edges):
+        d, h = doctors[k // n], hospitals[k % n]
+        lists[d].append(h)
+        lists[h].append(d)
+
+    def tie_up(names):
+        rng.shuffle(names)
+        groups = []
+        for name in names:
+            if groups and rng.random() < tie_prob:
+                groups[-1].append(name)
+            else:
+                groups.append([name])
+        return groups
+
+    prefs = {v: tie_up(names) for v, names in lists.items()}
+    return make_instance(
+        doctors, hospitals, {d: prefs[d] for d in doctors}, {h: prefs[h] for h in hospitals}
+    )
+
+
 def test_closure_bytes_match_the_stdlib_encoder(capsys, tmp_path):
     rng = random.Random("closure-bytes")
     shapes = [
@@ -219,6 +255,16 @@ def test_closure_bytes_match_the_stdlib_encoder(capsys, tmp_path):
         deleted = rng.sample(inst.hospitals, rng.randint(0, min(4, len(inst.hospitals))))
         delete_args = ["--delete", *deleted] if deleted or rng.random() < 0.5 else []
         rc, _, captured = run_cli(capsys, "--no-timing", "closure", str(path), *delete_args)
+        assert rc == 0, captured.err
+        assert captured.out == reference_output("closure", inst, deleted)
+    some = generate_instance(12, 9, 0.6, 0.5, seed="closure-bytes-all-deleted")
+    for inst, deleted in [
+        (generate_instance(0, 0, 0.5, 0.5, seed="closure-bytes-empty"), []),
+        (some, list(some.hospitals)),
+        (tie_trace_instance(), []),
+    ]:
+        path.write_text(serialize_instance(inst))
+        rc, _, captured = run_cli(capsys, "--no-timing", "closure", str(path), "--delete", *deleted)
         assert rc == 0, captured.err
         assert captured.out == reference_output("closure", inst, deleted)
 
@@ -265,6 +311,36 @@ def test_timing_adds_only_elapsed_ms(capsys, tie_file):
     assert isinstance(timed["stats"].pop("elapsed_ms"), int)
     assert json.dumps(timed, indent=2) + "\n" == untimed.out
     assert json.dumps(json.loads(captured.out), indent=2) + "\n" == captured.out
+
+
+def test_closure_never_reads_the_rounds(capsys, tmp_path, monkeypatch):
+    inst = generate_instance(30, 30, 0.3, 0.5, seed="closure-no-rounds")
+    path = tmp_path / "gen.ssm"
+    path.write_text(serialize_instance(inst))
+    want = reference_output("closure", inst, ["h3"])
+
+    def refuse(trace):
+        raise AssertionError("ClosureTrace.rounds read")
+
+    monkeypatch.setattr(ClosureTrace, "rounds", property(refuse))
+    rc, _, captured = run_cli(capsys, "--no-timing", "closure", str(path), "--delete", "h3")
+    assert rc == 0, captured.err
+    assert captured.out == want
+
+
+def test_closure_to_a_closed_reader_is_one_error_line(tmp_path):
+    # The trace is far larger than a pipe's buffer, so a write fails.
+    path = tmp_path / "big.ssm"
+    path.write_text(serialize_instance(tie_trace_instance()))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "superstab.cli", "closure", str(path)],
+        env=python_env(0),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (2, b"error: [Errno 32] Broken pipe\n")
 
 
 def test_closure_rejects_unknown_hospital(capsys, strict_file):

@@ -448,6 +448,32 @@ def test_blocking_rejects_invalid_matchings(strict_2x2):
         blocking_edges(strict_2x2, {hospital("h1")}, edges(("d1", "h1")))
 
 
+def test_blocking_error_does_not_depend_on_hash_seed():
+    # Of several edges outside the graph, the one whose repr sorts first is
+    # named, and an edge outside the graph is named before a shared endpoint.
+    path = str(Path(__file__).parent / "data" / "tie.ssm")
+    code = (
+        "import sys\n"
+        "from superstab.model import Edge, blocking_edges, parse_instance\n"
+        "inst = parse_instance(open(sys.argv[1]).read())\n"
+        "cases = [\n"
+        "    [('d1', 'h9'), ('d2', 'h8'), ('d9', 'h1')],\n"
+        "    [('d1', 'h1'), ('d1', 'h2'), ('d9', 'h2')],\n"
+        "]\n"
+        "for pairs in cases:\n"
+        "    try:\n"
+        "        blocking_edges(inst, (), [Edge(*p) for p in pairs])\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n"
+    )
+    for seed in range(6):
+        run = run_python(seed, "-c", code, path)
+        assert run.stdout == (
+            b"matching edge ('d1', 'h9') is not in the induced graph\n"
+            b"matching edge ('d9', 'h2') is not in the induced graph\n"
+        ), (seed, run.stderr)
+
+
 def test_is_super_stable_examples(strict_2x2, tie_2x2, one_pair):
     assert is_super_stable(strict_2x2, set(), edges(("d1", "h1"), ("d2", "h2")))
     assert not is_super_stable(tie_2x2, set(), edges(("d1", "h1"), ("d2", "h2")))

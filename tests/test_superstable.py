@@ -34,6 +34,7 @@ from superstab.model import (
 )
 from superstab.oracle import enumerate_super_stable, oracle_min_hospital_deletion
 from superstab.superstable import (
+    ClosureRound,
     ClosureTrace,
     closure,
     critical_hospitals,
@@ -222,6 +223,55 @@ def test_solver_reads_from_the_log_what_the_rescans_and_the_eager_rounds_give():
         assert forbidden == trace.result
         assert trace.rounds == reference_rounds(trace.initial_forbidden, trace._log)
         assert trace.iterations == len(trace.rounds)
+
+
+def rounds_from_changes(trace: ClosureTrace) -> tuple[ClosureRound, ...]:
+    """Every round's sets, rebuilt from `changes()` alone as a streaming
+    reader keeps them: the held set carried over plus the new proposals,
+    then minus the new losses, which join the forbidden set."""
+    held, forbidden = set(), set(trace.initial_forbidden)
+    out = []
+    for index, new, lost in trace.changes():
+        assert not set(new) & (held | forbidden), "an edge is proposed twice"
+        held.update(new)
+        proposed = frozenset(held)
+        assert set(lost) <= proposed, "a forbidden edge was never proposed"
+        held.difference_update(lost)
+        forbidden.update(lost)
+        out.append(ClosureRound(index, proposed, frozenset(held), frozenset(forbidden)))
+    return tuple(out)
+
+
+def assert_changes_rebuild_the_rounds(inst, deleted):
+    forbidden, trace = closure(inst, deleted)
+    rebuilt = rounds_from_changes(trace)
+    assert "rounds" not in trace.__dict__
+    assert rebuilt == trace.rounds == reference_rounds(trace.initial_forbidden, trace._log)
+    assert rebuilt[-1].forbidden == forbidden
+    # Each walk hands out lists of its own.
+    for _, new, lost in trace.changes():
+        new.clear()
+        lost.clear()
+    assert rounds_from_changes(trace) == rebuilt
+
+
+def test_changes_rebuild_exactly_the_rounds():
+    rng = random.Random("closure-changes")
+    for inst in log_samples():
+        assert_changes_rebuild_the_rounds(inst, frozenset())
+        assert_changes_rebuild_the_rounds(
+            inst, as_hospitals(h for h in inst.hospitals if rng.random() < 0.3)
+        )
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_changes_rebuild_exactly_the_rounds_property(data):
+    inst = data.draw(instances(max_doctors=5, max_hospitals=5))
+    mask = data.draw(st.lists(st.booleans(), min_size=len(inst.hospitals), max_size=len(inst.hospitals)))
+    assert_changes_rebuild_the_rounds(
+        inst, as_hospitals(h for h, drop in zip(inst.hospitals, mask) if drop)
+    )
 
 
 def test_solver_memory_grows_with_the_edges_not_the_rounds():
