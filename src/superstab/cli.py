@@ -202,21 +202,23 @@ def _write_closure(
     inst: Instance, removed: frozenset[Vertex], trace: ClosureTrace, stats: dict
 ) -> None:
     """Write the closure payload as `json.dumps(payload, indent=2)` would,
-    one round at a time, straight from `trace.changes()`.
+    one round at a time, straight from the trace's log of edge ids.
 
     Each edge's `[doctor, hospital]` block is built once per depth that
-    prints it, at the edge's position in canonical order, and a list of
-    edges is one join over the blocks whose flag is set.  So each round
-    costs O(|E|), and live memory beyond the round being written is O(|E|).
+    prints it, at the edge's position in canonical order, which is looked
+    up by id, and a list of edges is one join over the blocks whose flag
+    is set.  So each round costs O(|E|), and live memory beyond the round
+    being written is O(|E|).
     """
-    order = ordered_edges(inst.edges)
-    at = {e: i for i, e in enumerate(order)}
+    edge = inst._edge
+    order = sorted(range(len(edge)), key=edge.__getitem__)
+    at = dict(zip(order, range(len(order))))
     quoted = {name: json.dumps(name) for name in (*inst.doctors, *inst.hospitals)}
 
     def blocks(depth: int) -> list[str]:
         inner = "\n" + "  " * (depth + 1)
         close = "\n" + "  " * depth + "]"
-        return [f"[{inner}{quoted[d]},{inner}{quoted[h]}{close}" for d, h in order]
+        return [f"[{inner}{quoted[edge[e][0]]},{inner}{quoted[edge[e][1]]}{close}" for e in order]
 
     def edges(items: list[str], flags: bytearray, pad: str) -> str:
         """The list of the flagged blocks, each on a line of its own after `pad`."""
@@ -229,9 +231,7 @@ def _write_closure(
     top, inside = blocks(2), blocks(4)
     top_pad, inside_pad = "\n" + "  " * 2, "\n" + "  " * 4
     held = bytearray(len(order))
-    forbidden = bytearray(len(order))
-    for e in trace.initial_forbidden:
-        forbidden[at[e]] = 1
+    forbidden = bytearray(edge[e] in trace.initial_forbidden for e in order)
     write = sys.stdout.write
     write(
         f'{{\n  "command": "closure",\n'
@@ -241,7 +241,7 @@ def _write_closure(
     )
     # A run has at least one round, the last one forbidding nothing.
     sep = ""
-    for index, new, lost in trace.changes():
+    for index, (new, lost) in enumerate(trace._log, 1):
         for e in new:
             held[at[e]] = 1
         proposed = edges(inside, held, inside_pad)

@@ -19,14 +19,13 @@ the coverage question.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Mapping
 
 from .model import (
     FormatError,
     Instance,
     Vertex,
+    _Record,
     _lines,
     _name_ok,
     doctor,
@@ -38,17 +37,16 @@ from .oracle import CapExceeded
 from .superstable import _fixed_point, _outcome, _tie_groups
 
 
-@dataclass(frozen=True)
-class CoverageInstance:
+class CoverageInstance(_Record):
     """Choose exactly `picks` families whose union has at most `cover_limit`
     elements."""
 
-    ground: tuple[str, ...]
-    families: tuple[frozenset[str], ...]
-    picks: int
-    cover_limit: int
+    _fields = ("ground", "families", "picks", "cover_limit")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, ground: tuple[str, ...], families: tuple[frozenset[str], ...], picks: int, cover_limit: int
+    ) -> None:
+        super().__init__(ground, families, picks, cover_limit)
         seen: set[str] = set()
         for name in self.ground:
             if not _name_ok(name):
@@ -68,15 +66,13 @@ class CoverageInstance:
             raise ValueError("cover_limit must be between 0 and the ground size")
 
 
-@dataclass(frozen=True)
-class ReductionOutput:
-    """The built instance plus budgets and the index-to-vertex name maps."""
+class ReductionOutput(_Record):
+    """The built instance plus budgets and the index-to-vertex name maps.  Its
+    fields are `instance: Instance`, `doctor_budget: int`,
+    `hospital_budget: int`, and `doctor_of` and `slot_of`, each a
+    `Mapping[int, Vertex]`."""
 
-    instance: Instance
-    doctor_budget: int
-    hospital_budget: int
-    doctor_of: Mapping[int, Vertex]
-    slot_of: Mapping[int, Vertex]
+    _fields = ("instance", "doctor_budget", "hospital_budget", "doctor_of", "slot_of")
 
 
 def parse_coverage(text: str) -> CoverageInstance:
@@ -242,9 +238,9 @@ def solve_two_side_deletion(
     names = sorted(inst.doctors)
     for size in range(min(doctor_budget, len(names)) + 1):
         for combo in combinations(names, size):
-            log, count = _fixed_point(groups, skip=combo)
+            log, count = _fixed_point(inst, groups, skip=combo)
             if count <= hospital_budget:
-                _, critical = _outcome(log)
+                _, critical = _outcome(inst, log)
                 return frozenset(doctor(n) for n in combo) | critical
     return None
 

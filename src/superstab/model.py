@@ -15,15 +15,18 @@ the round definition the tests check the closure against, and what the
 plain `extract_matching` and `critical_hospitals` rescan with.
 Everything is immutable and side-effect free.
 
-`Instance.rank` is the one rank store; `incident`, `doctor_rank`,
-`hospital_rank` and the serializer's tie groups all derive from it.
+An instance's integer core is its one store (see `Instance`); the
+solvers and the serializer read it by edge id.  `edges`, `rank`,
+`doctor_rank` and `hospital_rank` are views of it, built on first read,
+and `incident` reads `rank`.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate, chain, count, repeat
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 DOCTOR = "D"
@@ -71,34 +74,93 @@ class FormatError(ValueError):
         super().__init__(where + message)
 
 
+class _Record:
+    """Fields named in `_fields`, given in order or by name, that compare,
+    hash and print as those of a frozen dataclass do; assigning raises
+    AttributeError."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __init__(self, *values: object, **named: object) -> None:
+        if len(values) > len(self._fields) or sorted(named) != sorted(self._fields[len(values) :]):
+            raise TypeError(f"{self.__class__.__name__} takes the fields {', '.join(self._fields)}")
+        named.update(zip(self._fields, values))
+        for name in self._fields:  # one at a time, in order, so instances share their key layout
+            object.__setattr__(self, name, named[name])
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self._fields))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(map("{}={!r}".format, self._fields, self._values()))
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 # Names must survive the text format: one token, no grouping or delimiter
 # chars.  `\s` matches exactly the characters `str.isspace` accepts.
 _NOT_IN_NAME = re.compile(r"[\s()#:]")
-# Tokens of a `pref` body (parentheses and names) and of a name line.
+# Tokens of a `pref` body (parentheses and names) and of a name line; the
+# items of a `pref` body (a tie group's inside, or a name).
 _PREF_TOKEN = re.compile(r"[()]|[^\s()]+")
 _NAME_TOKEN = re.compile(r"\S+")
+_PREF_ITEM = re.compile(r"\(([^()]*)\)|([^\s()]+)")
 
 
 def _name_ok(name: object) -> bool:
     return isinstance(name, str) and bool(name) and not _NOT_IN_NAME.search(name)
 
 
-@dataclass(frozen=True, eq=False)
-class Instance:
+# One list as `_build` reads it: the partner names in list order and the
+# rank of each.
+_Entries = tuple[Sequence[str], Sequence[int]]
+
+
+class Instance(_Record):
     """An immutable preference instance.
 
-    `rank` maps every vertex to a mapping from each of its incident
-    edges to a positive rank; edges sharing a rank are tied.  Treat all
-    fields, including the nested mappings, as frozen.
+    Its store is an integer core.  Doctors and hospitals are indexed in
+    declaration order, and each edge has an id: by doctor, in the order
+    of the doctor's list.  Per edge id the core keeps the doctor index
+    (`_ed`), the hospital index (`_eh`) and the edge's rank on the
+    doctor's and on the hospital's list (`_dl`, `_hl`).  Doctor i's ids
+    run from `_first[i]` up to `_first[i + 1]`, and `_groups[i]` holds
+    them in tie groups, best first, once a closure has needed them;
+    `_by_h[j]` lists hospital j's ids in the order of its list.
+
+    `edges`, `rank`, `doctor_rank` and `hospital_rank` are views of the
+    core, built on first read.  `rank` maps every vertex to a mapping
+    from each of its incident edges to a positive rank; edges sharing a
+    rank are tied.  Treat the instance and every view as frozen.
     """
 
-    doctors: tuple[str, ...]
-    hospitals: tuple[str, ...]
-    edges: frozenset[Edge]
-    rank: Mapping[Vertex, Mapping[Edge, int]]
+    _fields = ("doctors", "hospitals", "edges", "rank")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        doctors: tuple[str, ...],
+        hospitals: tuple[str, ...],
+        edges: frozenset[Edge],
+        rank: Mapping[Vertex, Mapping[Edge, int]],
+    ) -> None:
+        fields = self.__dict__
+        fields.update(doctors=doctors, hospitals=hospitals, edges=edges, rank=rank)
         _validate_instance(self)
+        del fields["edges"], fields["rank"]  # rebuilt from the core when read
+        fields.update(_build(doctors, hospitals, *_table_lists(rank, doctors, hospitals)).__dict__)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Instance):
@@ -121,6 +183,38 @@ class Instance:
         return hash((self.doctors, self.hospitals, self.edges, tables))
 
     @cached_property
+    def _groups(self) -> list[list[list[int]]]:
+        """Per doctor, its ids in tie groups, best first, each in id order;
+        built when a closure first needs them."""
+        first, rank, groups = self._first, self._dl, []
+        for a, b in zip(first, first[1:]):
+            by_rank: dict[int, list[int]] = {}
+            for e in range(a, b):
+                by_rank.setdefault(rank[e], []).append(e)
+            groups.append(list(map(by_rank.__getitem__, sorted(by_rank))))
+        return groups
+
+    @cached_property
+    def _edge(self) -> tuple[Edge, ...]:
+        """The Edge of each edge id."""
+        pairs = zip(map(self.doctors.__getitem__, self._ed), map(self.hospitals.__getitem__, self._eh))
+        return tuple(map(tuple.__new__, repeat(Edge), pairs))
+
+    @cached_property
+    def edges(self) -> frozenset[Edge]:
+        return frozenset(self._edge)
+
+    @cached_property
+    def rank(self) -> dict[Vertex, dict[Edge, int]]:
+        edge, first = self._edge, self._first
+        rank = {}
+        for i, d in enumerate(self.doctors):
+            rank[Vertex(DOCTOR, d)] = dict(zip(edge[first[i] : first[i + 1]], self._dl[first[i] : first[i + 1]]))
+        for h, ids in zip(self.hospitals, self._by_h):
+            rank[Vertex(HOSPITAL, h)] = dict(zip(map(edge.__getitem__, ids), map(self._hl.__getitem__, ids)))
+        return rank
+
+    @cached_property
     def doctor_set(self) -> frozenset[str]:
         return frozenset(self.doctors)
 
@@ -131,19 +225,12 @@ class Instance:
     @cached_property
     def doctor_rank(self) -> dict[Edge, int]:
         """Each edge's rank on its doctor's list."""
-        return self._side_rank(DOCTOR)
+        return dict(zip(self._edge, self._dl))
 
     @cached_property
     def hospital_rank(self) -> dict[Edge, int]:
         """Each edge's rank on its hospital's list."""
-        return self._side_rank(HOSPITAL)
-
-    def _side_rank(self, side: str) -> dict[Edge, int]:
-        merged: dict[Edge, int] = {}
-        for v, table in self.rank.items():
-            if v.side == side:
-                merged.update(table)
-        return merged
+        return dict(zip(self._edge, self._hl))
 
     def vertices(self) -> Iterator[Vertex]:
         for d in self.doctors:
@@ -158,16 +245,79 @@ class Instance:
             raise ValueError(f"unknown {v.describe()}") from None
 
 
-def _unchecked(
+def _build(
     doctors: tuple[str, ...],
     hospitals: tuple[str, ...],
-    edges: frozenset[Edge],
-    rank: Mapping[Vertex, Mapping[Edge, int]],
-) -> Instance:
-    """An Instance from parts already known to be valid; skips `_validate_instance`."""
+    doctor_lists: Sequence[_Entries],
+    hospital_lists: Sequence[_Entries],
+) -> Instance | None:
+    """The instance with these lists, one per declared doctor and hospital
+    in declaration order, built without `_validate_instance`; or None when
+    a list names an unknown partner or a partner twice, or some listing
+    is one-sided.
+
+    The checks run in bulk, in C: a set-subset check for the hospitals
+    the doctors name, one id lookup per hospital entry for the doctors
+    the hospitals name and for mutual listing, and length comparisons
+    for duplicates.  On None, `_from_lists` finds the first problem.
+    """
+    partners = list(chain.from_iterable(map(itemgetter(0), doctor_lists)))
+    if not set(hospitals).issuperset(partners):
+        return None
+    sizes = list(map(len, map(itemgetter(0), doctor_lists)))
+    first = [0, *accumulate(sizes)]
+    # Per doctor name, the edge id of each hospital it lists.
+    ids = map(dict, map(zip, map(itemgetter(0), doctor_lists), map(range, first, first[1:])))
+    id_of = dict(zip(doctors, ids))
+    try:
+        by_h = [
+            list(map(dict.__getitem__, map(id_of.__getitem__, names), repeat(h)))
+            for h, (names, _) in zip(hospitals, hospital_lists)
+        ]
+    except KeyError:
+        return None
+    hl = dict(zip(chain.from_iterable(by_h), chain.from_iterable(map(itemgetter(1), hospital_lists))))
+    if not len(partners) == sum(map(len, id_of.values())) == len(hl) == sum(map(len, by_h)):
+        return None
+    h_index = dict(zip(hospitals, count()))
     inst = object.__new__(Instance)
-    inst.__dict__.update(doctors=doctors, hospitals=hospitals, edges=edges, rank=rank)
+    inst.__dict__.update(
+        doctors=doctors,
+        hospitals=hospitals,
+        _ed=list(chain.from_iterable(map(repeat, range(len(sizes)), sizes))),
+        _eh=list(map(h_index.__getitem__, partners)),
+        _dl=list(chain.from_iterable(map(itemgetter(1), doctor_lists))),
+        _hl=list(map(hl.__getitem__, range(len(partners)))),
+        _first=first,
+        _by_h=by_h,
+    )
     return inst
+
+
+def _table_lists(
+    rank: Mapping[Vertex, Mapping[Edge, int]], doctors: tuple[str, ...], hospitals: tuple[str, ...]
+) -> list[list[_Entries]]:
+    """The doctors' and the hospitals' lists in the rank tables, in
+    declaration order, as `_build` reads them."""
+    out = []
+    for side, names, partner in ((DOCTOR, doctors, itemgetter(1)), (HOSPITAL, hospitals, itemgetter(0))):
+        tables = map(rank.__getitem__, map(Vertex, repeat(side), names))
+        out.append([(list(map(partner, t)), list(t.values())) for t in tables])
+    return out
+
+
+def _lists(inst: Instance) -> tuple[list[_Entries], list[_Entries]]:
+    """The doctors' and the hospitals' lists in the core of `inst`, in
+    declaration order, as `_build` reads them."""
+    first, partners = inst._first, list(map(inst.hospitals.__getitem__, inst._eh))
+    doctor_lists = [(partners[a:b], inst._dl[a:b]) for a, b in zip(first, first[1:])]
+    doctor_of, rank = list(map(inst.doctors.__getitem__, inst._ed)).__getitem__, inst._hl.__getitem__
+    return doctor_lists, [(list(map(doctor_of, ids)), list(map(rank, ids))) for ids in inst._by_h]
+
+
+def _entries(groups: list[list[str]]) -> _Entries:
+    """Tie groups, best first, as one list: the names and the level of each."""
+    return list(chain.from_iterable(groups)), list(chain.from_iterable(map(repeat, count(1), map(len, groups))))
 
 
 def _check_names(doctors: tuple[str, ...], hospitals: tuple[str, ...]) -> None:
@@ -223,16 +373,38 @@ def _from_lists(
 ) -> Instance:
     """Check one preference list per declared vertex and build the instance.
 
-    The declared names must already be valid and unique.  Problems within
+    The declared names must already be valid and unique.  Lists whose
+    tie groups are all non-empty and hold only strings go to the bulk
+    checks of `_build`.  Only when those fail are the lists scanned entry
+    by entry, to raise _ListError for the first problem: problems within
     a list come first, lists in `prefs` order and entries in list order;
     then the first one-sided listing in edge order, doctors' lists before
-    hospitals'.  The first problem found raises _ListError, so which one
-    is reported never depends on hashing.
+    hospitals'.  So which one is reported never depends on hashing.
     """
+    seen: dict[Vertex, list[list]] = {}  # each list's tie groups, read once
+    lists: dict[Vertex, _Entries] = {}
+    for owner, raw in prefs.items():
+        try:
+            groups = seen[owner] = [[item] if isinstance(item, str) else list(item) for item in raw]
+        except TypeError:  # an item that is not iterable: the scan meets it in order
+            break
+        names, _ = lists[owner] = _entries(groups)
+        if not all(groups) or not all(map(isinstance, names, repeat(str))):
+            break
+    else:
+        inst = _build(
+            doctors,
+            hospitals,
+            [lists[DOCTOR, d] for d in doctors],  # a Vertex is the tuple (side, name)
+            [lists[HOSPITAL, h] for h in hospitals],
+        )
+        if inst is not None:
+            return inst
+
     partners = {DOCTOR: frozenset(hospitals), HOSPITAL: frozenset(doctors)}
     # Per list, partner name -> rank level, in entry order.
     levels_of: dict[Vertex, dict[str, int]] = {}
-    for owner, raw in prefs.items():
+    for owner, raw in {**prefs, **seen}.items():
         levels: dict[str, int] = {}
         for level, item in enumerate(raw, 1):
             group = [item] if isinstance(item, str) else list(item)
@@ -257,38 +429,19 @@ def _from_lists(
                 levels[name] = level
         levels_of[owner] = levels
 
-    # Each edge is built once, for its doctor, and looked up for its hospital.
-    # When every lookup hits, equal entry counts mean every listing is mutual;
-    # otherwise an ordered scan finds the first one-sided listing.
-    edge_of: dict[str, dict[str, Edge]] = {}
-    rank: dict[Vertex, dict[Edge, int]] = {}
-    for d in doctors:
-        levels = levels_of[Vertex(DOCTOR, d)]
-        mine = edge_of[d] = {h: Edge(d, h) for h in levels}
-        rank[Vertex(DOCTOR, d)] = dict(zip(mine.values(), levels.values()))
-    edges = frozenset(e for mine in edge_of.values() for e in mine.values())
-    try:
-        for h in hospitals:
-            levels = levels_of[Vertex(HOSPITAL, h)]
-            rank[Vertex(HOSPITAL, h)] = {edge_of[d][h]: r for d, r in levels.items()}
-        mutual = len(edges) == sum(len(rank[Vertex(HOSPITAL, h)]) for h in hospitals)
-    except KeyError:
-        mutual = False
-    if not mutual:
-        one_sided = []
-        for owner, levels in levels_of.items():
-            for name in levels:
-                if owner.name not in levels_of[Vertex(_OTHER_SIDE[owner.side], name)]:
-                    pair = (owner.name, name) if owner.side == DOCTOR else (name, owner.name)
-                    one_sided.append((owner.side, pair, owner, name))
-        _, _, owner, name = min(one_sided)
-        partner = Vertex(_OTHER_SIDE[owner.side], name)
-        raise _ListError(
-            f"{owner.describe()} lists {name!r} but {partner.describe()} does not list {owner.name!r}",
-            owner,
-            list(levels_of[owner]).index(name),
-        )
-    return _unchecked(doctors, hospitals, edges, rank)
+    one_sided = []
+    for owner, levels in levels_of.items():
+        for name in levels:
+            if owner.name not in levels_of[Vertex(_OTHER_SIDE[owner.side], name)]:
+                pair = (owner.name, name) if owner.side == DOCTOR else (name, owner.name)
+                one_sided.append((owner.side, pair, owner, name))
+    _, _, owner, name = min(one_sided)
+    partner = Vertex(_OTHER_SIDE[owner.side], name)
+    raise _ListError(
+        f"{owner.describe()} lists {name!r} but {partner.describe()} does not list {owner.name!r}",
+        owner,
+        list(levels_of[owner]).index(name),
+    )
 
 
 def make_instance(
@@ -403,6 +556,27 @@ def _entry_column(text: str, lineno: int, entry: int) -> int:
     return _token_column(_PREF_TOKEN, body, offset, names[entry])
 
 
+
+
+def _pref_entries(body: str, lineno: int, offset: int) -> tuple[_Entries, PrefInput]:
+    """The names of a preference line body in list order and the rank
+    level of each; and the line as `_from_lists` reads it.
+
+    A body without ':' splits in C: by whitespace when it has no
+    parentheses, else into the items of one regex (a tie group or a
+    name), which are well formed when the items are all that is not
+    whitespace and no tie group is empty.  Otherwise the token scanner
+    names the first problem.
+    """
+    if ":" not in body and "(" not in body and ")" not in body:
+        names = body.split()
+        return (names, range(1, len(names) + 1)), names
+    groups = [[name] if name else tied.split() for tied, name in _PREF_ITEM.findall(body)]
+    if ":" in body or not all(groups) or _PREF_ITEM.sub("", body).strip():
+        groups = _scan_groups(body, lineno, offset)
+    return _entries(groups), groups
+
+
 def parse_instance(text: str) -> Instance:
     """Parse the instance text format.
 
@@ -414,7 +588,7 @@ def parse_instance(text: str) -> Instance:
     """
     doctors: tuple[str, ...] | None = None
     hospitals: tuple[str, ...] | None = None
-    pref_lines: list[tuple[str, int, list[list[str]]]] = []
+    pref_lines: list[tuple[str, int, tuple[_Entries, PrefInput]]] = []
 
     for lineno, words, body, offset in _lines(text):
         if words == ["doctors"]:
@@ -431,7 +605,7 @@ def parse_instance(text: str) -> Instance:
             name = words[1]
             if not _name_ok(name):
                 raise FormatError(f"invalid name {name!r}", line=lineno)
-            pref_lines.append((name, lineno, _scan_groups(body, lineno, offset)))
+            pref_lines.append((name, lineno, _pref_entries(body, lineno, offset)))
         else:
             raise FormatError(
                 "expected 'doctors:', 'hospitals:' or 'pref NAME:'", line=lineno, column=1
@@ -449,9 +623,10 @@ def parse_instance(text: str) -> Instance:
         )
 
     dset, hset = set(doctors), set(hospitals)
-    prefs: dict[Vertex, list[list[str]]] = {}
+    lists: dict[str, _Entries] = {}
+    prefs: dict[Vertex, PrefInput] = {}
     line_of: dict[str, int] = {}
-    for name, lineno, groups in pref_lines:
+    for name, lineno, (entries, raw) in pref_lines:
         if name not in dset and name not in hset:
             raise FormatError(f"preference line for undeclared vertex {name!r}", line=lineno)
         if name in line_of:
@@ -460,27 +635,23 @@ def parse_instance(text: str) -> Instance:
                 line=lineno,
             )
         line_of[name] = lineno
-        prefs[Vertex(DOCTOR if name in dset else HOSPITAL, name)] = groups
+        lists[name] = entries
+        prefs[Vertex(DOCTOR if name in dset else HOSPITAL, name)] = raw
 
     for name in doctors + hospitals:
         if name not in line_of:
             side = "doctor" if name in dset else "hospital"
             raise FormatError(f"missing preference line for {side} {name!r}")
 
+    inst = _build(doctors, hospitals, list(map(lists.__getitem__, doctors)), list(map(lists.__getitem__, hospitals)))
+    if inst is not None:
+        return inst
     try:
         return _from_lists(doctors, hospitals, prefs)
     except _ListError as exc:
         lineno = line_of[exc.owner.name]
         column = None if exc.entry is None else _entry_column(text, lineno, exc.entry)
         raise FormatError(str(exc), line=lineno, column=column) from None
-
-
-def _pref_groups(inst: Instance, v: Vertex) -> list[list[str]]:
-    partner = (lambda e: e.hospital) if v.side == DOCTOR else (lambda e: e.doctor)
-    by_rank: dict[int, list[str]] = {}
-    for e, r in inst.rank[v].items():
-        by_rank.setdefault(r, []).append(partner(e))
-    return [sorted(by_rank[r]) for r in sorted(by_rank)]
 
 
 def serialize_instance(inst: Instance) -> str:
@@ -493,10 +664,12 @@ def serialize_instance(inst: Instance) -> str:
         return f"{label}:" + ("" if not names else " " + " ".join(names))
 
     lines = [name_line("doctors", inst.doctors), name_line("hospitals", inst.hospitals)]
-    for v in inst.vertices():
-        parts = [
-            f"({' '.join(g)})" if len(g) > 1 else g[0] for g in _pref_groups(inst, v)
-        ]
+    for v, (names, ranks) in zip(inst.vertices(), chain(*_lists(inst))):
+        by_rank: dict[int, list[str]] = {}
+        for name, r in zip(names, ranks):
+            by_rank.setdefault(r, []).append(name)
+        groups = map(sorted, map(by_rank.__getitem__, sorted(by_rank)))
+        parts = [f"({' '.join(g)})" if len(g) > 1 else g[0] for g in groups]
         lines.append(f"pref {v.name}:" + ("" if not parts else " " + " ".join(parts)))
     return "\n".join(lines) + "\n"
 
@@ -544,26 +717,16 @@ def induced_instance(inst: Instance, removed: Iterable[Vertex]) -> Instance:
     if not removed:
         return inst
     edges = induced_edges(inst, removed)
-    return _unchecked(
-        tuple(d for d in inst.doctors if Vertex(DOCTOR, d) not in removed),
-        tuple(h for h in inst.hospitals if Vertex(HOSPITAL, h) not in removed),
-        edges,
-        {
-            v: {e: r for e, r in table.items() if e in edges}
-            for v, table in inst.rank.items()
-            if v not in removed
-        },
-    )
+    doctors = tuple(d for d in inst.doctors if Vertex(DOCTOR, d) not in removed)
+    hospitals = tuple(h for h in inst.hospitals if Vertex(HOSPITAL, h) not in removed)
+    rank = {v: {e: r for e, r in table.items() if e in edges} for v, table in inst.rank.items()}
+    return _build(doctors, hospitals, *_table_lists(rank, doctors, hospitals))
 
 
 def transpose_instance(inst: Instance) -> Instance:
     """Swap the two sides, preserving every preference."""
-    flip = lambda e: Edge(e.hospital, e.doctor)
-    rank = {
-        Vertex(_OTHER_SIDE[v.side], v.name): {flip(e): r for e, r in table.items()}
-        for v, table in inst.rank.items()
-    }
-    return _unchecked(inst.hospitals, inst.doctors, frozenset(flip(e) for e in inst.edges), rank)
+    doctor_lists, hospital_lists = _lists(inst)
+    return _build(inst.hospitals, inst.doctors, hospital_lists, doctor_lists)
 
 
 def _best_edges(table: dict[Edge, int], pool: Iterable[Edge], end: int) -> list[list[Edge]]:

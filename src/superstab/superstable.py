@@ -18,26 +18,29 @@ built from that walk on first access, and the matching and the critical
 set are read straight from the log.
 
 Every one-side question is one run of `_fixed_point` over `_tie_groups`,
-read with `_outcome`; no caller copies the instance.  Deleted hospitals
-are named in `_tie_groups(inst, gone)`, which leaves their edges out, and
-deleted doctors in `_fixed_point(groups, skip)`, which never lets them
-propose.  `closure` passes `gone` only; `exists_super_stable` passes
-both; the two-side search in `hardness` builds the groups once and
-passes `skip` per doctor subset.
+read with `_outcome`; no caller copies the instance.  All three work on
+the instance's integer core (see `model.Instance`): edge ids, doctor
+and hospital indices, and state in lists indexed by them; `Edge` and
+`Vertex` objects are made only for what a caller reads.  Deleted
+hospitals are named in `_tie_groups(inst, gone)`, which leaves their
+edges out, and deleted doctors in `_fixed_point(inst, groups, skip)`,
+which never lets them propose.  `closure` passes `gone` only;
+`exists_super_stable` passes both; the two-side search in `hardness`
+builds the groups once and passes `skip` per doctor subset.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Collection, Iterable, Iterator
+from typing import Collection, Iterable, Iterator, Sequence
 
 from .model import (
     HOSPITAL,
     Edge,
     Instance,
     Vertex,
+    _Record,
     _removed_names,
     all_doctor_choices,
     all_hospital_choices,  # unused here; bench/tracer.py patches both scans in this module
@@ -45,39 +48,39 @@ from .model import (
 )
 
 
-# An edge with its rank on the hospital's list; per doctor, its tie groups
-# of those, best first; and per round of the loop, the entries newly proposed
-# and the edges newly forbidden.
-_Entry = tuple[Edge, int]
-_TieGroups = dict[str, list[list[_Entry]]]
-_Log = list[tuple[list[_Entry], list[Edge]]]
+# Per doctor index, its tie groups of edge ids, best first; and per round of
+# the loop, the ids newly proposed and the ids newly forbidden.
+_TieGroups = list[list[list[int]]]
+_Log = list[tuple[list[int], list[int]]]
 
 
-@dataclass(frozen=True)
-class ClosureRound:
-    """One round of the closure loop; `index` is 1-based."""
+class ClosureRound(_Record):
+    """One round of the closure loop; `index` is 1-based.  Its fields are
+    `index: int` and `proposed`, `held` and `forbidden`, each a
+    `frozenset[Edge]`."""
 
-    index: int
-    proposed: frozenset[Edge]
-    held: frozenset[Edge]
-    forbidden: frozenset[Edge]
+    _fields = ("index", "proposed", "held", "forbidden")
 
 
 class ClosureTrace:
     """Every round of one closure run, including the final no-change round.
 
-    A trace stores only the loop's O(|E|) log.  `changes()` walks it in
-    O(|E|) in all, yielding per round what changed; `rounds` builds every
-    round's full sets from that walk on first access, at the cost of the
-    whole history, O(rounds·|E|).  `iterations` and `result` (the final
+    A trace stores only the loop's O(|E|) log, of edge ids, and `edges`,
+    the Edge of each id.  `changes()` walks the log in O(|E|) in all,
+    yielding per round what changed; `rounds` builds every round's full
+    sets from that walk on first access, at the cost of the whole
+    history, O(rounds·|E|).  `iterations` and `result` (the final
     forbidden set) need neither.
     """
 
-    def __init__(self, initial_forbidden: frozenset[Edge], *, log: _Log) -> None:
+    def __init__(
+        self, initial_forbidden: frozenset[Edge], *, log: _Log, edges: Sequence[Edge] = ()
+    ) -> None:
         self.initial_forbidden = initial_forbidden
         self._log = log
+        self._edges = edges
         self.iterations = len(log)
-        self.result = initial_forbidden.union(*(lost for _, lost in log))
+        self.result = initial_forbidden.union(*(map(edges.__getitem__, lost) for _, lost in log))
 
     def changes(self) -> Iterator[tuple[int, list[Edge], list[Edge]]]:
         """Per round, in order: its 1-based index, the edges newly proposed
@@ -85,8 +88,9 @@ class ClosureTrace:
         round's held set plus the new proposals; its held set is that minus
         the newly forbidden edges; its forbidden set is the last round's
         (at first `initial_forbidden`) plus them."""
+        edge = self._edges
         for index, (new, lost) in enumerate(self._log, 1):
-            yield index, [e for e, _ in new], lost[:]
+            yield index, [edge[e] for e in new], [edge[e] for e in lost]
 
     @cached_property
     def rounds(self) -> tuple[ClosureRound, ...]:
@@ -111,92 +115,91 @@ class ClosureTrace:
         return hash((self.initial_forbidden, self.iterations, self.result))
 
 
-@dataclass(frozen=True)
-class DeletionCertificate:
+class DeletionCertificate(_Record):
     """What the solver found: forbidden edges, the candidate matching it
-    leaves, the critical hospitals, and the full trace."""
+    leaves, the critical hospitals, and the full trace.  Its fields are
+    `forbidden: frozenset[Edge]`, `matching: frozenset[Edge]`,
+    `critical: frozenset[Vertex]` and `trace: ClosureTrace`."""
 
-    forbidden: frozenset[Edge]
-    matching: frozenset[Edge]
-    critical: frozenset[Vertex]
-    trace: ClosureTrace
+    _fields = ("forbidden", "matching", "critical", "trace")
 
 
 def _tie_groups(inst: Instance, gone: Collection[str] = ()) -> _TieGroups:
-    """Each doctor's tie groups, best first, in the instance's doctor order,
+    """Each doctor's tie groups of edge ids, best first, by doctor index,
     without the edges of the hospitals named in `gone`, so no group is
-    empty; entries carry the hospital's rank, so the loop never looks it up."""
-    hospital_rank = inst.hospital_rank
-    groups: _TieGroups = {}
-    for v, table in inst.rank.items():
-        if v.side == HOSPITAL:
-            continue
-        by_rank: dict[int, list[_Entry]] = {}
-        for e, r in table.items():
-            if e.hospital not in gone:
-                by_rank.setdefault(r, []).append((e, hospital_rank[e]))
-        groups[v.name] = [by_rank[r] for r in sorted(by_rank)]
-    return groups
+    empty.  With nothing gone they are the core's own lists, which no
+    caller changes."""
+    if not gone:
+        return inst._groups
+    keep = [h not in gone for h in inst.hospitals]
+    eh = inst._eh
+    return [
+        [kept for group in mine if (kept := [e for e in group if keep[eh[e]]])]
+        for mine in inst._groups
+    ]
 
 
-def _fixed_point(groups: _TieGroups, skip: Collection[str] = ()) -> tuple[_Log, int]:
-    """Run the forbidding loop over prepared tie groups, with the doctors
-    named in `skip` left out.
+def _fixed_point(inst: Instance, groups: _TieGroups, skip: Collection[str] = ()) -> tuple[_Log, int]:
+    """Run the forbidding loop over prepared tie groups of `inst`, with
+    the doctors named in `skip` left out.
 
     Returns the log and the critical count: how many hospitals the
     one-side solver deletes, that is, the hospitals whose pool of proposed
     and forbidden edges is non-empty minus the doctors still on a tie
     group (`hardness.solve_two_side_deletion` says why).
     """
-    # Per doctor: its current group and how many of its current proposals
-    # are not yet forbidden.
-    position: dict[str, int] = {}
-    left: dict[str, int] = {}
+    eh, hl, ed = inst._eh, inst._hl, inst._ed
+    # Per doctor: its current group (-1 before it first proposes) and how
+    # many of its current proposals are not yet forbidden.
+    position = [-1] * len(groups)
+    left = [0] * len(groups)
 
-    def propose(d: str) -> list[_Entry]:
-        """Move `d` to its next tie group."""
-        mine = groups[d]
-        i = position.get(d, -1) + 1
-        group = mine[i] if i < len(mine) else []
-        position[d] = i
+    def propose(d: int) -> Sequence[int]:
+        """Move doctor `d` to its next tie group."""
+        i = position[d] = position[d] + 1
+        group = groups[d][i] if i < len(groups[d]) else ()
         left[d] = len(group)
         return group
 
-    # Per hospital whose pool is non-empty: its best rank, how many pool
-    # edges have it and the first edge to reach it; and the proposal it holds.
-    pool_best: dict[str, tuple[int, int, Edge]] = {}
-    holds: dict[str, _Entry] = {}
+    # Per hospital: the best rank in its pool (0 while the pool is empty),
+    # how many pool edges have it and the first edge to reach it; and the
+    # proposal it holds (-1 for none).
+    n = len(inst.hospitals)
+    best, ties, top, holds = [0] * n, [0] * n, [0] * n, [-1] * n
     log: _Log = []
-    new = [p for d in groups if d not in skip for p in propose(d)]
+    new = [e for d, name in enumerate(inst.doctors) if name not in skip for e in propose(d)]
     while True:
-        arrivals: dict[str, list[_Entry]] = {}
-        for p in new:
-            arrivals.setdefault(p[0].hospital, []).append(p)
-        lost: list[Edge] = []
+        arrivals: dict[int, list[int]] = {}
+        for e in new:
+            arrivals.setdefault(eh[e], []).append(e)
+        lost: list[int] = []
         for h, live in arrivals.items():
-            b, c, t = pool_best.get(h, (None, 0, None))
-            for e, r in live:
-                if b is None or r < b:
+            b, c, t = best[h], ties[h], top[h]
+            for e in live:
+                r = hl[e]
+                if not b or r < b:
                     b, c, t = r, 1, e
                 elif r == b:
                     c += 1
-            pool_best[h] = b, c, t
-            if h in holds:
-                live.append(holds.pop(h))
-            for p in live:
-                if c == 1 and p[0] == t:
-                    holds[h] = p
+            best[h], ties[h], top[h] = b, c, t
+            if holds[h] >= 0:
+                live.append(holds[h])
+                holds[h] = -1
+            for e in live:
+                if c == 1 and e == t:
+                    holds[h] = e
                 else:
-                    lost.append(p[0])
+                    lost.append(e)
         log.append((new, lost))
         if not lost:
             break
         new = []
         for e in lost:
-            left[e.doctor] -= 1
-            if not left[e.doctor]:
-                new.extend(propose(e.doctor))
-    return log, len(pool_best) - sum(i < len(groups[d]) for d, i in position.items())
+            d = ed[e]
+            left[d] -= 1
+            if not left[d]:
+                new += propose(d)
+    return log, n - best.count(0) - sum(0 <= i < len(g) for i, g in zip(position, groups))
 
 
 def closure(
@@ -220,8 +223,8 @@ def closure(
         raise ValueError(f"closure deletes hospitals only, got {min(bad, key=repr)!r}")
     _, gone = _removed_names(inst, deleted)
     initial = frozenset().union(*(inst.rank[v] for v in deleted))
-    log, _ = _fixed_point(_tie_groups(inst, gone))
-    trace = ClosureTrace(initial, log=log)
+    log, _ = _fixed_point(inst, _tie_groups(inst, gone))
+    trace = ClosureTrace(initial, log=log, edges=inst._edge)
     return trace.result, trace
 
 
@@ -261,14 +264,15 @@ def critical_hospitals(
     return frozenset(Vertex(HOSPITAL, h) for h in inst.hospitals if h in wanted)
 
 
-def _outcome(log: _Log) -> tuple[frozenset[Edge], frozenset[Vertex]]:
+def _outcome(inst: Instance, log: _Log) -> tuple[frozenset[Edge], frozenset[Vertex]]:
     """The matching and the critical hospitals at the loop's fixed point,
     in O(|E|) over its log: the proposals never forbidden are the held
     edges, and each doctor takes the one with the smallest hospital name;
     the critical hospitals received a proposal and are left unmatched.
     """
-    proposed = [e for new, _ in log for e, _ in new]
-    lost = {e for _, forbade in log for e in forbade}
+    edge = inst._edge
+    proposed = [edge[e] for new, _ in log for e in new]
+    lost = {edge[e] for _, forbade in log for e in forbade}
     matching = _smallest_per_doctor(e for e in proposed if e not in lost)
     wanted = {e.hospital for e in proposed} - {e.hospital for e in matching}
     return matching, frozenset(Vertex(HOSPITAL, h) for h in wanted)
@@ -283,7 +287,7 @@ def solve_min_hospital_deletion(inst: Instance) -> DeletionCertificate:
     the whole solve takes O(|E| log |E|) time and O(|E|) memory.
     """
     forbidden, trace = closure(inst)
-    matching, critical = _outcome(trace._log)
+    matching, critical = _outcome(inst, trace._log)
     return DeletionCertificate(forbidden, matching, critical, trace)
 
 
@@ -306,8 +310,8 @@ def exists_super_stable(inst: Instance, deleted: Iterable[Vertex] = ()) -> froze
     against None rather than relying on truthiness.
     """
     gone_d, gone_h = _removed_names(inst, deleted)
-    log, count = _fixed_point(_tie_groups(inst, gone_h), gone_d)
-    return None if count else _outcome(log)[0]
+    log, count = _fixed_point(inst, _tie_groups(inst, gone_h), gone_d)
+    return None if count else _outcome(inst, log)[0]
 
 
 __all__ = [

@@ -21,7 +21,6 @@ from superstab.model import (
     Vertex,
     _from_lists,
     _ListError,
-    _pref_groups,
     all_doctor_choices,
     all_hospital_choices,
     doctor,
@@ -206,6 +205,15 @@ def reference_exists_super_stable(inst: Instance, deleted=()) -> frozenset[Edge]
     return None if cert.critical else cert.matching
 
 
+def rank_groups(inst: Instance, v: Vertex) -> list[list[str]]:
+    """The partners `v` ranks in `inst.rank`, in tie groups best first,
+    each group sorted by name."""
+    by_rank: dict[int, list[str]] = {}
+    for e, r in inst.rank[v].items():
+        by_rank.setdefault(r, []).append(e.hospital if v.side == DOCTOR else e.doctor)
+    return [sorted(by_rank[r]) for r in sorted(by_rank)]
+
+
 def disjoint_union(parts: dict[str, Instance]) -> Instance:
     """One instance holding every part side by side, each vertex renamed
     to its part's tag followed by its old name; ranks carry over."""
@@ -216,7 +224,7 @@ def disjoint_union(parts: dict[str, Instance]) -> Instance:
         doctors += [tag + d for d in inst.doctors]
         hospitals += [tag + h for h in inst.hospitals]
         for v in inst.vertices():
-            prefs[v.side][tag + v.name] = [[tag + n for n in g] for g in _pref_groups(inst, v)]
+            prefs[v.side][tag + v.name] = [[tag + n for n in g] for g in rank_groups(inst, v)]
     return make_instance(doctors, hospitals, prefs[DOCTOR], prefs[HOSPITAL])
 
 
@@ -257,15 +265,27 @@ def reference_two_side_oracle(
     return None
 
 
+def edge_log(inst: Instance, log):
+    """The loop's log of edge ids (per round: the ids newly proposed, the
+    ids newly forbidden) with each id turned into its Edge, read from the
+    instance's core by doctor and hospital index."""
+
+    def edge(e: int) -> Edge:
+        return Edge(inst.doctors[inst._ed[e]], inst.hospitals[inst._eh[e]])
+
+    return [([edge(e) for e in new], [edge(e) for e in lost]) for new, lost in log]
+
+
 def reference_rounds(initial: frozenset[Edge], log) -> tuple[ClosureRound, ...]:
     """The rounds of one closure run, rebuilt eagerly from the loop's log
-    (per round: the (edge, rank) entries newly proposed, the edges newly
-    forbidden), as `closure` built them before its trace became lazy."""
+    mapped to edges (per round: the edges newly proposed, the edges newly
+    forbidden; see `edge_log`), as `closure` built them before its trace
+    became lazy."""
     rounds: list[ClosureRound] = []
     proposed: set[Edge] = set()
     forbidden = initial
     for index, (new, lost) in enumerate(log, 1):
-        proposed.update(e for e, _ in new)
+        proposed.update(new)
         offered = frozenset(proposed)
         if lost:
             proposed.difference_update(lost)
@@ -273,6 +293,86 @@ def reference_rounds(initial: frozenset[Edge], log) -> tuple[ClosureRound, ...]:
         held = frozenset(proposed) if lost else offered
         rounds.append(ClosureRound(index, offered, held, forbidden))
     return tuple(rounds)
+
+
+def reference_tie_groups(inst: Instance, gone=()) -> dict[str, list[list[tuple[Edge, int]]]]:
+    """The Edge-keyed tie groups that `superstable._tie_groups` built before
+    the loop ran on edge ids: per doctor name, in the order of `inst.rank`,
+    its tie groups best first, without the edges of the hospitals named in
+    `gone`; each entry carries the edge's rank on the hospital's list."""
+    hospital_rank = inst.hospital_rank
+    groups = {}
+    for v, table in inst.rank.items():
+        if v.side == HOSPITAL:
+            continue
+        by_rank: dict[int, list[tuple[Edge, int]]] = {}
+        for e, r in table.items():
+            if e.hospital not in gone:
+                by_rank.setdefault(r, []).append((e, hospital_rank[e]))
+        groups[v.name] = [by_rank[r] for r in sorted(by_rank)]
+    return groups
+
+
+def reference_fixed_point(groups, skip=()):
+    """The Edge-keyed forbidding loop that `superstable._fixed_point` ran
+    before it worked on edge ids, over `reference_tie_groups` with the
+    doctors named in `skip` left out: the log (per round, the (edge, rank)
+    entries newly proposed and the edges newly forbidden) and the critical
+    count."""
+    position: dict[str, int] = {}
+    left: dict[str, int] = {}
+
+    def propose(d: str):
+        mine = groups[d]
+        i = position.get(d, -1) + 1
+        group = mine[i] if i < len(mine) else []
+        position[d] = i
+        left[d] = len(group)
+        return group
+
+    pool_best: dict = {}
+    holds: dict = {}
+    log = []
+    new = [p for d in groups if d not in skip for p in propose(d)]
+    while True:
+        arrivals: dict = {}
+        for p in new:
+            arrivals.setdefault(p[0].hospital, []).append(p)
+        lost = []
+        for h, live in arrivals.items():
+            b, c, t = pool_best.get(h, (None, 0, None))
+            for e, r in live:
+                if b is None or r < b:
+                    b, c, t = r, 1, e
+                elif r == b:
+                    c += 1
+            pool_best[h] = b, c, t
+            if h in holds:
+                live.append(holds.pop(h))
+            for p in live:
+                if c == 1 and p[0] == t:
+                    holds[h] = p
+                else:
+                    lost.append(p[0])
+        log.append((new, lost))
+        if not lost:
+            break
+        new = []
+        for e in lost:
+            left[e.doctor] -= 1
+            if not left[e.doctor]:
+                new.extend(propose(e.doctor))
+    return log, len(pool_best) - sum(i < len(groups[d]) for d, i in position.items())
+
+
+def reference_outcome(log) -> tuple[frozenset[Edge], frozenset[Vertex]]:
+    """The matching and the critical hospitals read from a log of
+    `reference_fixed_point`, as `superstable._outcome` read them."""
+    proposed = [e for new, _ in log for e, _ in new]
+    lost = {e for _, forbade in log for e in forbade}
+    matching = frozenset({e.doctor: e for e in sorted(proposed, reverse=True) if e not in lost}.values())
+    wanted = {e.hospital for e in proposed} - {e.hospital for e in matching}
+    return matching, frozenset(Vertex(HOSPITAL, h) for h in wanted)
 
 
 def closure_trace_violations(inst: Instance, deleted, forbidden, trace) -> list[str]:

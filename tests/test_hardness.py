@@ -276,9 +276,9 @@ def test_loop_critical_count_equals_the_induced_solver_on_every_doctor_subset():
             sub = induced_instance(inst, [doctor(n) for n in combo])
             cert = solve_min_hospital_deletion(sub)
             expect = len(cert.critical)
-            log, count = _fixed_point(groups, skip=combo)
+            log, count = _fixed_point(inst, groups, skip=combo)
             assert count == expect, (inst, combo)
-            assert _outcome(log) == (cert.matching, cert.critical), (inst, combo)
+            assert _outcome(inst, log) == (cert.matching, cert.critical), (inst, combo)
             counts.add(expect)
             subsets += 1
     assert subsets > 6000

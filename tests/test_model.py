@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import random
 import re
+from dataclasses import make_dataclass
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -42,8 +44,9 @@ from superstab.model import (
     serialize_instance,
     transpose_instance,
 )
+from superstab.hardness import CoverageInstance, ReductionOutput, reduce_min_coverage
 from superstab.oracle import all_matchings
-from superstab.superstable import closure
+from superstab.superstable import ClosureRound, DeletionCertificate, closure, solve_min_hospital_deletion
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -517,3 +520,96 @@ def test_vertex_and_edge_are_plain_tuples():
     assert tuple(doctor("d1")) == (DOCTOR, "d1")
     assert tuple(hospital("h1")) == (HOSPITAL, "h1")
     assert tuple(Edge("d1", "h1")) == ("d1", "h1")
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # -S leaves out `site`, whose `.pth` files may load `inspect` on their
+    # own (through `importlib.resources` on 3.13), so only the package's
+    # own imports are seen.
+    code = "import sys, superstab.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    assert run_python(0, "-S", "-c", code).stdout == b"[]\n"
+
+
+def _instance_eq(self, other):
+    if not isinstance(other, type(self)):
+        return NotImplemented
+    return (
+        self.doctors == other.doctors
+        and self.hospitals == other.hospitals
+        and self.edges == other.edges
+        and self.rank == other.rank
+    )
+
+
+def _instance_hash(self):
+    tables = tuple((v, tuple(sorted(self.rank[v].items()))) for v in sorted(self.rank))
+    return hash((self.doctors, self.hospitals, self.edges, tables))
+
+
+def _record_samples():
+    """Per record class: its `@dataclass` twin, as each class was declared
+    before it became a plain class, and a few values of the class."""
+    covers = [
+        CoverageInstance(("a", "b"), (frozenset({"a"}), frozenset({"a", "b"})), 1, 1),
+        CoverageInstance(("a", "b"), (frozenset({"a"}), frozenset({"a", "b"})), 1, 2),
+        CoverageInstance(("a", "b", "c"), (frozenset({"c"}),), 0, 0),
+    ]
+    insts = [parse_instance(text) for text in (STRICT_2X2_TEXT, TIE_2X2_TEXT, ONE_PAIR_TEXT, STRICT_2X2_TEXT)]
+    certs = [solve_min_hospital_deletion(inst) for inst in insts]
+    rounds = [r for inst in insts for r in closure(inst)[1].rounds]
+    fields = {
+        ClosureRound: ("index", "proposed", "held", "forbidden"),
+        DeletionCertificate: ("forbidden", "matching", "critical", "trace"),
+        CoverageInstance: ("ground", "families", "picks", "cover_limit"),
+        ReductionOutput: ("instance", "doctor_budget", "hospital_budget", "doctor_of", "slot_of"),
+    }
+    values = {
+        ClosureRound: rounds,
+        DeletionCertificate: certs,
+        CoverageInstance: covers,
+        ReductionOutput: [reduce_min_coverage(c) for c in covers],
+    }
+    for cls, names in fields.items():
+        yield make_dataclass(cls.__name__, names, frozen=True), names, values[cls]
+    twin = make_dataclass(
+        "Instance",
+        ("doctors", "hospitals", "edges", "rank"),
+        frozen=True,
+        eq=False,
+        namespace={"__eq__": _instance_eq, "__hash__": _instance_hash},
+    )
+    yield twin, ("doctors", "hospitals", "edges", "rank"), insts
+
+
+def test_records_compare_hash_and_print_as_their_dataclass_twins():
+    for twin, names, objs in _record_samples():
+        twins = [twin(*(getattr(o, n) for n in names)) for o in objs]
+        for o, t in zip(objs, twins):
+            assert repr(o) == repr(t)
+            try:
+                expect = hash(t)
+            except TypeError:
+                with pytest.raises(TypeError):
+                    hash(o)
+            else:
+                assert hash(o) == expect
+            assert (o == tuple(getattr(o, n) for n in names)) is False
+            assert o.__eq__(object()) is NotImplemented
+            with pytest.raises(AttributeError, match=f"^cannot assign to field '{names[0]}'$"):
+                setattr(o, names[0], None)
+            with pytest.raises(AttributeError):
+                setattr(t, names[0], None)
+        for (a, ta), (b, tb) in product(zip(objs, twins), repeat=2):
+            assert (a == b) == (ta == tb)
+            assert (a != b) == (ta != tb)
+        # An instance of a subclass with the same fields compares as with the twin.
+        values = [getattr(objs[0], n) for n in names]
+        sub, twin_sub = type("Sub", (type(objs[0]),), {}), type("Sub", (twin,), {})
+        assert (sub(*values) == objs[0]) == (twin_sub(*values) == twins[0])
+    # Fields can be given by name, as to the dataclasses.
+    round_ = ClosureRound(index=1, proposed=frozenset(), held=frozenset(), forbidden=frozenset())
+    assert round_ == ClosureRound(1, frozenset(), frozenset(), forbidden=frozenset())
+    with pytest.raises(TypeError):
+        ClosureRound(1, frozenset(), frozenset())
+    with pytest.raises(TypeError):
+        ClosureRound(1, frozenset(), frozenset(), frozenset(), index=2)

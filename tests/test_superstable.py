@@ -12,11 +12,15 @@ from hypothesis import strategies as st
 from conftest import (
     closure_trace_violations,
     disjoint_union,
+    edge_log,
     instances,
     master_list_instance,
     naive_is_super_stable,
     reference_exists_super_stable,
+    reference_fixed_point,
+    reference_outcome,
     reference_rounds,
+    reference_tie_groups,
     sample_instances,
 )
 from superstab.cli import generate_instance
@@ -31,11 +35,15 @@ from superstab.model import (
     induced_instance,
     is_super_stable,
     parse_instance,
+    transpose_instance,
 )
 from superstab.oracle import enumerate_super_stable, oracle_min_hospital_deletion
 from superstab.superstable import (
     ClosureRound,
     ClosureTrace,
+    _fixed_point,
+    _outcome,
+    _tie_groups,
     closure,
     critical_hospitals,
     decide_hospital_deletion,
@@ -215,13 +223,13 @@ def test_solver_reads_from_the_log_what_the_rescans_and_the_eager_rounds_give():
             first.setdefault(e.doctor, e)
         assert cert.matching == frozenset(first.values())
         assert trace.result == cert.forbidden
-        assert trace.rounds == reference_rounds(trace.initial_forbidden, trace._log)
+        assert trace.rounds == reference_rounds(trace.initial_forbidden, edge_log(inst, trace._log))
         assert trace.iterations == len(trace.rounds)
 
         deleted = as_hospitals(h for h in inst.hospitals if rng.random() < 0.3)
         forbidden, trace = closure(inst, deleted)
         assert forbidden == trace.result
-        assert trace.rounds == reference_rounds(trace.initial_forbidden, trace._log)
+        assert trace.rounds == reference_rounds(trace.initial_forbidden, edge_log(inst, trace._log))
         assert trace.iterations == len(trace.rounds)
 
 
@@ -246,7 +254,7 @@ def assert_changes_rebuild_the_rounds(inst, deleted):
     forbidden, trace = closure(inst, deleted)
     rebuilt = rounds_from_changes(trace)
     assert "rounds" not in trace.__dict__
-    assert rebuilt == trace.rounds == reference_rounds(trace.initial_forbidden, trace._log)
+    assert rebuilt == trace.rounds == reference_rounds(trace.initial_forbidden, edge_log(inst, trace._log))
     assert rebuilt[-1].forbidden == forbidden
     # Each walk hands out lists of its own.
     for _, new, lost in trace.changes():
@@ -272,6 +280,90 @@ def test_changes_rebuild_exactly_the_rounds_property(data):
     assert_changes_rebuild_the_rounds(
         inst, as_hospitals(h for h, drop in zip(inst.hospitals, mask) if drop)
     )
+
+
+def assert_loop_matches_the_edge_keyed_reference(inst, gone, skips):
+    """The loop on edge ids gives, for the hospitals named in `gone` and
+    each doctor set in `skips`, the Edge-keyed reference's log (mapped to
+    edges, in order), critical count and outcome; and `closure` yields the
+    reference log's rounds from `changes()`."""
+    groups = _tie_groups(inst, gone)
+    reference = reference_tie_groups(inst, gone)
+    for skip in skips:
+        log, count = _fixed_point(inst, groups, skip)
+        expect_log, expect_count = reference_fixed_point(reference, skip)
+        assert edge_log(inst, log) == [([e for e, _ in new], lost) for new, lost in expect_log]
+        assert count == expect_count, (inst, gone, skip)
+        assert _outcome(inst, log) == reference_outcome(expect_log)
+    _, trace = closure(inst, as_hospitals(gone))
+    expect_log, _ = reference_fixed_point(reference)
+    assert list(trace.changes()) == [
+        (index, [e for e, _ in new], lost) for index, (new, lost) in enumerate(expect_log, 1)
+    ]
+
+
+def test_loop_on_edge_ids_matches_the_edge_keyed_reference():
+    rng = random.Random("edge-keyed-loop")
+    runs = 0
+    for inst in log_samples():
+        names = sorted(inst.doctors)
+        if len(names) <= 5:
+            skips = list(chain.from_iterable(combinations(names, k) for k in range(len(names) + 1)))
+        else:
+            skips = [()] + [tuple(d for d in names if rng.random() < 0.4) for _ in range(12)]
+        for gone in ((), tuple(h for h in inst.hospitals if rng.random() < 0.3)):
+            assert_loop_matches_the_edge_keyed_reference(inst, gone, skips)
+            runs += len(skips)
+    assert runs > 3000
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_loop_on_edge_ids_matches_the_edge_keyed_reference_property(data):
+    inst = data.draw(instances(max_doctors=5, max_hospitals=5))
+    gone = data.draw(st.lists(st.sampled_from(inst.hospitals), unique=True)) if inst.hospitals else []
+    skip = data.draw(st.lists(st.sampled_from(inst.doctors), unique=True)) if inst.doctors else []
+    assert_loop_matches_the_edge_keyed_reference(inst, tuple(gone), [(), tuple(skip)])
+
+
+def assert_the_loop_ends_are_the_optimal_super_stable_matchings(inst):
+    """The closure's matching is the doctor-optimal super-stable matching
+    and the transpose's, flipped back, the hospital-optimal one: no doctor
+    (hospital) prefers its partner in any other super-stable matching
+    that `enumerate_super_stable` finds.  Returns whether one exists."""
+    stable = enumerate_super_stable(inst, max_edges=16)
+    cert = solve_min_hospital_deletion(inst)
+    assert bool(stable) == (not cert.critical)
+    if not stable:
+        return False
+    flipped = solve_min_hospital_deletion(transpose_instance(inst)).matching
+    ends = {
+        "doctor": (cert.matching, inst.doctor_rank, 0),
+        "hospital": (frozenset(Edge(e.hospital, e.doctor) for e in flipped), inst.hospital_rank, 1),
+    }
+    for side, (end, rank, at) in ends.items():
+        assert end in stable, side
+        best = {e[at]: rank[e] for e in end}
+        for matching in stable:
+            for e in matching:
+                assert best.get(e[at], len(inst.edges) + 1) <= rank[e], (side, inst, matching)
+    return True
+
+
+def test_the_loop_ends_are_the_optimal_super_stable_matchings():
+    rng = random.Random("optimal-ends")
+    solvable = 0
+    for i in range(600):
+        n, m = rng.randint(1, 4), rng.randint(1, 4)
+        inst = generate_instance(n, m, rng.uniform(0.4, 1.0), (0.0, 0.3, 0.6)[i % 3], seed=f"ends-{i}")
+        solvable += assert_the_loop_ends_are_the_optimal_super_stable_matchings(inst)
+    assert solvable > 200
+
+
+@given(instances(max_doctors=4, max_hospitals=4))
+@settings(max_examples=150, deadline=None)
+def test_the_loop_ends_are_the_optimal_super_stable_matchings_property(inst):
+    assert_the_loop_ends_are_the_optimal_super_stable_matchings(inst)
 
 
 def test_solver_memory_grows_with_the_edges_not_the_rounds():
