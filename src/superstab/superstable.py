@@ -222,9 +222,10 @@ def closure(
     if bad:  # as `_removed_names` does: the member whose repr sorts first
         raise ValueError(f"closure deletes hospitals only, got {min(bad, key=repr)!r}")
     _, gone = _removed_names(inst, deleted)
-    initial = frozenset().union(*(inst.rank[v] for v in deleted))
+    edge = inst._edge
+    initial = frozenset(edge[e] for h, ids in zip(inst.hospitals, inst._by_h) if h in gone for e in ids)
     log, _ = _fixed_point(inst, _tie_groups(inst, gone))
-    trace = ClosureTrace(initial, log=log, edges=inst._edge)
+    trace = ClosureTrace(initial, log=log, edges=edge)
     return trace.result, trace
 
 
