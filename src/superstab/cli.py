@@ -4,6 +4,14 @@ JSON results go to stdout for scripting; one-line human summaries go to
 stderr.  Exit codes are uniform: 0 for yes/agree, 1 for no/none, 2 for
 any error.  `gen`, `reduce` and `transpose` print file text instead of
 JSON.
+
+Each command loads only the modules it runs.  `model` and `superstable`
+load with this module; `hardness` loads in `solve2`, `reduce` and
+`verify --mode problem2`, `oracle` in `verify`, and `random` in `gen`.
+The names this module uses from `hardness` and `oracle` are in `_LAZY`:
+each is still an attribute of this module, imported on first access
+(PEP 562), and the commands look it up on the module when they run, so
+a value set on the module, such as a tracing wrapper, is what they call.
 """
 
 from __future__ import annotations
@@ -11,13 +19,11 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 import time
 from itertools import compress
 from typing import Iterable, Sequence
 
-from .hardness import parse_coverage, reduce_min_coverage, solve_two_side_deletion
 from .model import (
     DOCTOR,
     Instance,
@@ -29,19 +35,38 @@ from .model import (
     serialize_instance,
     transpose_instance,
 )
-from .oracle import (
-    CAP_ENV,
-    count_matchings,
-    enumerate_super_stable,
-    oracle_min_hospital_deletion,
-    oracle_two_side_deletion,
-)
 from .superstable import (
     ClosureTrace,
     closure,
     exists_super_stable,
     solve_min_hospital_deletion,
 )
+
+# The module that defines each name that only some commands use.
+_LAZY = {
+    "parse_coverage": "hardness",
+    "reduce_min_coverage": "hardness",
+    "solve_two_side_deletion": "hardness",
+    "CAP_ENV": "oracle",
+    "count_matchings": "oracle",
+    "enumerate_super_stable": "oracle",
+    "oracle_min_hospital_deletion": "oracle",
+    "oracle_two_side_deletion": "oracle",
+}
+
+
+def __getattr__(name: str) -> object:
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module  # not at the top: `site` may not have loaded it
+
+    value = getattr(import_module(f".{_LAZY[name]}", __package__), name)
+    globals()[name] = value
+    return value
+
+
+# This module, as `python -m` runs it too; the commands read `_LAZY` names on it.
+_cli = sys.modules[__name__]
 
 
 def generate_instance(
@@ -59,6 +84,8 @@ def generate_instance(
         raise ValueError("density must be within [0, 1]")
     if not 0.0 <= tie_prob <= 1.0:
         raise ValueError("tie probability must be within [0, 1]")
+    import random
+
     rng = random.Random(seed)
     doctors = tuple(f"d{i}" for i in range(1, n_doctors + 1))
     hospitals = tuple(f"h{j}" for j in range(1, n_hospitals + 1))
@@ -116,15 +143,16 @@ def _finish_stats(stats: dict, timer: _Timer, ns: argparse.Namespace) -> dict:
 
 
 def _oracle_caps(defaults: dict[str, int]) -> dict[str, int]:
-    raw = os.environ.get(CAP_ENV)
+    cap_env = _cli.CAP_ENV
+    raw = os.environ.get(cap_env)
     if raw is None:
         return defaults
     try:
         cap = int(raw)
     except ValueError:
-        raise ValueError(f"{CAP_ENV} must be an integer, got {raw!r}") from None
+        raise ValueError(f"{cap_env} must be an integer, got {raw!r}") from None
     if cap < 0:
-        raise ValueError(f"{CAP_ENV} must be non-negative")
+        raise ValueError(f"{cap_env} must be non-negative")
     return {name: cap for name in defaults}
 
 
@@ -181,7 +209,7 @@ def _cmd_solve2(ns: argparse.Namespace) -> int:
         raise ValueError("--q1 and --q2 must be non-negative")
     inst = parse_instance(_read(ns.file))
     timer = _Timer()
-    witness = solve_two_side_deletion(inst, ns.q1, ns.q2)
+    witness = _cli.solve_two_side_deletion(inst, ns.q1, ns.q2)
     payload: dict = {"command": "solve2", "answer": "yes" if witness is not None else "no"}
     if witness is not None:
         ds, hs = _split_names(witness)
@@ -280,18 +308,18 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
     if ns.mode == "existence":
         caps = _oracle_caps({"max_edges": 20})
         solver_yes = exists_super_stable(inst) is not None
-        oracle_found = enumerate_super_stable(inst, max_edges=caps["max_edges"])
+        oracle_found = _cli.enumerate_super_stable(inst, max_edges=caps["max_edges"])
         oracle_yes = bool(oracle_found)
         agree = solver_yes == oracle_yes
         stats = {
             "solver_answer": "yes" if solver_yes else "no",
             "oracle_answer": "yes" if oracle_yes else "no",
-            "search_space": count_matchings(inst, max_edges=caps["max_edges"]),
+            "search_space": _cli.count_matchings(inst, max_edges=caps["max_edges"]),
         }
     elif ns.mode == "problem1":
         caps = _oracle_caps({"max_hospitals": 12})
         cert = solve_min_hospital_deletion(inst)
-        oracle_min, _ = oracle_min_hospital_deletion(inst, max_hospitals=caps["max_hospitals"])
+        oracle_min, _ = _cli.oracle_min_hospital_deletion(inst, max_hospitals=caps["max_hospitals"])
         agree = len(cert.critical) == oracle_min
         stats = {"solver_min": len(cert.critical), "oracle_min": oracle_min}
     else:
@@ -300,8 +328,8 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
         if ns.q1 < 0 or ns.q2 < 0:
             raise ValueError("--q1 and --q2 must be non-negative")
         caps = _oracle_caps({"max_vertices": 14})
-        solver_witness = solve_two_side_deletion(inst, ns.q1, ns.q2)
-        oracle_witness = oracle_two_side_deletion(
+        solver_witness = _cli.solve_two_side_deletion(inst, ns.q1, ns.q2)
+        oracle_witness = _cli.oracle_two_side_deletion(
             inst, ns.q1, ns.q2, max_vertices=caps["max_vertices"]
         )
         agree = (solver_witness is None) == (oracle_witness is None)
@@ -337,7 +365,7 @@ def _cmd_gen(ns: argparse.Namespace) -> int:
 
 
 def _cmd_reduce(ns: argparse.Namespace) -> int:
-    red = reduce_min_coverage(parse_coverage(_read(ns.file)))
+    red = _cli.reduce_min_coverage(_cli.parse_coverage(_read(ns.file)))
     sys.stdout.write(serialize_instance(red.instance))
     sys.stdout.write(f"# q1={red.doctor_budget} q2={red.hospital_budget}\n")
     print(

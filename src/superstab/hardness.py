@@ -22,6 +22,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .model import (
+    CapExceeded,
     FormatError,
     Instance,
     Vertex,
@@ -33,7 +34,6 @@ from .model import (
     induced_instance,  # unused here; bench/tracer.py counts subsets through it
     make_instance,
 )
-from .oracle import CapExceeded
 from .superstable import _fixed_point, _outcome, _tie_groups
 
 

@@ -15,6 +15,11 @@ the round definition the tests check the closure against, and what the
 plain `extract_matching` and `critical_hospitals` rescan with.
 Everything is immutable and side-effect free.
 
+The checks that every build runs are bulk checks, in C; they say only
+that something is wrong.  The code that then names the first problem,
+with its line and column, is in `_diagnose`, which good input never
+loads.
+
 An instance's integer core is its one store (see `Instance`); the
 solvers and the serializer read it by edge id.  `edges`, `rank`,
 `doctor_rank` and `hospital_rank` are views of it, built on first read,
@@ -33,7 +38,6 @@ DOCTOR = "D"
 HOSPITAL = "H"
 
 _SIDE_WORD = {DOCTOR: "doctor", HOSPITAL: "hospital"}
-_OTHER_SIDE = {DOCTOR: HOSPITAL, HOSPITAL: DOCTOR}
 
 
 class Vertex(NamedTuple):
@@ -72,6 +76,12 @@ class FormatError(ValueError):
         if line is not None:
             where = f"line {line}: " if column is None else f"line {line}, column {column}: "
         super().__init__(where + message)
+
+
+class CapExceeded(RuntimeError):
+    """An exhaustive search would exceed its configured cap.  Public as
+    `oracle.CapExceeded`; defined here so the two-side solver can raise it
+    without loading the oracle."""
 
 
 class _Record:
@@ -113,9 +123,8 @@ class _Record:
 # Names must survive the text format: one token, no grouping or delimiter
 # chars.  `\s` matches exactly the characters `str.isspace` accepts.
 _NOT_IN_NAME = re.compile(r"[\s()#:]")
-# Tokens of a `pref` body (parentheses and names) and of a name line; the
-# items of a `pref` body (a tie group's inside, or a name).
-_PREF_TOKEN = re.compile(r"[()]|[^\s()]+")
+# Tokens of a name line; the items of a `pref` body (a tie group's inside,
+# or a name).
 _NAME_TOKEN = re.compile(r"\S+")
 _PREF_ITEM = re.compile(r"\(([^()]*)\)|([^\s()]+)")
 
@@ -357,17 +366,6 @@ def _validate_instance(inst: Instance) -> None:
 PrefInput = Sequence["str | Iterable[str]"]
 
 
-class _ListError(ValueError):
-    """A problem in one preference list: `owner` holds the list and `entry`
-    is the 0-based position of the faulty entry, counted across tie groups
-    (None when no single entry is at fault)."""
-
-    def __init__(self, message: str, owner: Vertex, entry: int | None = None):
-        super().__init__(message)
-        self.owner = owner
-        self.entry = entry
-
-
 def _from_lists(
     doctors: tuple[str, ...], hospitals: tuple[str, ...], prefs: Mapping[Vertex, PrefInput]
 ) -> Instance:
@@ -376,10 +374,8 @@ def _from_lists(
     The declared names must already be valid and unique.  Lists whose
     tie groups are all non-empty and hold only strings go to the bulk
     checks of `_build`.  Only when those fail are the lists scanned entry
-    by entry, to raise _ListError for the first problem: problems within
-    a list come first, lists in `prefs` order and entries in list order;
-    then the first one-sided listing in edge order, doctors' lists before
-    hospitals'.  So which one is reported never depends on hashing.
+    by entry, by `_diagnose._list_problem`, to raise `_diagnose._ListError`
+    for the first problem, which never depends on hashing.
     """
     seen: dict[Vertex, list[list]] = {}  # each list's tie groups, read once
     lists: dict[Vertex, _Entries] = {}
@@ -401,47 +397,9 @@ def _from_lists(
         if inst is not None:
             return inst
 
-    partners = {DOCTOR: frozenset(hospitals), HOSPITAL: frozenset(doctors)}
-    # Per list, partner name -> rank level, in entry order.
-    levels_of: dict[Vertex, dict[str, int]] = {}
-    for owner, raw in {**prefs, **seen}.items():
-        levels: dict[str, int] = {}
-        for level, item in enumerate(raw, 1):
-            group = [item] if isinstance(item, str) else list(item)
-            if not group:
-                raise _ListError(f"{owner.describe()} has an empty tie group", owner)
-            for name in group:
-                if not isinstance(name, str):
-                    raise _ListError(
-                        f"{owner.describe()} lists a non-string entry {name!r}", owner, len(levels)
-                    )
-                if name not in partners[owner.side]:
-                    raise _ListError(
-                        f"unknown {_SIDE_WORD[_OTHER_SIDE[owner.side]]} {name!r} "
-                        f"in preference list of {owner.name!r}",
-                        owner,
-                        len(levels),
-                    )
-                if name in levels:
-                    raise _ListError(
-                        f"{owner.name!r} lists {name!r} more than once", owner, len(levels)
-                    )
-                levels[name] = level
-        levels_of[owner] = levels
+    from ._diagnose import _list_problem
 
-    one_sided = []
-    for owner, levels in levels_of.items():
-        for name in levels:
-            if owner.name not in levels_of[Vertex(_OTHER_SIDE[owner.side], name)]:
-                pair = (owner.name, name) if owner.side == DOCTOR else (name, owner.name)
-                one_sided.append((owner.side, pair, owner, name))
-    _, _, owner, name = min(one_sided)
-    partner = Vertex(_OTHER_SIDE[owner.side], name)
-    raise _ListError(
-        f"{owner.describe()} lists {name!r} but {partner.describe()} does not list {owner.name!r}",
-        owner,
-        list(levels_of[owner]).index(name),
-    )
+    raise _list_problem(doctors, hospitals, {**prefs, **seen})
 
 
 def make_instance(
@@ -490,49 +448,6 @@ def _lines(text: str) -> Iterator[tuple[int, list[str], str, int]]:
         yield lineno, head.split(), body, len(head) + 1
 
 
-def _token_column(pattern: re.Pattern[str], body: str, offset: int, k: int) -> int:
-    """1-based column of the `k`-th token `pattern` finds in a line body
-    that starts `offset` characters into its line."""
-    starts = [m.start() for m in pattern.finditer(body)]
-    return offset + starts[k] + 1
-
-
-def _scan_groups(body: str, lineno: int, offset: int) -> list[list[str]]:
-    """Tokenize a preference line body into tie groups of names."""
-    groups: list[list[str]] = []
-    group: list[str] | None = None
-    opened = 0
-    colon = ":" in body  # a token holds no '#', space or parenthesis, so only ':' can be bad
-    for k, token in enumerate(_PREF_TOKEN.findall(body)):
-        if token == "(":
-            if group is not None:
-                problem = "nested tie group"
-                break
-            group = []
-            opened = k
-        elif token == ")":
-            if group is None:
-                problem = "unmatched ')'"
-                break
-            if not group:
-                problem = "empty tie group"
-                break
-            groups.append(group)
-            group = None
-        elif colon and not _name_ok(token):
-            problem = f"invalid name {token!r}"
-            break
-        elif group is None:
-            groups.append([token])
-        else:
-            group.append(token)
-    else:
-        if group is None:
-            return groups
-        problem, k = "unclosed tie group", opened
-    raise FormatError(problem, line=lineno, column=_token_column(_PREF_TOKEN, body, offset, k))
-
-
 def _name_list(body: str, lineno: int, offset: int, word: str) -> tuple[str, ...]:
     names = _NAME_TOKEN.findall(body)
     seen: set[str] = set()
@@ -544,35 +459,29 @@ def _name_list(body: str, lineno: int, offset: int, word: str) -> tuple[str, ...
         else:
             seen.add(token)
             continue
+        from ._diagnose import _token_column
+
         raise FormatError(problem, line=lineno, column=_token_column(_NAME_TOKEN, body, offset, k))
     return tuple(names)
 
 
-def _entry_column(text: str, lineno: int, entry: int) -> int:
-    """Column of the `entry`-th name (0-based, across tie groups) on the
-    `pref` line `lineno` of `text`."""
-    body, offset = next((b, o) for n, _, b, o in _lines(text) if n == lineno)
-    names = [k for k, t in enumerate(_PREF_TOKEN.findall(body)) if t not in ("(", ")")]
-    return _token_column(_PREF_TOKEN, body, offset, names[entry])
-
-
-
-
 def _pref_entries(body: str, lineno: int, offset: int) -> tuple[_Entries, PrefInput]:
     """The names of a preference line body in list order and the rank
-    level of each; and the line as `_from_lists` reads it.
+    level of each; and the line as a preference list.
 
     A body without ':' splits in C: by whitespace when it has no
     parentheses, else into the items of one regex (a tie group or a
     name), which are well formed when the items are all that is not
-    whitespace and no tie group is empty.  Otherwise the token scanner
-    names the first problem.
+    whitespace and no tie group is empty.  Otherwise the token scanner,
+    `_diagnose._scan_groups`, names the first problem.
     """
     if ":" not in body and "(" not in body and ")" not in body:
         names = body.split()
         return (names, range(1, len(names) + 1)), names
     groups = [[name] if name else tied.split() for tied, name in _PREF_ITEM.findall(body)]
     if ":" in body or not all(groups) or _PREF_ITEM.sub("", body).strip():
+        from ._diagnose import _scan_groups
+
         groups = _scan_groups(body, lineno, offset)
     return _entries(groups), groups
 
@@ -646,12 +555,9 @@ def parse_instance(text: str) -> Instance:
     inst = _build(doctors, hospitals, list(map(lists.__getitem__, doctors)), list(map(lists.__getitem__, hospitals)))
     if inst is not None:
         return inst
-    try:
-        return _from_lists(doctors, hospitals, prefs)
-    except _ListError as exc:
-        lineno = line_of[exc.owner.name]
-        column = None if exc.entry is None else _entry_column(text, lineno, exc.entry)
-        raise FormatError(str(exc), line=lineno, column=column) from None
+    from ._diagnose import _text_problem
+
+    raise _text_problem(text, doctors, hospitals, prefs, line_of)
 
 
 def serialize_instance(inst: Instance) -> str:

@@ -23,6 +23,7 @@ from itertools import combinations
 from typing import Iterable, Iterator
 
 from .model import (
+    CapExceeded,
     Edge,
     Instance,
     Vertex,
@@ -33,10 +34,6 @@ from .model import (
 )
 
 CAP_ENV = "SUPERSTAB_ORACLE_CAP"
-
-
-class CapExceeded(RuntimeError):
-    """An exhaustive search would exceed its configured cap."""
 
 
 def _cap_exceeded(count: int, what: str, search: str, keyword: str, cap: int) -> CapExceeded:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import superstab
 from superstab.cli import generate_instance
+from superstab._diagnose import _ListError
 from superstab.model import (
     DOCTOR,
     HOSPITAL,
@@ -20,7 +21,6 @@ from superstab.model import (
     Instance,
     Vertex,
     _from_lists,
-    _ListError,
     all_doctor_choices,
     all_hospital_choices,
     doctor,
@@ -508,7 +508,8 @@ def _reference_name_list(body: str, lineno: int, offset: int, word: str) -> tupl
 def reference_parse_instance(text: str) -> Instance:
     """The character-by-character parser that `parse_instance` replaced:
     it records every entry's column and keeps them all for the error path.
-    The list checks are the library's `_from_lists`."""
+    The list checks are the library's `_from_lists`, whose failures the
+    library's `_diagnose` names."""
     doctors: tuple[str, ...] | None = None
     hospitals: tuple[str, ...] | None = None
     pref_lines: list[tuple[str, int, list[list[tuple[str, int]]]]] = []

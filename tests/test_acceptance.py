@@ -127,6 +127,24 @@ def test_acceptance_1_existence_equivalence():
     report("1 existence equivalence", failures, time.perf_counter() - t0, 60.0)
 
 
+def test_acceptance_1b_super_stable_matchings_cover_the_same_vertices():
+    t0 = time.perf_counter()
+    failures = []
+    several = 0
+    for idx, inst in enumerate(existence_corpus()):
+        stable = enumerate_super_stable(inst, max_edges=None)
+        several += len(stable) > 1
+        covered = {
+            frozenset(f"d {e.doctor}" for e in m) | frozenset(f"h {e.hospital}" for e in m)
+            for m in stable
+        }
+        if len(covered) > 1:
+            failures.append(f"instance {idx}: {len(covered)} vertex sets")
+    if not several:
+        failures.append("no instance has two super-stable matchings")
+    report("1b super-stable matchings cover the same vertices", failures, time.perf_counter() - t0, 60.0)
+
+
 def test_acceptance_2_min_deletion_optimality():
     t0 = time.perf_counter()
     failures = []

@@ -27,7 +27,26 @@ def test_tracer_targets_resolve():
         assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)
 
 
-@pytest.mark.parametrize("args", [["solve1", "tie.ssm", "--q", "1"], ["closure", "tie.ssm"]])
+# The span each traced command must record.  `solve2` and `verify` call
+# functions that `cli` imports on first use; a command that bound one
+# before the tracer wrapped it would record no span.
+SPAN = {
+    "solve1": "superstable.closure",
+    "closure": "superstable.closure",
+    "solve2": "hardness.solve_two_side",
+    "verify": "oracle.min_hospital_deletion",
+}
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["solve1", "tie.ssm", "--q", "1"],
+        ["closure", "tie.ssm"],
+        ["solve2", "tie.ssm", "--q1", "1", "--q2", "1"],
+        ["verify", "tie.ssm", "--mode", "problem1"],
+    ],
+)
 def test_traced_run_matches_the_plain_cli(args, tmp_path):
     path = str(DATA / args[1])
     cli_args = ["--no-timing", args[0], path, *args[2:]]
@@ -36,5 +55,8 @@ def test_traced_run_matches_the_plain_cli(args, tmp_path):
     plain = run_python(0, "-m", "superstab.cli", *cli_args)
     assert traced.stdout.startswith(b"{"), traced.stderr
     assert (traced.stdout, traced.returncode) == (plain.stdout, plain.returncode)
-    counts = json.loads(out.read_text())["counts"]
-    assert counts["superstable.rounds"] == closure(parse_instance(Path(path).read_text()))[1].iterations
+    record = json.loads(out.read_text())
+    assert record["spans"][SPAN[args[0]]][2] == 1  # [total s, self s, calls]
+    if SPAN[args[0]] == "superstable.closure":
+        rounds = closure(parse_instance(Path(path).read_text()))[1].iterations
+        assert record["counts"]["superstable.rounds"] == rounds

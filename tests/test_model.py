@@ -522,12 +522,33 @@ def test_vertex_and_edge_are_plain_tuples():
     assert tuple(Edge("d1", "h1")) == ("d1", "h1")
 
 
+def _modules_loaded(*cli_args: str) -> set[str]:
+    """The modules loaded by a fresh `import superstab.cli` and then, when
+    given, one `main(cli_args)` run, without `site`.
+
+    -S leaves out `site`, whose `.pth` files may load `inspect` or `random`
+    on their own (through `importlib.resources` on 3.13), so only the
+    package's own imports are seen."""
+    code = (
+        "import sys\n"
+        "from superstab.cli import main\n"
+        f"if {list(cli_args)!r}: main({list(cli_args)!r})\n"
+        "print(' '.join(sorted(sys.modules)))"
+    )
+    out = run_python(0, "-S", "-c", code)
+    assert out.returncode == 0, out.stderr
+    return set(out.stdout.decode().splitlines()[-1].split())
+
+
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
-    # -S leaves out `site`, whose `.pth` files may load `inspect` on their
-    # own (through `importlib.resources` on 3.13), so only the package's
-    # own imports are seen.
-    code = "import sys, superstab.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    assert run_python(0, "-S", "-c", code).stdout == b"[]\n"
+    lazy = {"superstab.hardness", "superstab.oracle", "superstab._diagnose", "random"}
+    assert {"dataclasses", "inspect", *lazy} & _modules_loaded() == set()
+    tie = str(DATA / "tie.ssm")
+    assert "superstab.oracle" not in _modules_loaded("solve2", tie, "--q1", "1", "--q2", "1")
+    assert "superstab.hardness" not in _modules_loaded("verify", tie, "--mode", "problem1")
+    # The package loads its modules on first access; `dir` still lists every name.
+    code = "import superstab; names = dir(superstab); print(set(superstab.__all__) <= set(names))"
+    assert run_python(0, "-S", "-c", code).stdout == b"True\n"
 
 
 def _instance_eq(self, other):

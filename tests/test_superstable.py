@@ -366,6 +366,38 @@ def test_the_loop_ends_are_the_optimal_super_stable_matchings_property(inst):
     assert_the_loop_ends_are_the_optimal_super_stable_matchings(inst)
 
 
+def unique_exactly_when_the_loop_ends_coincide(inst):
+    """Whether `inst`'s super-stable matching is unique, or None when it
+    has none, after asserting that it is unique exactly when the closure's
+    matching equals the transpose's mapped back; checked against
+    `enumerate_super_stable`."""
+    stable = enumerate_super_stable(inst, max_edges=16)
+    if not stable:
+        return None
+    doctor_end = solve_min_hospital_deletion(inst).matching
+    flipped = solve_min_hospital_deletion(transpose_instance(inst)).matching
+    hospital_end = frozenset(Edge(e.hospital, e.doctor) for e in flipped)
+    assert (len(stable) == 1) == (doctor_end == hospital_end), (inst, stable)
+    return len(stable) == 1
+
+
+def test_super_stable_matching_is_unique_exactly_when_the_loop_ends_coincide():
+    # Ties make a second super-stable matching rare, so most lists are strict.
+    rng = random.Random("unique-ends")
+    seen = []
+    for i in range(600):
+        n, m = rng.randint(2, 4), rng.randint(2, 4)
+        inst = generate_instance(n, m, rng.uniform(0.6, 1.0), (0.0, 0.0, 0.2)[i % 3], seed=f"unique-{i}")
+        seen.append(unique_exactly_when_the_loop_ends_coincide(inst))
+    assert seen.count(True) > 400 and seen.count(False) >= 30, (seen.count(True), seen.count(False))
+
+
+@given(instances(max_doctors=4, max_hospitals=4))
+@settings(max_examples=150, deadline=None)
+def test_super_stable_matching_is_unique_exactly_when_the_loop_ends_coincide_property(inst):
+    unique_exactly_when_the_loop_ends_coincide(inst)
+
+
 def test_solver_memory_grows_with_the_edges_not_the_rounds():
     peaks = []
     for n in (80, 160):
