@@ -14,7 +14,8 @@ from typing import Mapping
 from .model import DOCTOR, HOSPITAL, FormatError, PrefInput, Vertex, _SIDE_WORD, _lines, _name_ok
 
 _OTHER_SIDE = {DOCTOR: HOSPITAL, HOSPITAL: DOCTOR}
-# Tokens of a `pref` body: parentheses and names.
+# Tokens of a name line, and of a `pref` body: parentheses and names.
+_NAME_TOKEN = re.compile(r"\S+")
 _PREF_TOKEN = re.compile(r"[()]|[^\s()]+")
 
 
@@ -102,40 +103,36 @@ def _token_column(pattern: re.Pattern[str], body: str, offset: int, k: int) -> i
     return offset + starts[k] + 1
 
 
-def _scan_groups(body: str, lineno: int, offset: int) -> list[list[str]]:
-    """Tokenize a preference line body into tie groups of names."""
-    groups: list[list[str]] = []
-    group: list[str] | None = None
+def _group_problem(body: str, lineno: int, offset: int) -> FormatError:
+    """The first problem in a `pref` line body that `model._pref_entries`
+    could not split, at its column.  Such a body always has one: a body
+    whose tokens are names and closed, non-empty, unnested tie groups
+    splits there, unless a name holds ':', which this scan reports."""
+    size = None  # names in the open tie group; None outside one
     opened = 0
     colon = ":" in body  # a token holds no '#', space or parenthesis, so only ':' can be bad
     for k, token in enumerate(_PREF_TOKEN.findall(body)):
         if token == "(":
-            if group is not None:
+            if size is not None:
                 problem = "nested tie group"
                 break
-            group = []
-            opened = k
+            size, opened = 0, k
         elif token == ")":
-            if group is None:
+            if size is None:
                 problem = "unmatched ')'"
                 break
-            if not group:
+            if not size:
                 problem = "empty tie group"
                 break
-            groups.append(group)
-            group = None
+            size = None
         elif colon and not _name_ok(token):
             problem = f"invalid name {token!r}"
             break
-        elif group is None:
-            groups.append([token])
-        else:
-            group.append(token)
-    else:
-        if group is None:
-            return groups
+        elif size is not None:
+            size += 1
+    else:  # no problem before the end, so a tie group is still open
         problem, k = "unclosed tie group", opened
-    raise FormatError(problem, line=lineno, column=_token_column(_PREF_TOKEN, body, offset, k))
+    return FormatError(problem, line=lineno, column=_token_column(_PREF_TOKEN, body, offset, k))
 
 
 def _entry_column(text: str, lineno: int, entry: int) -> int:

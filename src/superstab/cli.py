@@ -22,12 +22,12 @@ import os
 import sys
 import time
 from itertools import compress
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .model import (
-    DOCTOR,
     Instance,
     Vertex,
+    _removed_names,
     hospital,
     make_instance,
     ordered_edges,
@@ -112,12 +112,6 @@ def generate_instance(
     return make_instance(doctors, hospitals, doctor_prefs, hospital_prefs)
 
 
-def _split_names(removed: Iterable[Vertex]) -> tuple[list[str], list[str]]:
-    ds = sorted(v.name for v in removed if v.side == DOCTOR)
-    hs = sorted(v.name for v in removed if v.side != DOCTOR)
-    return ds, hs
-
-
 def _emit(payload: dict, note: str) -> None:
     print(json.dumps(payload, indent=2))
     print(note, file=sys.stderr)
@@ -142,18 +136,20 @@ def _finish_stats(stats: dict, timer: _Timer, ns: argparse.Namespace) -> dict:
     return stats
 
 
-def _oracle_caps(defaults: dict[str, int]) -> dict[str, int]:
+def _oracle_caps(keyword: str) -> dict[str, int]:
+    """The oracle keyword arguments for `verify`: `{keyword: cap}` when the
+    cap variable is set, else none, so the oracle's own default holds."""
     cap_env = _cli.CAP_ENV
     raw = os.environ.get(cap_env)
     if raw is None:
-        return defaults
+        return {}
     try:
         cap = int(raw)
     except ValueError:
         raise ValueError(f"{cap_env} must be an integer, got {raw!r}") from None
     if cap < 0:
         raise ValueError(f"{cap_env} must be non-negative")
-    return {name: cap for name in defaults}
+    return {keyword: cap}
 
 
 def _cmd_check(ns: argparse.Namespace) -> int:
@@ -212,7 +208,7 @@ def _cmd_solve2(ns: argparse.Namespace) -> int:
     witness = _cli.solve_two_side_deletion(inst, ns.q1, ns.q2)
     payload: dict = {"command": "solve2", "answer": "yes" if witness is not None else "no"}
     if witness is not None:
-        ds, hs = _split_names(witness)
+        ds, hs = map(sorted, _removed_names(inst, witness))
         payload["deleted_doctors"] = ds
         payload["deleted_hospitals"] = hs
         matching = exists_super_stable(inst, witness)
@@ -306,20 +302,20 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
     timer = _Timer()
     stats: dict = {}
     if ns.mode == "existence":
-        caps = _oracle_caps({"max_edges": 20})
+        caps = _oracle_caps("max_edges")
         solver_yes = exists_super_stable(inst) is not None
-        oracle_found = _cli.enumerate_super_stable(inst, max_edges=caps["max_edges"])
+        oracle_found = _cli.enumerate_super_stable(inst, **caps)
         oracle_yes = bool(oracle_found)
         agree = solver_yes == oracle_yes
         stats = {
             "solver_answer": "yes" if solver_yes else "no",
             "oracle_answer": "yes" if oracle_yes else "no",
-            "search_space": _cli.count_matchings(inst, max_edges=caps["max_edges"]),
+            "search_space": _cli.count_matchings(inst, **caps),
         }
     elif ns.mode == "problem1":
-        caps = _oracle_caps({"max_hospitals": 12})
+        caps = _oracle_caps("max_hospitals")
         cert = solve_min_hospital_deletion(inst)
-        oracle_min, _ = _cli.oracle_min_hospital_deletion(inst, max_hospitals=caps["max_hospitals"])
+        oracle_min, _ = _cli.oracle_min_hospital_deletion(inst, **caps)
         agree = len(cert.critical) == oracle_min
         stats = {"solver_min": len(cert.critical), "oracle_min": oracle_min}
     else:
@@ -327,16 +323,14 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
             raise ValueError("--mode problem2 needs --q1 and --q2")
         if ns.q1 < 0 or ns.q2 < 0:
             raise ValueError("--q1 and --q2 must be non-negative")
-        caps = _oracle_caps({"max_vertices": 14})
+        caps = _oracle_caps("max_vertices")
         solver_witness = _cli.solve_two_side_deletion(inst, ns.q1, ns.q2)
-        oracle_witness = _cli.oracle_two_side_deletion(
-            inst, ns.q1, ns.q2, max_vertices=caps["max_vertices"]
-        )
+        oracle_witness = _cli.oracle_two_side_deletion(inst, ns.q1, ns.q2, **caps)
         agree = (solver_witness is None) == (oracle_witness is None)
         for witness in (solver_witness, oracle_witness):
             if witness is None:
                 continue
-            ds, hs = _split_names(witness)
+            ds, hs = map(sorted, _removed_names(inst, witness))
             if len(ds) > ns.q1 or len(hs) > ns.q2 or exists_super_stable(inst, witness) is None:
                 agree = False
         stats = {

@@ -4,17 +4,14 @@ Two-side deletion is NP-complete, so the exact solver enumerates doctor
 deletions, by size and then name order.  Each doctor set is completed by
 the polynomial hospital-side routine, whose answer is the critical set
 of the remaining instance.  The search needs only that set's size, so
-it builds every doctor's tie groups once and, per doctor set, runs the
-closure loop of `superstable` with those doctors passed as `skip`; no
-hospital is deleted there, so it never passes `gone`.  At the loop's
-fixed point the critical count is the number of hospitals whose pool is
-non-empty minus the number of doctors still on a tie group; the proof is
-in `solve_two_side_deletion`.  The first doctor set that fits the
-budget takes its critical set from the same run, as the one-side solver
-reads its own.  The instance builder turns set-coverage data
-(pick exactly `picks` families, keep their union within `cover_limit`)
-into a fully indifferent matching instance whose deletion budgets mirror
-the coverage question.
+per doctor set it runs the closure loop of `superstable` once, with
+those doctors as its `skip` argument, and reads the count from the
+loop's final state (`solve_two_side_deletion` says why that count is
+right).  The first doctor set that fits the budget takes its critical
+set from the same run, as the one-side solver reads its own.  The
+instance builder turns set-coverage data (pick exactly `picks` families,
+keep their union within `cover_limit`) into a fully indifferent matching
+instance whose deletion budgets mirror the coverage question.
 """
 
 from __future__ import annotations
@@ -29,12 +26,13 @@ from .model import (
     _Record,
     _lines,
     _name_ok,
+    _name_problem,
     doctor,
     hospital,
     induced_instance,  # unused here; bench/tracer.py counts subsets through it
     make_instance,
 )
-from .superstable import _fixed_point, _outcome, _tie_groups
+from .superstable import _fixed_point, _outcome
 
 
 class CoverageInstance(_Record):
@@ -47,15 +45,10 @@ class CoverageInstance(_Record):
         self, ground: tuple[str, ...], families: tuple[frozenset[str], ...], picks: int, cover_limit: int
     ) -> None:
         super().__init__(ground, families, picks, cover_limit)
-        seen: set[str] = set()
-        for name in self.ground:
-            if not _name_ok(name):
-                raise ValueError(f"invalid ground element name {name!r}")
-            if name in seen:
-                raise ValueError(f"duplicate ground element {name!r}")
-            seen.add(name)
+        if problem := _name_problem(self.ground, "ground element", "duplicate ground element"):
+            raise ValueError(problem[1])
         for i, fam in enumerate(self.families, 1):
-            stray = fam - seen
+            stray = fam.difference(self.ground)
             if stray:
                 raise ValueError(
                     f"family {i} contains {sorted(stray)[0]!r}, which is not a ground element"
@@ -136,15 +129,9 @@ def parse_coverage(text: str) -> CoverageInstance:
 
 
 def _token_list(body: str, lineno: int, word: str) -> tuple[str, ...]:
-    names: list[str] = []
-    seen: set[str] = set()
-    for token in body.split():
-        if not _name_ok(token):
-            raise FormatError(f"invalid {word} name {token!r}", line=lineno)
-        if token in seen:
-            raise FormatError(f"duplicate {word} {token!r}", line=lineno)
-        seen.add(token)
-        names.append(token)
+    names = body.split()
+    if problem := _name_problem(names, word, f"duplicate {word}"):
+        raise FormatError(problem[1], line=lineno)
     return tuple(names)
 
 
@@ -216,8 +203,8 @@ def solve_two_side_deletion(
     is that subproblem's critical set and the whole answer is
     deterministic.
 
-    The tie groups are built once, and each subset runs the closure loop
-    with its doctors skipped.  At the fixed point the critical count is
+    Each subset runs the closure loop once, with its doctors skipped.
+    At the fixed point the critical count is
     |hospitals whose pool is non-empty| - |doctors still on a group|:
     every proposed edge is either forbidden or held, so a non-empty pool
     is exactly what `critical_hospitals` calls wanted; and each live
@@ -234,11 +221,10 @@ def solve_two_side_deletion(
             f"{len(inst.doctors)} doctors exceed the subset-search cap of {max_doctors}; "
             "raise max_doctors"
         )
-    groups = _tie_groups(inst)
     names = sorted(inst.doctors)
     for size in range(min(doctor_budget, len(names)) + 1):
         for combo in combinations(names, size):
-            log, count = _fixed_point(inst, groups, skip=combo)
+            log, count = _fixed_point(inst, combo)
             if count <= hospital_budget:
                 _, critical = _outcome(inst, log)
                 return frozenset(doctor(n) for n in combo) | critical

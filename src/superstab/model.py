@@ -123,14 +123,25 @@ class _Record:
 # Names must survive the text format: one token, no grouping or delimiter
 # chars.  `\s` matches exactly the characters `str.isspace` accepts.
 _NOT_IN_NAME = re.compile(r"[\s()#:]")
-# Tokens of a name line; the items of a `pref` body (a tie group's inside,
-# or a name).
-_NAME_TOKEN = re.compile(r"\S+")
+# The items of a `pref` body: a tie group's inside, or a name.
 _PREF_ITEM = re.compile(r"\(([^()]*)\)|([^\s()]+)")
 
 
 def _name_ok(name: object) -> bool:
     return isinstance(name, str) and bool(name) and not _NOT_IN_NAME.search(name)
+
+
+def _name_problem(names: Sequence[object], word: str, repeated: str) -> tuple[int, str] | None:
+    """The index and message of the first of `names` that is invalid or
+    repeats an earlier one: "invalid {word} name 'x'" or "{repeated} 'x'"."""
+    seen: set[object] = set()
+    for k, name in enumerate(names):
+        if not _name_ok(name):
+            return k, f"invalid {word} name {name!r}"
+        if name in seen:
+            return k, f"{repeated} {name!r}"
+        seen.add(name)
+    return None
 
 
 # One list as `_build` reads it: the partner names in list order and the
@@ -331,26 +342,22 @@ def _entries(groups: list[list[str]]) -> _Entries:
 
 def _check_names(doctors: tuple[str, ...], hospitals: tuple[str, ...]) -> None:
     for word, names in (("doctor", doctors), ("hospital", hospitals)):
-        seen: set[str] = set()
-        for n in names:
-            if not _name_ok(n):
-                raise ValueError(f"invalid {word} name {n!r}")
-            if n in seen:
-                raise ValueError(f"duplicate {word} name {n!r}")
-            seen.add(n)
+        if problem := _name_problem(names, word, f"duplicate {word} name"):
+            raise ValueError(problem[1])
 
 
 def _validate_instance(inst: Instance) -> None:
     _check_names(inst.doctors, inst.hospitals)
-    dset = set(inst.doctors)
-    hset = set(inst.hospitals)
+    dset, hset = set(inst.doctors), set(inst.hospitals)
     expected = {Vertex(DOCTOR, d) for d in inst.doctors} | {Vertex(HOSPITAL, h) for h in inst.hospitals}
     incident: dict[Vertex, set[Edge]] = {v: set() for v in expected}
-    for e in inst.edges:
+    bad = [e for e in inst.edges if not isinstance(e, Edge) or e.doctor not in dset or e.hospital not in hset]
+    if bad:  # as `_removed_names` does: the edge whose repr sorts first
+        e = min(bad, key=repr)
         if not isinstance(e, Edge):
             raise ValueError(f"edge {e!r} is not an Edge")
-        if e.doctor not in dset or e.hospital not in hset:
-            raise ValueError(f"edge {tuple(e)} has an undeclared endpoint")
+        raise ValueError(f"edge {tuple(e)} has an undeclared endpoint")
+    for e in inst.edges:
         incident[Vertex(DOCTOR, e.doctor)].add(e)
         incident[Vertex(HOSPITAL, e.hospital)].add(e)
     if set(inst.rank) != expected:
@@ -449,19 +456,11 @@ def _lines(text: str) -> Iterator[tuple[int, list[str], str, int]]:
 
 
 def _name_list(body: str, lineno: int, offset: int, word: str) -> tuple[str, ...]:
-    names = _NAME_TOKEN.findall(body)
-    seen: set[str] = set()
-    for k, token in enumerate(names):
-        if not _name_ok(token):
-            problem = f"invalid {word} name {token!r}"
-        elif token in seen:
-            problem = f"duplicate {word} name {token!r}"
-        else:
-            seen.add(token)
-            continue
-        from ._diagnose import _token_column
+    names = body.split()
+    if problem := _name_problem(names, word, f"duplicate {word} name"):
+        from ._diagnose import _NAME_TOKEN, _token_column
 
-        raise FormatError(problem, line=lineno, column=_token_column(_NAME_TOKEN, body, offset, k))
+        raise FormatError(problem[1], line=lineno, column=_token_column(_NAME_TOKEN, body, offset, problem[0]))
     return tuple(names)
 
 
@@ -473,16 +472,16 @@ def _pref_entries(body: str, lineno: int, offset: int) -> tuple[_Entries, PrefIn
     parentheses, else into the items of one regex (a tie group or a
     name), which are well formed when the items are all that is not
     whitespace and no tie group is empty.  Otherwise the token scanner,
-    `_diagnose._scan_groups`, names the first problem.
+    `_diagnose._group_problem`, names the first problem.
     """
     if ":" not in body and "(" not in body and ")" not in body:
         names = body.split()
         return (names, range(1, len(names) + 1)), names
     groups = [[name] if name else tied.split() for tied, name in _PREF_ITEM.findall(body)]
     if ":" in body or not all(groups) or _PREF_ITEM.sub("", body).strip():
-        from ._diagnose import _scan_groups
+        from ._diagnose import _group_problem
 
-        groups = _scan_groups(body, lineno, offset)
+        raise _group_problem(body, lineno, offset)
     return _entries(groups), groups
 
 
@@ -637,12 +636,13 @@ def transpose_instance(inst: Instance) -> Instance:
 
 def _best_edges(table: dict[Edge, int], pool: Iterable[Edge], end: int) -> list[list[Edge]]:
     """Per endpoint `e[end]` of the edges in `pool`, its best ones by `table`."""
+    pool = list(pool)
     keep: dict[str, tuple[int, list[Edge]]] = {}
     for e in pool:
-        try:
-            r = table[e]
-        except KeyError:
-            raise ValueError(f"edge {tuple(e)} is not an edge of the instance") from None
+        r = table.get(e)
+        if r is None:  # as `_removed_names` does: the edge whose repr sorts first
+            e = min((e for e in pool if e not in table), key=repr)
+            raise ValueError(f"edge {tuple(e)} is not an edge of the instance")
         b = keep.get(e[end])
         if b is None or r < b[0]:
             keep[e[end]] = (r, [e])

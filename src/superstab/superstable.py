@@ -17,16 +17,15 @@ it, `ClosureTrace.changes()` walks it round by round, the full rounds are
 built from that walk on first access, and the matching and the critical
 set are read straight from the log.
 
-Every one-side question is one run of `_fixed_point` over `_tie_groups`,
-read with `_outcome`; no caller copies the instance.  All three work on
-the instance's integer core (see `model.Instance`): edge ids, doctor
-and hospital indices, and state in lists indexed by them; `Edge` and
-`Vertex` objects are made only for what a caller reads.  Deleted
-hospitals are named in `_tie_groups(inst, gone)`, which leaves their
-edges out, and deleted doctors in `_fixed_point(inst, groups, skip)`,
-which never lets them propose.  `closure` passes `gone` only;
-`exists_super_stable` passes both; the two-side search in `hardness`
-builds the groups once and passes `skip` per doctor subset.
+Every one-side question, and each doctor subset that the two-side search
+in `hardness` tries, is one run of `_fixed_point`, read with `_outcome`;
+no caller copies the instance.  Both work on the instance's integer core
+(see `model.Instance`): edge ids, doctor and hospital indices, and state
+in lists indexed by them; `Edge` and `Vertex` objects are made only for
+what a caller reads.  The deleted vertices of both sides are arguments
+of the loop: `_fixed_point(inst, skip, gone)` never lets the doctors
+named in `skip` propose, and its doctors pass over the edges of the
+hospitals named in `gone`.
 """
 
 from __future__ import annotations
@@ -48,9 +47,7 @@ from .model import (
 )
 
 
-# Per doctor index, its tie groups of edge ids, best first; and per round of
-# the loop, the ids newly proposed and the ids newly forbidden.
-_TieGroups = list[list[list[int]]]
+# Per round of the loop, the ids newly proposed and the ids newly forbidden.
 _Log = list[tuple[list[int], list[int]]]
 
 
@@ -124,48 +121,40 @@ class DeletionCertificate(_Record):
     _fields = ("forbidden", "matching", "critical", "trace")
 
 
-def _tie_groups(inst: Instance, gone: Collection[str] = ()) -> _TieGroups:
-    """Each doctor's tie groups of edge ids, best first, by doctor index,
-    without the edges of the hospitals named in `gone`, so no group is
-    empty.  With nothing gone they are the core's own lists, which no
-    caller changes."""
-    if not gone:
-        return inst._groups
-    keep = [h not in gone for h in inst.hospitals]
-    eh = inst._eh
-    return [
-        [kept for group in mine if (kept := [e for e in group if keep[eh[e]]])]
-        for mine in inst._groups
-    ]
-
-
-def _fixed_point(inst: Instance, groups: _TieGroups, skip: Collection[str] = ()) -> tuple[_Log, int]:
-    """Run the forbidding loop over prepared tie groups of `inst`, with
-    the doctors named in `skip` left out.
+def _fixed_point(inst: Instance, skip: Collection[str] = (), gone: Collection[str] = ()) -> tuple[_Log, int]:
+    """Run the forbidding loop on `inst` without the doctors named in
+    `skip` and the hospitals named in `gone`: a skipped doctor never
+    proposes, and a doctor passes over the edges of gone hospitals.
 
     Returns the log and the critical count: how many hospitals the
     one-side solver deletes, that is, the hospitals whose pool of proposed
     and forbidden edges is non-empty minus the doctors still on a tie
     group (`hardness.solve_two_side_deletion` says why).
     """
-    eh, hl, ed = inst._eh, inst._hl, inst._ed
+    eh, hl, ed, groups = inst._eh, inst._hl, inst._ed, inst._groups
+    keep = [h not in gone for h in inst.hospitals] if gone else ()
     # Per doctor: its current group (-1 before it first proposes) and how
     # many of its current proposals are not yet forbidden.
     position = [-1] * len(groups)
     left = [0] * len(groups)
 
     def propose(d: int) -> Sequence[int]:
-        """Move doctor `d` to its next tie group."""
-        i = position[d] = position[d] + 1
-        group = groups[d][i] if i < len(groups[d]) else ()
-        left[d] = len(group)
+        """Move doctor `d` to its next tie group with an edge to a hospital
+        not in `gone`, and return those edges (none past its last group)."""
+        mine, i, group = groups[d], position[d] + 1, ()
+        while i < len(mine):
+            group = [e for e in mine[i] if keep[eh[e]]] if gone else mine[i]
+            if group:
+                break
+            i += 1
+        position[d], left[d] = i, len(group)
         return group
 
     # Per hospital: the best rank in its pool (0 while the pool is empty),
-    # how many pool edges have it and the first edge to reach it; and the
-    # proposal it holds (-1 for none).
+    # how many pool edges have it and the first edge to reach it.  The
+    # hospital holds that edge exactly when it is the only one at that rank.
     n = len(inst.hospitals)
-    best, ties, top, holds = [0] * n, [0] * n, [0] * n, [-1] * n
+    best, ties, top = [0] * n, [0] * n, [0] * n
     log: _Log = []
     new = [e for d, name in enumerate(inst.doctors) if name not in skip for e in propose(d)]
     while True:
@@ -175,6 +164,7 @@ def _fixed_point(inst: Instance, groups: _TieGroups, skip: Collection[str] = ())
         lost: list[int] = []
         for h, live in arrivals.items():
             b, c, t = best[h], ties[h], top[h]
+            held = t if c == 1 else -1
             for e in live:
                 r = hl[e]
                 if not b or r < b:
@@ -182,13 +172,10 @@ def _fixed_point(inst: Instance, groups: _TieGroups, skip: Collection[str] = ())
                 elif r == b:
                     c += 1
             best[h], ties[h], top[h] = b, c, t
-            if holds[h] >= 0:
-                live.append(holds[h])
-                holds[h] = -1
+            if held >= 0:
+                live.append(held)
             for e in live:
-                if c == 1 and e == t:
-                    holds[h] = e
-                else:
+                if c != 1 or e != t:
                     lost.append(e)
         log.append((new, lost))
         if not lost:
@@ -224,7 +211,7 @@ def closure(
     _, gone = _removed_names(inst, deleted)
     edge = inst._edge
     initial = frozenset(edge[e] for h, ids in zip(inst.hospitals, inst._by_h) if h in gone for e in ids)
-    log, _ = _fixed_point(inst, _tie_groups(inst, gone))
+    log, _ = _fixed_point(inst, gone=gone)
     trace = ClosureTrace(initial, log=log, edges=edge)
     return trace.result, trace
 
@@ -304,14 +291,14 @@ def exists_super_stable(inst: Instance, deleted: Iterable[Vertex] = ()) -> froze
     """A super-stable matching of the graph minus `deleted`, or None.
 
     `deleted` may mix doctors and hospitals.  One run of the loop answers,
-    with the deleted hospitals' edges left out of the tie groups and the
-    deleted doctors skipped, so no instance is copied; the matching is the
-    one `solve_min_hospital_deletion` gives on the graph without
-    `deleted`.  Note that the empty matching is a valid answer, so compare
-    against None rather than relying on truthiness.
+    with the deleted doctors skipped and the deleted hospitals gone, so no
+    instance is copied; the matching is the one
+    `solve_min_hospital_deletion` gives on the graph without `deleted`.
+    Note that the empty matching is a valid answer, so compare against
+    None rather than relying on truthiness.
     """
     gone_d, gone_h = _removed_names(inst, deleted)
-    log, count = _fixed_point(inst, _tie_groups(inst, gone_h), gone_d)
+    log, count = _fixed_point(inst, gone_d, gone_h)
     return None if count else _outcome(inst, log)[0]
 
 

@@ -20,7 +20,6 @@ from superstab.oracle import CapExceeded, oracle_two_side_deletion
 from superstab.superstable import (
     _fixed_point,
     _outcome,
-    _tie_groups,
     exists_super_stable,
     solve_min_hospital_deletion,
 )
@@ -270,13 +269,12 @@ def test_loop_critical_count_equals_the_induced_solver_on_every_doctor_subset():
     subsets = 0
     counts = set()
     for inst in critical_count_samples():
-        groups = _tie_groups(inst)
         names = sorted(inst.doctors)
         for combo in chain.from_iterable(combinations(names, k) for k in range(len(names) + 1)):
             sub = induced_instance(inst, [doctor(n) for n in combo])
             cert = solve_min_hospital_deletion(sub)
             expect = len(cert.critical)
-            log, count = _fixed_point(inst, groups, skip=combo)
+            log, count = _fixed_point(inst, combo)
             assert count == expect, (inst, combo)
             assert _outcome(inst, log) == (cert.matching, cert.critical), (inst, combo)
             counts.add(expect)

@@ -44,7 +44,7 @@ from superstab.model import (
     serialize_instance,
     transpose_instance,
 )
-from superstab.hardness import CoverageInstance, ReductionOutput, reduce_min_coverage
+from superstab.hardness import CoverageInstance, ReductionOutput, parse_coverage, reduce_min_coverage
 from superstab.oracle import all_matchings
 from superstab.superstable import ClosureRound, DeletionCertificate, closure, solve_min_hospital_deletion
 
@@ -231,6 +231,67 @@ def test_make_instance_accepts_names_and_groups():
 def test_make_instance_rejects(kwargs, needle):
     with pytest.raises(ValueError, match=needle):
         make_instance(["d1"], ["h1"], **kwargs)
+
+
+NAME_ERRORS = [
+    (
+        lambda: parse_instance("doctors: d1 d:x\nhospitals:\n"),
+        "line 1, column 13: invalid doctor name 'd:x'",
+    ),
+    (
+        lambda: parse_instance("doctors: d1\nhospitals: h1  h2 h1\n"),
+        "line 2, column 19: duplicate hospital name 'h1'",
+    ),
+    (
+        lambda: parse_instance("doctors: d1\nhospitals: h1\npref d(1: h1\n"),
+        "line 3: invalid name 'd(1'",
+    ),
+    (lambda: make_instance(["d1", "d 2"], ["h1"]), "invalid doctor name 'd 2'"),
+    (lambda: make_instance(["d1"], ["h1", "h1"]), "duplicate hospital name 'h1'"),
+    (lambda: Instance(("d1", "d1"), (), frozenset(), {}), "duplicate doctor name 'd1'"),
+    (
+        lambda: parse_coverage("ground: s1 s(1\nx: 0\ny: 0\n"),
+        "line 1: invalid ground element name 's(1'",
+    ),
+    (
+        lambda: parse_coverage("ground: s1 s2 s1\nx: 0\ny: 0\n"),
+        "line 1: duplicate ground element 's1'",
+    ),
+    (
+        lambda: parse_coverage("ground: s1\nset T1: s1 s)\nx: 0\ny: 0\n"),
+        "line 2: invalid set member name 's)'",
+    ),
+    (
+        lambda: parse_coverage("ground: s1\nset T1: s1 s1\nx: 0\ny: 0\n"),
+        "line 2: duplicate set member 's1'",
+    ),
+    (
+        lambda: parse_coverage("ground: s1\nset T(1: s1\nx: 0\ny: 0\n"),
+        "line 2: invalid set name 'T(1'",
+    ),
+    (
+        lambda: parse_coverage("ground: s1\nset T1: s1\nset T1:\nx: 0\ny: 0\n"),
+        "line 3: duplicate set name 'T1'",
+    ),
+    (lambda: CoverageInstance(("s1", ""), (), 0, 0), "invalid ground element name ''"),
+    (lambda: CoverageInstance(("s1", "s1"), (), 0, 0), "duplicate ground element 's1'"),
+]
+
+
+@pytest.mark.parametrize("build,message", NAME_ERRORS, ids=[message for _, message in NAME_ERRORS])
+def test_name_errors_pin_message_line_and_column(build, message):
+    # Text readers raise FormatError with the position in the message and
+    # in `line` and `column`; the constructors raise a plain ValueError.
+    with pytest.raises(ValueError) as info:
+        build()
+    exc = info.value
+    assert str(exc) == message
+    where = re.match(r"line (\d+)(?:, column (\d+))?: ", message)
+    if where:
+        line, column = (None if g is None else int(g) for g in where.groups())
+        assert (type(exc), exc.line, exc.column) == (FormatError, line, column)
+    else:
+        assert type(exc) is ValueError
 
 
 def test_make_instance_reports_list_problems_before_one_sided_entries():
@@ -474,6 +535,37 @@ def test_blocking_error_does_not_depend_on_hash_seed():
         assert run.stdout == (
             b"matching edge ('d1', 'h9') is not in the induced graph\n"
             b"matching edge ('d9', 'h2') is not in the induced graph\n"
+        ), (seed, run.stderr)
+
+
+def test_instance_and_choice_errors_do_not_depend_on_hash_seed():
+    # Of several edges that are not Edges, have an undeclared endpoint or
+    # lie outside the instance, the one whose repr sorts first is named.
+    path = str(Path(__file__).parent / "data" / "tie.ssm")
+    code = (
+        "import sys\n"
+        "from superstab.model import Edge, Instance, all_doctor_choices, all_hospital_choices, parse_instance\n"
+        "inst = parse_instance(open(sys.argv[1]).read())\n"
+        "foreign = {Edge('d2', 'h8'), Edge('d1', 'h9'), Edge('d9', 'h1'), Edge('d3', 'h3')}\n"
+        "calls = [\n"
+        "    lambda: Instance(inst.doctors, inst.hospitals, inst.edges | foreign, inst.rank),\n"
+        "    lambda: Instance(inst.doctors, inst.hospitals, inst.edges | foreign | {('d2', 'h7')}, inst.rank),\n"
+        "    lambda: all_doctor_choices(inst, inst.edges | foreign),\n"
+        "    lambda: all_hospital_choices(inst, inst.edges | foreign),\n"
+        "]\n"
+        "for call in calls:\n"
+        "    try:\n"
+        "        call()\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n"
+    )
+    for seed in range(6):
+        run = run_python(seed, "-c", code, path)
+        assert run.stdout == (
+            b"edge ('d1', 'h9') has an undeclared endpoint\n"
+            b"edge ('d2', 'h7') is not an Edge\n"
+            b"edge ('d1', 'h9') is not an edge of the instance\n"
+            b"edge ('d1', 'h9') is not an edge of the instance\n"
         ), (seed, run.stderr)
 
 

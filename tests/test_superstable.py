@@ -43,7 +43,6 @@ from superstab.superstable import (
     ClosureTrace,
     _fixed_point,
     _outcome,
-    _tie_groups,
     closure,
     critical_hospitals,
     decide_hospital_deletion,
@@ -287,10 +286,9 @@ def assert_loop_matches_the_edge_keyed_reference(inst, gone, skips):
     each doctor set in `skips`, the Edge-keyed reference's log (mapped to
     edges, in order), critical count and outcome; and `closure` yields the
     reference log's rounds from `changes()`."""
-    groups = _tie_groups(inst, gone)
     reference = reference_tie_groups(inst, gone)
     for skip in skips:
-        log, count = _fixed_point(inst, groups, skip)
+        log, count = _fixed_point(inst, skip, gone)
         expect_log, expect_count = reference_fixed_point(reference, skip)
         assert edge_log(inst, log) == [([e for e, _ in new], lost) for new, lost in expect_log]
         assert count == expect_count, (inst, gone, skip)
