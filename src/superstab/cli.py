@@ -12,17 +12,27 @@ The names this module uses from `hardness` and `oracle` are in `_LAZY`:
 each is still an attribute of this module, imported on first access
 (PEP 562), and the commands look it up on the module when they run, so
 a value set on the module, such as a tracing wrapper, is what they call.
+
+`argparse` loads only for `--help` and for command lines that the plain
+reader declines.  A plain command line is the command, then its FILE
+and each of its options at most once as `--name VALUE`, with no VALUE
+starting with `-`, and `--no-timing` on its own anywhere between them.
+The reader and the argparse parser are both built from `_COMMANDS`, and
+the reader returns the namespace argparse would.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 import time
 from itertools import compress
-from typing import Sequence
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Sequence
+
+if TYPE_CHECKING:
+    import argparse
 
 from .model import (
     Instance,
@@ -130,7 +140,7 @@ class _Timer:
         return int(round((time.perf_counter() - self.t0) * 1000))
 
 
-def _finish_stats(stats: dict, timer: _Timer, ns: argparse.Namespace) -> dict:
+def _finish_stats(stats: dict, timer: _Timer, ns: SimpleNamespace) -> dict:
     if not ns.no_timing:
         stats["elapsed_ms"] = timer.ms()
     return stats
@@ -152,7 +162,7 @@ def _oracle_caps(keyword: str) -> dict[str, int]:
     return {keyword: cap}
 
 
-def _cmd_check(ns: argparse.Namespace) -> int:
+def _cmd_check(ns: SimpleNamespace) -> int:
     inst = parse_instance(_read(ns.file))
     timer = _Timer()
     cert = solve_min_hospital_deletion(inst)
@@ -169,7 +179,7 @@ def _cmd_check(ns: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _cmd_solve1(ns: argparse.Namespace) -> int:
+def _cmd_solve1(ns: SimpleNamespace) -> int:
     if ns.q < 0:
         raise ValueError("--q must be non-negative")
     inst = parse_instance(_read(ns.file))
@@ -200,7 +210,7 @@ def _cmd_solve1(ns: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _cmd_solve2(ns: argparse.Namespace) -> int:
+def _cmd_solve2(ns: SimpleNamespace) -> int:
     if ns.q1 < 0 or ns.q2 < 0:
         raise ValueError("--q1 and --q2 must be non-negative")
     inst = parse_instance(_read(ns.file))
@@ -284,7 +294,7 @@ def _write_closure(
     )
 
 
-def _cmd_closure(ns: argparse.Namespace) -> int:
+def _cmd_closure(ns: SimpleNamespace) -> int:
     inst = parse_instance(_read(ns.file))
     removed = frozenset(hospital(name) for name in ns.delete)
     timer = _Timer()
@@ -297,7 +307,7 @@ def _cmd_closure(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_verify(ns: argparse.Namespace) -> int:
+def _cmd_verify(ns: SimpleNamespace) -> int:
     inst = parse_instance(_read(ns.file))
     timer = _Timer()
     stats: dict = {}
@@ -347,7 +357,7 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
     return 0 if agree else 1
 
 
-def _cmd_gen(ns: argparse.Namespace) -> int:
+def _cmd_gen(ns: SimpleNamespace) -> int:
     inst = generate_instance(ns.doctors, ns.hospitals, ns.density, ns.tie_prob, ns.seed)
     sys.stdout.write(serialize_instance(inst))
     print(
@@ -358,7 +368,7 @@ def _cmd_gen(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_reduce(ns: argparse.Namespace) -> int:
+def _cmd_reduce(ns: SimpleNamespace) -> int:
     red = _cli.reduce_min_coverage(_cli.parse_coverage(_read(ns.file)))
     sys.stdout.write(serialize_instance(red.instance))
     sys.stdout.write(f"# q1={red.doctor_budget} q2={red.hospital_budget}\n")
@@ -371,7 +381,7 @@ def _cmd_reduce(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_transpose(ns: argparse.Namespace) -> int:
+def _cmd_transpose(ns: SimpleNamespace) -> int:
     inst = parse_instance(_read(ns.file))
     sys.stdout.write(serialize_instance(transpose_instance(inst)))
     print(
@@ -382,82 +392,131 @@ def _cmd_transpose(ns: argparse.Namespace) -> int:
     return 0
 
 
+# Each command: its handler, its help line, whether it takes FILE, and
+# each option's flag with the keyword arguments of `add_argument`.  This
+# one table drives both the plain reader and the argparse parser.
+_COMMANDS = {
+    "check": (_cmd_check, "does a super-stable matching exist?", True, {}),
+    "solve1": (_cmd_solve1, "minimum hospital deletions against a budget", True, {
+        "--q": {"type": int, "required": True, "help": "hospital deletion budget"},
+    }),
+    "solve2": (_cmd_solve2, "two-side deletion within per-side budgets", True, {
+        "--q1": {"type": int, "required": True, "help": "doctor deletion budget"},
+        "--q2": {"type": int, "required": True, "help": "hospital deletion budget"},
+    }),
+    "closure": (_cmd_closure, "print the forbidding loop round by round", True, {
+        "--delete": {"nargs": "*", "default": [], "metavar": "HOSPITAL"},
+    }),
+    "verify": (_cmd_verify, "cross-check the solver against the oracle", True, {
+        "--mode": {"required": True, "choices": ["existence", "problem1", "problem2"]},
+        "--q1": {"type": int, "default": None},
+        "--q2": {"type": int, "default": None},
+    }),
+    "gen": (_cmd_gen, "emit a random instance deterministically", False, {
+        "--doctors": {"type": int, "required": True},
+        "--hospitals": {"type": int, "required": True},
+        "--density": {"type": float, "required": True},
+        "--tie-prob": {"type": float, "required": True},
+        "--seed": {"default": "0"},
+    }),
+    "reduce": (_cmd_reduce, "coverage data to a deletion instance", True, {}),
+    "transpose": (_cmd_transpose, "swap the doctor and hospital sides", True, {}),
+}
+
+_NO_TIMING_HELP = "omit elapsed_ms from stats so outputs are byte-stable"
+
+
+def _read_plain(argv: Sequence[str]) -> SimpleNamespace | None:
+    """The namespace `_build_parser().parse_args(argv)` returns, when argv
+    has the plain shape; else None, and argparse reads argv.
+
+    Plain means: the command, then its FILE and each of its options at
+    most once as `--name VALUE`, where no VALUE starts with `-` and
+    `--delete` takes the tokens up to the next one that does; and
+    `--no-timing`, on its own, before the command or between any two of
+    these."""
+    tokens = list(argv)
+    command = next((token for token in tokens if token != "--no-timing"), None)
+    if command not in _COMMANDS:
+        return None
+    run, _, takes_file, options = _COMMANDS[command]
+    given: dict[str, object] = {}
+    at = tokens.index(command) + 1
+    while at < len(tokens):
+        token = tokens[at]
+        at += 1
+        if token == "--no-timing":
+            continue
+        if not token.startswith("-"):
+            if not takes_file or "file" in given:
+                return None
+            given["file"] = token
+        elif token not in options or token in given:
+            return None
+        elif options[token].get("nargs") == "*":
+            end = at
+            while end < len(tokens) and not tokens[end].startswith("-"):
+                end += 1
+            given[token], at = tokens[at:end], end
+        elif at == len(tokens) or tokens[at].startswith("-"):
+            return None
+        else:
+            spec = options[token]
+            try:
+                value = spec.get("type", str)(tokens[at])
+            except ValueError:
+                return None
+            if "choices" in spec and value not in spec["choices"]:
+                return None
+            given[token], at = value, at + 1
+    if takes_file and "file" not in given:
+        return None
+    if any(spec.get("required") and flag not in given for flag, spec in options.items()):
+        return None
+    ns = SimpleNamespace(no_timing="--no-timing" in tokens, command=command, run=run)
+    if takes_file:
+        ns.file = given["file"]
+    for flag, spec in options.items():
+        setattr(ns, flag[2:].replace("-", "_"), given.get(flag, spec.get("default")))
+    return ns
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="superstab",
         description="Super-stable matchings with ties: existence, deletion minimization, "
         "and brute-force cross-checks.",
     )
-    parser.add_argument(
-        "--no-timing",
-        action="store_true",
-        help="omit elapsed_ms from stats so outputs are byte-stable",
-    )
+    parser.add_argument("--no-timing", action="store_true", help=_NO_TIMING_HELP)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check", help="does a super-stable matching exist?")
-    p.add_argument("file")
-    p.set_defaults(run=_cmd_check)
-
-    p = sub.add_parser("solve1", help="minimum hospital deletions against a budget")
-    p.add_argument("file")
-    p.add_argument("--q", type=int, required=True, help="hospital deletion budget")
-    p.set_defaults(run=_cmd_solve1)
-
-    p = sub.add_parser("solve2", help="two-side deletion within per-side budgets")
-    p.add_argument("file")
-    p.add_argument("--q1", type=int, required=True, help="doctor deletion budget")
-    p.add_argument("--q2", type=int, required=True, help="hospital deletion budget")
-    p.set_defaults(run=_cmd_solve2)
-
-    p = sub.add_parser("closure", help="print the forbidding loop round by round")
-    p.add_argument("file")
-    p.add_argument("--delete", nargs="*", default=[], metavar="HOSPITAL")
-    p.set_defaults(run=_cmd_closure)
-
-    p = sub.add_parser("verify", help="cross-check the solver against the oracle")
-    p.add_argument("file")
-    p.add_argument("--mode", required=True, choices=["existence", "problem1", "problem2"])
-    p.add_argument("--q1", type=int, default=None)
-    p.add_argument("--q2", type=int, default=None)
-    p.set_defaults(run=_cmd_verify)
-
-    p = sub.add_parser("gen", help="emit a random instance deterministically")
-    p.add_argument("--doctors", type=int, required=True)
-    p.add_argument("--hospitals", type=int, required=True)
-    p.add_argument("--density", type=float, required=True)
-    p.add_argument("--tie-prob", type=float, required=True)
-    p.add_argument("--seed", default="0")
-    p.set_defaults(run=_cmd_gen)
-
-    p = sub.add_parser("reduce", help="coverage data to a deletion instance")
-    p.add_argument("file")
-    p.set_defaults(run=_cmd_reduce)
-
-    p = sub.add_parser("transpose", help="swap the doctor and hospital sides")
-    p.add_argument("file")
-    p.set_defaults(run=_cmd_transpose)
-
-    # Accept --no-timing after the subcommand too.  SUPPRESS keeps an
-    # omitted sub-level flag from clobbering a value set before the
-    # subcommand, since absent attributes are not copied onto the
-    # parent namespace.
-    for p in sub.choices.values():
+    for command, (run, help_line, takes_file, options) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_line)
+        if takes_file:
+            p.add_argument("file")
+        for flag, spec in options.items():
+            p.add_argument(flag, **spec)
+        p.set_defaults(run=run)
+        # Accept --no-timing after the subcommand too.  SUPPRESS keeps an
+        # omitted sub-level flag from clobbering a value set before the
+        # subcommand, since absent attributes are not copied onto the
+        # parent namespace.
         p.add_argument(
-            "--no-timing",
-            action="store_true",
-            default=argparse.SUPPRESS,
-            help="omit elapsed_ms from stats so outputs are byte-stable",
+            "--no-timing", action="store_true", default=argparse.SUPPRESS, help=_NO_TIMING_HELP
         )
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    try:
-        ns = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code else 0
+    if argv is None:
+        argv = sys.argv[1:]
+    ns = _read_plain(argv)
+    if ns is None:
+        try:
+            ns = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return 2 if exc.code else 0
     try:
         return ns.run(ns)
     except Exception as exc:

@@ -7,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     STRICT_2X2_TEXT,
@@ -15,7 +17,7 @@ from conftest import (
     python_env,
     run_python,
 )
-from superstab.cli import generate_instance, main
+from superstab.cli import _COMMANDS, _build_parser, _read_plain, generate_instance, main
 from superstab.model import (
     Edge,
     doctor,
@@ -571,3 +573,114 @@ def test_module_entry_point(strict_file):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["answer"] == "yes"
+    # Both the plain reader and argparse read `sys.argv` when `main()` is
+    # called without arguments, as the console script calls it.
+    proc = subprocess.run(
+        [sys.executable, "-m", "superstab.cli", "solve1", strict_file],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("usage: superstab solve1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "superstab.cli", "--help"], capture_output=True, text=True
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: superstab")
+
+
+# Every command and option name, and tokens that take the other branches
+# of the plain reader or of argparse: abbreviations, `=`, help, `--`,
+# values that start with `-`, and values that fail or pass a conversion.
+ARGV_TOKENS = (
+    *_COMMANDS,
+    *sorted({flag for *_, options in _COMMANDS.values() for flag in options}),
+    *("--no-timing", "--no-tim", "--q=1", "-h", "--", "-", "-1", "", " 3", "1e3"),
+    *("existence", "problem1", "problem2", "bogus", "0", "2", "0.5"),
+    *("a.ssm", "b.ssm", "h1", "h2"),
+)
+# Option values that may fail to convert, or start with `-`.
+VALUE_TOKENS = (
+    *("0", "2", " 3", "0.5", "1e3", "-1", ""),
+    *("existence", "problem1", "problem2", "bogus", "h1"),
+)
+
+
+def plain_then_mutated_argv(rng: random.Random) -> list[str]:
+    """A command with FILE, its required options and some others, each
+    mostly with one value that converts, then up to three tokens inserted
+    from `ARGV_TOKENS`, dropped or swapped, so that the argv lands on both
+    sides of the plain shape."""
+    command = rng.choice(list(_COMMANDS))
+    _, _, takes_file, options = _COMMANDS[command]
+    argv = ["--no-timing", command] if rng.random() < 0.5 else [command]
+    if takes_file:
+        argv.append(rng.choice(("a.ssm", "b.ssm")))
+    flags = [flag for flag, spec in options.items() if spec.get("required") or rng.random() < 0.5]
+    rng.shuffle(flags)
+    for flag in flags:
+        spec = options[flag]
+        valid = spec.get("choices") or {int: ("0", "2", " 3"), float: ("0.5", "1e3")}.get(
+            spec.get("type"), ("h1", "7")
+        )
+        values = rng.choices(valid, k=rng.randint(0, 2) if spec.get("nargs") else 1)
+        argv += [flag, *(rng.choice(VALUE_TOKENS) if rng.random() < 0.2 else v for v in values)]
+    for _ in range(rng.randint(0, 3)):
+        at = rng.randint(0, len(argv))
+        move = rng.random()
+        if move < 0.5:
+            argv.insert(at, rng.choice(ARGV_TOKENS))
+        elif argv and move < 0.75:
+            del argv[at - 1]
+        elif len(argv) > 1:
+            i, j = rng.sample(range(len(argv)), 2)
+            argv[i], argv[j] = argv[j], argv[i]
+    return argv
+
+
+def assert_reader_agrees_with_argparse(parser, argv: list[str]):
+    """When the plain reader reads `argv`, argparse reads the same namespace
+    from it; returns the reader's namespace, or None."""
+    ns = _read_plain(argv)
+    if ns is not None:
+        try:
+            want = parser.parse_args(argv)
+        except SystemExit:
+            raise AssertionError(f"the reader accepts {argv!r}, argparse exits") from None
+        assert vars(ns) == vars(want), argv
+    return ns
+
+
+def test_the_plain_reader_agrees_with_argparse():
+    parser, rng = _build_parser(), random.Random(15)
+    read = []
+    for _ in range(50_000):
+        for argv in (plain_then_mutated_argv(rng), rng.choices(ARGV_TOKENS, k=rng.randint(0, 8))):
+            ns = assert_reader_agrees_with_argparse(parser, argv)
+            if ns is not None:
+                read.append(ns.command)
+    assert len(read) > 10_000 and set(read) == set(_COMMANDS)
+
+
+@given(
+    st.lists(st.sampled_from(ARGV_TOKENS), max_size=10)
+    | st.randoms(use_true_random=False).map(plain_then_mutated_argv)
+)
+@settings(max_examples=500, deadline=None)
+def test_the_plain_reader_agrees_with_argparse_property(argv):
+    assert_reader_agrees_with_argparse(_build_parser(), argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--no-timing", "closure", "FILE"],
+        ["--no-timing", "solve1", "FILE", "--q", "0"],
+        ["--no-timing", "solve2", "FILE", "--q1", "1", "--q2", "2"],
+        ["--no-timing", "verify", "FILE", "--mode", "problem1"],
+        ["closure", "FILE", "--delete", "h1", "h2", "--no-timing"],
+        ["gen", "--doctors", "3", "--hospitals", "2", "--density", "0.5", "--tie-prob", "0"],
+    ],
+)
+def test_the_plain_reader_reads_the_benchmark_shapes(argv):
+    assert assert_reader_agrees_with_argparse(_build_parser(), argv) is not None

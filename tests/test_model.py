@@ -638,6 +638,17 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     tie = str(DATA / "tie.ssm")
     assert "superstab.oracle" not in _modules_loaded("solve2", tie, "--q1", "1", "--q2", "1")
     assert "superstab.hardness" not in _modules_loaded("verify", tie, "--mode", "problem1")
+    # argparse, and the gettext it imports, load only for help and usage errors.
+    parser = {"argparse", "gettext"}
+    for args in (
+        ["check", tie],
+        ["solve1", tie, "--q", "1"],
+        ["closure", tie],
+        ["solve2", tie, "--q1", "1", "--q2", "1"],
+        ["verify", tie, "--mode", "problem1"],
+    ):
+        assert parser & _modules_loaded(*args) == set(), args
+    assert parser <= _modules_loaded("--help")
     # The package loads its modules on first access; `dir` still lists every name.
     code = "import superstab; names = dir(superstab); print(set(superstab.__all__) <= set(names))"
     assert run_python(0, "-S", "-c", code).stdout == b"True\n"
