@@ -205,11 +205,11 @@ def solve_two_side_deletion(
 
     Each subset runs the closure loop once, with its doctors skipped.
     At the fixed point the critical count is
-    |hospitals whose pool is non-empty| - |doctors still on a group|:
+    |hospitals whose pool is non-empty| - |doctors with a live proposal|:
     every proposed edge is either forbidden or held, so a non-empty pool
-    is exactly what `critical_hospitals` calls wanted; and each live
+    is exactly what `critical_hospitals` calls wanted; and each such
     doctor's smallest-name live edge is held by a hospital of its own, so
-    the matched hospitals are one per live doctor, all of them wanted.
+    the matched hospitals are one per such doctor, all of them wanted.
     The first subset within the hospital budget reads its critical set
     from the same run, as `solve_min_hospital_deletion` would on the
     instance without those doctors.

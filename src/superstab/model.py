@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import re
 from functools import cached_property
-from itertools import accumulate, chain, count, repeat
+from itertools import accumulate, chain, count, groupby, repeat
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -157,9 +157,10 @@ class Instance(_Record):
     of the doctor's list.  Per edge id the core keeps the doctor index
     (`_ed`), the hospital index (`_eh`) and the edge's rank on the
     doctor's and on the hospital's list (`_dl`, `_hl`).  Doctor i's ids
-    run from `_first[i]` up to `_first[i + 1]`, and `_groups[i]` holds
-    them in tie groups, best first, once a closure has needed them;
-    `_by_h[j]` lists hospital j's ids in the order of its list.
+    run from `_first[i]` up to `_first[i + 1]`; `_by_h[j]` lists
+    hospital j's ids in the order of its list.  Every list is in rank
+    order, best first, so a tie group is a run of equal rank: of `_dl`
+    in a doctor's ids, of `_hl` in `_by_h[j]`.
 
     `edges`, `rank`, `doctor_rank` and `hospital_rank` are views of the
     core, built on first read.  `rank` maps every vertex to a mapping
@@ -201,18 +202,6 @@ class Instance(_Record):
             (v, tuple(sorted(self.rank[v].items()))) for v in sorted(self.rank)
         )
         return hash((self.doctors, self.hospitals, self.edges, tables))
-
-    @cached_property
-    def _groups(self) -> list[list[list[int]]]:
-        """Per doctor, its ids in tie groups, best first, each in id order;
-        built when a closure first needs them."""
-        first, rank, groups = self._first, self._dl, []
-        for a, b in zip(first, first[1:]):
-            by_rank: dict[int, list[int]] = {}
-            for e in range(a, b):
-                by_rank.setdefault(rank[e], []).append(e)
-            groups.append(list(map(by_rank.__getitem__, sorted(by_rank))))
-        return groups
 
     @cached_property
     def _edge(self) -> tuple[Edge, ...]:
@@ -274,7 +263,8 @@ def _build(
     """The instance with these lists, one per declared doctor and hospital
     in declaration order, built without `_validate_instance`; or None when
     a list names an unknown partner or a partner twice, or some listing
-    is one-sided.
+    is one-sided.  Each list must be in rank order, best first; the core
+    keeps that order (see `Instance`).
 
     The checks run in bulk, in C: a set-subset check for the hospitals
     the doctors name, one id lookup per hospital entry for the doctors
@@ -318,11 +308,13 @@ def _table_lists(
     rank: Mapping[Vertex, Mapping[Edge, int]], doctors: tuple[str, ...], hospitals: tuple[str, ...]
 ) -> list[list[_Entries]]:
     """The doctors' and the hospitals' lists in the rank tables, in
-    declaration order, as `_build` reads them."""
+    declaration order, as `_build` reads them: each table in rank order,
+    tied edges in table order."""
     out = []
     for side, names, partner in ((DOCTOR, doctors, itemgetter(1)), (HOSPITAL, hospitals, itemgetter(0))):
         tables = map(rank.__getitem__, map(Vertex, repeat(side), names))
-        out.append([(list(map(partner, t)), list(t.values())) for t in tables])
+        ordered = (sorted(t.items(), key=itemgetter(1)) for t in tables)  # stable: ties keep table order
+        out.append([([partner(e) for e, _ in t], [r for _, r in t]) for t in ordered])
     return out
 
 
@@ -570,10 +562,8 @@ def serialize_instance(inst: Instance) -> str:
 
     lines = [name_line("doctors", inst.doctors), name_line("hospitals", inst.hospitals)]
     for v, (names, ranks) in zip(inst.vertices(), chain(*_lists(inst))):
-        by_rank: dict[int, list[str]] = {}
-        for name, r in zip(names, ranks):
-            by_rank.setdefault(r, []).append(name)
-        groups = map(sorted, map(by_rank.__getitem__, sorted(by_rank)))
+        runs = groupby(zip(ranks, names), itemgetter(0))  # the tie groups: runs of equal rank
+        groups = [sorted(map(itemgetter(1), run)) for _, run in runs]
         parts = [f"({' '.join(g)})" if len(g) > 1 else g[0] for g in groups]
         lines.append(f"pref {v.name}:" + ("" if not parts else " " + " ".join(parts)))
     return "\n".join(lines) + "\n"

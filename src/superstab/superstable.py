@@ -128,26 +128,30 @@ def _fixed_point(inst: Instance, skip: Collection[str] = (), gone: Collection[st
 
     Returns the log and the critical count: how many hospitals the
     one-side solver deletes, that is, the hospitals whose pool of proposed
-    and forbidden edges is non-empty minus the doctors still on a tie
-    group (`hardness.solve_two_side_deletion` says why).
+    and forbidden edges is non-empty minus the doctors left with a live
+    proposal (`hardness.solve_two_side_deletion` says why).
     """
-    eh, hl, ed, groups = inst._eh, inst._hl, inst._ed, inst._groups
+    eh, hl, ed, dl, first = inst._eh, inst._hl, inst._ed, inst._dl, inst._first
     keep = [h not in gone for h in inst.hospitals] if gone else ()
-    # Per doctor: its current group (-1 before it first proposes) and how
-    # many of its current proposals are not yet forbidden.
-    position = [-1] * len(groups)
-    left = [0] * len(groups)
+    # Per doctor: the id its next tie group starts at, and how many of its
+    # current proposals are not yet forbidden (0 when it has none left).
+    at = first[:-1]
+    left = [0] * len(at)
 
     def propose(d: int) -> Sequence[int]:
-        """Move doctor `d` to its next tie group with an edge to a hospital
-        not in `gone`, and return those edges (none past its last group)."""
-        mine, i, group = groups[d], position[d] + 1, ()
-        while i < len(mine):
-            group = [e for e in mine[i] if keep[eh[e]]] if gone else mine[i]
+        """Move doctor `d` to its next tie group, the next run of equal rank
+        in its ids, with an edge to a hospital not in `gone`, and return
+        those edges (none past its last group)."""
+        i, stop, group = at[d], first[d + 1], ()
+        while i < stop:
+            j, r = i + 1, dl[i]
+            while j < stop and dl[j] == r:
+                j += 1
+            group = [e for e in range(i, j) if keep[eh[e]]] if gone else range(i, j)
+            i = j
             if group:
                 break
-            i += 1
-        position[d], left[d] = i, len(group)
+        at[d], left[d] = i, len(group)
         return group
 
     # Per hospital: the best rank in its pool (0 while the pool is empty),
@@ -186,7 +190,8 @@ def _fixed_point(inst: Instance, skip: Collection[str] = (), gone: Collection[st
             left[d] -= 1
             if not left[d]:
                 new += propose(d)
-    return log, n - best.count(0) - sum(0 <= i < len(g) for i, g in zip(position, groups))
+    # At the fixed point a doctor has a live proposal exactly when left[d] > 0.
+    return log, n - best.count(0) - (len(left) - left.count(0))
 
 
 def closure(

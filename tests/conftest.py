@@ -205,6 +205,17 @@ def reference_exists_super_stable(inst: Instance, deleted=()) -> frozenset[Edge]
     return None if cert.critical else cert.matching
 
 
+def shuffled_tables_twin(inst: Instance, rng: random.Random) -> Instance:
+    """`Instance(...)` built from the rank tables of `inst`, with the tables
+    and the entries of each in a shuffled order.  It equals `inst`, but
+    tied edges may sit in another order in its core."""
+    tables = [(v, list(table.items())) for v, table in inst.rank.items()]
+    rng.shuffle(tables)
+    for _, entries in tables:
+        rng.shuffle(entries)
+    return Instance(inst.doctors, inst.hospitals, inst.edges, {v: dict(entries) for v, entries in tables})
+
+
 def rank_groups(inst: Instance, v: Vertex) -> list[list[str]]:
     """The partners `v` ranks in `inst.rank`, in tie groups best first,
     each group sorted by name."""
@@ -296,10 +307,12 @@ def reference_rounds(initial: frozenset[Edge], log) -> tuple[ClosureRound, ...]:
 
 
 def reference_tie_groups(inst: Instance, gone=()) -> dict[str, list[list[tuple[Edge, int]]]]:
-    """The Edge-keyed tie groups that `superstable._tie_groups` built before
-    the loop ran on edge ids: per doctor name, in the order of `inst.rank`,
-    its tie groups best first, without the edges of the hospitals named in
-    `gone`; each entry carries the edge's rank on the hospital's list."""
+    """The Edge-keyed tie groups that the loop read before it ran on edge
+    ids: per doctor name, in the order of `inst.rank`, its tie groups best
+    first, without the edges of the hospitals named in `gone`; each entry
+    carries the edge's rank on the hospital's list.  The loop now reads
+    each group as a run of equal rank in the core, so this is the only
+    tie-group builder left, and the reference for those runs."""
     hospital_rank = inst.hospital_rank
     groups = {}
     for v, table in inst.rank.items():

@@ -86,6 +86,9 @@ def test_parse_coverage_comments_and_blanks():
         ("ground: a\nset A: b\nx: 0\ny: 0\n", "not in the ground set"),
         ("ground: a\nset A: a a\nx: 0\ny: 0\n", "duplicate set member"),
         ("ground: a a\nx: 0\ny: 0\n", "duplicate ground element"),
+        # The ground line's own check comes first: `CoverageInstance` alone
+        # would report the stray member of line 2 instead.
+        ("ground: a a\nset S: b\nx: 0\ny: 0\n", "^line 1: duplicate ground element 'a'$"),
         ("ground: a\nx: two\ny: 0\n", "'x:' needs an integer"),
         ("ground: a\nx: 0\nx: 1\ny: 0\n", "second 'x:'"),
         ("ground: a\nx: 0\ny: 0\ny: 1\n", "second 'y:'"),

@@ -21,6 +21,7 @@ from conftest import (
     reference_parse_instance,
     run_python,
     sample_instances,
+    shuffled_tables_twin,
 )
 from superstab.cli import generate_instance
 from superstab.model import (
@@ -380,6 +381,37 @@ def test_serialize_handles_rank_gaps():
     text = serialize_instance(inst)
     assert "pref d1: h1 h2" in text
     assert serialize_instance(parse_instance(text)) == text
+
+
+def core_rank_lists(inst):
+    """The ranks along each list of the core of `inst`: `_dl` over each
+    doctor's ids, then `_hl` over each `_by_h[j]`."""
+    first = inst._first
+    doctor_lists = [inst._dl[a:b] for a, b in zip(first, first[1:])]
+    return doctor_lists + [[inst._hl[e] for e in ids] for ids in inst._by_h]
+
+
+@given(instances(max_doctors=4, max_hospitals=4), st.randoms(use_true_random=False))
+def test_every_builder_keeps_each_core_list_in_rank_order(inst, rng):
+    twin = shuffled_tables_twin(inst, rng)
+    removed = [v for v in inst.vertices() if rng.random() < 0.3]
+    ground = tuple(f"e{j}" for j in range(1, rng.randint(1, 4) + 1))
+    families = tuple(
+        frozenset(rng.sample(ground, rng.randint(0, len(ground)))) for _ in range(rng.randint(1, 4))
+    )
+    built = {
+        "parse_instance": parse_instance(serialize_instance(inst)),
+        "make_instance": inst,
+        "Instance": twin,
+        "induced_instance": induced_instance(twin, removed),
+        "transpose_instance": transpose_instance(twin),
+        "reduce_min_coverage": reduce_min_coverage(CoverageInstance(ground, families, 0, 0)).instance,
+        "generate_instance": generate_instance(
+            rng.randint(0, 5), rng.randint(0, 5), rng.random(), rng.random(), seed=rng.random()
+        ),
+    }
+    for builder, out in built.items():
+        assert all(ranks == sorted(ranks) for ranks in core_rank_lists(out)), builder
 
 
 @given(instances())

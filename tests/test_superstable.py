@@ -3,7 +3,7 @@ from __future__ import annotations
 import logging
 import random
 import tracemalloc
-from itertools import chain, combinations, product
+from itertools import chain, combinations, islice, product
 
 import pytest
 from hypothesis import given, settings
@@ -22,9 +22,10 @@ from conftest import (
     reference_rounds,
     reference_tie_groups,
     sample_instances,
+    shuffled_tables_twin,
 )
 from superstab.cli import generate_instance
-from superstab.hardness import CoverageInstance, reduce_min_coverage
+from superstab.hardness import CoverageInstance, reduce_min_coverage, solve_two_side_deletion
 from superstab.model import (
     HOSPITAL,
     Edge,
@@ -35,6 +36,7 @@ from superstab.model import (
     induced_instance,
     is_super_stable,
     parse_instance,
+    serialize_instance,
     transpose_instance,
 )
 from superstab.oracle import enumerate_super_stable, oracle_min_hospital_deletion
@@ -189,9 +191,10 @@ def test_closure_on_a_master_list_takes_one_round_per_doctor():
     assert closure_trace_violations(inst, set(), cert.forbidden, cert.trace) == []
 
 
-def log_samples():
+def log_samples(twins: bool = True):
     """Seeded random instances up to 8x8 with tie 0, 0.3, 0.7 and 1,
-    master-list instances and small coverage reductions."""
+    master-list instances and small coverage reductions; then, unless
+    `twins` is false, the `Instance(...)` twins of `twin_pairs()`."""
     rng = random.Random("closure-log")
     for i in range(160):
         n, m = rng.randint(1, 8), rng.randint(1, 8)
@@ -206,6 +209,34 @@ def log_samples():
             for _ in range(rng.randint(2, 5))
         )
         yield reduce_min_coverage(CoverageInstance(ground, fams, 1, 0)).instance
+    if twins:
+        yield from (twin for _, twin in twin_pairs())
+
+
+def twin_pairs():
+    """One in six of the other `log_samples()`, each with its twin built by
+    `Instance(...)` from its rank tables in a shuffled order."""
+    rng = random.Random("closure-log-twins")
+    for inst in islice(log_samples(twins=False), 0, None, 6):
+        yield inst, shuffled_tables_twin(inst, rng)
+
+
+def test_twins_from_shuffled_tables_answer_as_their_originals():
+    """The twin's certificate, closure rounds, two-side witnesses and text
+    are those of the original, though its tied edges may sit in another
+    order in the core."""
+    rng = random.Random("closure-log-twins-deletions")
+    reordered = 0
+    for inst, twin in twin_pairs():
+        assert twin == inst
+        assert serialize_instance(twin) == serialize_instance(inst)
+        assert solve_min_hospital_deletion(twin) == solve_min_hospital_deletion(inst)
+        deleted = as_hospitals(h for h in inst.hospitals if rng.random() < 0.3)
+        assert closure(twin, deleted)[1].rounds == closure(inst, deleted)[1].rounds
+        for q2 in range(3):
+            assert solve_two_side_deletion(twin, 2, q2) == solve_two_side_deletion(inst, 2, q2)
+        reordered += twin._eh != inst._eh or twin._by_h != inst._by_h
+    assert reordered >= 10, reordered
 
 
 def test_solver_reads_from_the_log_what_the_rescans_and_the_eager_rounds_give():
