@@ -68,9 +68,9 @@ _LAZY = {
 def __getattr__(name: str) -> object:
     if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib import import_module  # not at the top: `site` may not have loaded it
-
-    value = getattr(import_module(f".{_LAZY[name]}", __package__), name)
+    # The import statement's own hook, not `importlib`: it loads no module
+    # of its own, and `-X importtime` lists what it imports.
+    value = getattr(__import__(_LAZY[name], globals(), None, (name,), 1), name)
     globals()[name] = value
     return value
 

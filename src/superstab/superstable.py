@@ -17,9 +17,10 @@ it, `ClosureTrace.changes()` walks it round by round, the full rounds are
 built from that walk on first access, and the matching and the critical
 set are read straight from the log.
 
-Every one-side question, and each doctor subset that the two-side search
-in `hardness` tries, is one run of `_fixed_point`, read with `_outcome`;
-no caller copies the instance.  Both work on the instance's integer core
+Every one-side question is one run of `_fixed_point`, read with
+`_outcome`; the two-side search in `hardness` drives the same rounds,
+from `_loop`, resuming them from one doctor subset's fixed point to the
+next.  No caller copies the instance.  The loop works on its integer core
 (see `model.Instance`): edge ids, doctor and hospital indices, and state
 in lists indexed by them; `Edge` and `Vertex` objects are made only for
 what a caller reads.  The deleted vertices of both sides are arguments
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cached_property
-from typing import Collection, Iterable, Iterator, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from .model import (
     HOSPITAL,
@@ -49,6 +50,8 @@ from .model import (
 
 # Per round of the loop, the ids newly proposed and the ids newly forbidden.
 _Log = list[tuple[list[int], list[int]]]
+# The loop's state, as `_loop` describes it.
+_State = tuple[list[int], list[int], list[int], list[int], list[int]]
 
 
 class ClosureRound(_Record):
@@ -121,15 +124,20 @@ class DeletionCertificate(_Record):
     _fields = ("forbidden", "matching", "critical", "trace")
 
 
-def _fixed_point(inst: Instance, skip: Collection[str] = (), gone: Collection[str] = ()) -> tuple[_Log, int]:
-    """Run the forbidding loop on `inst` without the doctors named in
-    `skip` and the hospitals named in `gone`: a skipped doctor never
-    proposes, and a doctor passes over the edges of gone hospitals.
+def _loop(
+    inst: Instance, gone: Collection[str] = ()
+) -> tuple[Callable[[int], Sequence[int]], Callable[[list[int]], _Log], _State]:
+    """The forbidding loop on `inst` without the hospitals named in `gone`,
+    with no doctor proposing yet: a doctor passes over the edges of gone
+    hospitals.
 
-    Returns the log and the critical count: how many hospitals the
-    one-side solver deletes, that is, the hospitals whose pool of proposed
-    and forbidden edges is non-empty minus the doctors left with a live
-    proposal (`hardness.solve_two_side_deletion` says why).
+    Returns `propose`, `run` and the loop's state.  `propose(d)` moves
+    doctor index `d` to its next tie group and returns its edges; `run(new)`
+    lets the proposals `new` arrive, runs rounds until none is forbidden
+    and returns their log.  The state is five lists that only these two
+    change, in place: per doctor, `at` and `left`; per hospital, `best`,
+    `ties` and `top`.  A caller may copy them and later assign the copies
+    back, slice for slice, to resume from the copied state.
     """
     eh, hl, ed, dl, first = inst._eh, inst._hl, inst._ed, inst._dl, inst._first
     keep = [h not in gone for h in inst.hospitals] if gone else ()
@@ -159,39 +167,63 @@ def _fixed_point(inst: Instance, skip: Collection[str] = (), gone: Collection[st
     # hospital holds that edge exactly when it is the only one at that rank.
     n = len(inst.hospitals)
     best, ties, top = [0] * n, [0] * n, [0] * n
-    log: _Log = []
-    new = [e for d, name in enumerate(inst.doctors) if name not in skip for e in propose(d)]
-    while True:
-        arrivals: dict[int, list[int]] = {}
-        for e in new:
-            arrivals.setdefault(eh[e], []).append(e)
-        lost: list[int] = []
-        for h, live in arrivals.items():
-            b, c, t = best[h], ties[h], top[h]
-            held = t if c == 1 else -1
-            for e in live:
-                r = hl[e]
-                if not b or r < b:
-                    b, c, t = r, 1, e
-                elif r == b:
-                    c += 1
-            best[h], ties[h], top[h] = b, c, t
-            if held >= 0:
-                live.append(held)
-            for e in live:
-                if c != 1 or e != t:
-                    lost.append(e)
-        log.append((new, lost))
-        if not lost:
-            break
-        new = []
-        for e in lost:
-            d = ed[e]
-            left[d] -= 1
-            if not left[d]:
-                new += propose(d)
-    # At the fixed point a doctor has a live proposal exactly when left[d] > 0.
-    return log, n - best.count(0) - (len(left) - left.count(0))
+
+    def run(new: list[int]) -> _Log:
+        log: _Log = []
+        while True:
+            arrivals: dict[int, list[int]] = {}
+            for e in new:
+                arrivals.setdefault(eh[e], []).append(e)
+            lost: list[int] = []
+            for h, live in arrivals.items():
+                b, c, t = best[h], ties[h], top[h]
+                held = t if c == 1 else -1
+                for e in live:
+                    r = hl[e]
+                    if not b or r < b:
+                        b, c, t = r, 1, e
+                    elif r == b:
+                        c += 1
+                best[h], ties[h], top[h] = b, c, t
+                if held >= 0:
+                    live.append(held)
+                for e in live:
+                    if c != 1 or e != t:
+                        lost.append(e)
+            log.append((new, lost))
+            if not lost:
+                return log
+            new = []
+            for e in lost:
+                d = ed[e]
+                left[d] -= 1
+                if not left[d]:
+                    new += propose(d)
+
+    return propose, run, (at, left, best, ties, top)
+
+
+def _count(state: _State) -> int:
+    """The critical count at a fixed point of the loop with this state: the
+    hospitals whose pool of proposed and forbidden edges is non-empty minus
+    the doctors left with a live proposal (`hardness.solve_two_side_deletion`
+    says why).  At a fixed point a doctor has a live proposal exactly when
+    its `left` is positive."""
+    _, left, best, _, _ = state
+    return len(best) - best.count(0) - (len(left) - left.count(0))
+
+
+def _fixed_point(inst: Instance, skip: Collection[str] = (), gone: Collection[str] = ()) -> tuple[_Log, int]:
+    """Run the forbidding loop on `inst` without the doctors named in
+    `skip` and the hospitals named in `gone`: a skipped doctor never
+    proposes, and a doctor passes over the edges of gone hospitals.
+
+    Returns the log and the critical count: how many hospitals the
+    one-side solver deletes (see `_count`).
+    """
+    propose, run, state = _loop(inst, gone)
+    log = run([e for d, name in enumerate(inst.doctors) if name not in skip for e in propose(d)])
+    return log, _count(state)
 
 
 def closure(

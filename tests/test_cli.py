@@ -18,6 +18,7 @@ from conftest import (
     run_python,
 )
 from superstab.cli import _COMMANDS, _build_parser, _read_plain, generate_instance, main
+from superstab.hardness import parse_coverage, reduce_min_coverage
 from superstab.model import (
     Edge,
     doctor,
@@ -540,6 +541,16 @@ def test_missing_and_malformed_files(capsys, tmp_path):
     assert "missing 'hospitals:'" in captured.err
 
 
+FIVE_FAMILIES = """ground: a b c d e f
+set A: a b
+set B: b c d
+set C: c d
+set D: a e f
+set E: d f
+x: 3
+y: 4
+"""
+
 EVERY_COMMAND = (["check"], ["solve1", "--q", "1"], ["solve2", "--q1", "0", "--q2", "2"], ["closure"])
 
 
@@ -551,6 +562,8 @@ EVERY_COMMAND = (["check"], ["solve1", "--q", "1"], ["solve2", "--q1", "0", "--q
         # Many rounds over sets of edges, where the closure's walk order
         # would show if it leaked into the output.
         pytest.param("gen-30x30", (["closure"], ["solve1", "--q", "0"]), id="gen-30x30"),
+        # The two-side walk over doctor subsets; the first hit has two doctors.
+        pytest.param("reduce-cover", (["solve2", "--q1", "2", "--q2", "4"],), id="reduce-cover"),
     ],
 )
 def test_output_does_not_depend_on_hash_seed(name, commands, tmp_path):
@@ -558,6 +571,10 @@ def test_output_does_not_depend_on_hash_seed(name, commands, tmp_path):
     if name.startswith("gen-"):
         path = tmp_path / name
         path.write_text(serialize_instance(generate_instance(30, 30, 0.3, 0.5, seed=name)))
+    if name == "reduce-cover":
+        path = tmp_path / name
+        red = reduce_min_coverage(parse_coverage(FIVE_FAMILIES))
+        path.write_text(serialize_instance(red.instance))
     for args in commands:
         cmd = ["-m", "superstab.cli", "--no-timing", args[0], str(path), *args[1:]]
         runs = [run_python(seed, *cmd) for seed in (0, 1)]

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from superstab.cli import generate_instance
 from superstab.hardness import (
     CoverageInstance,
+    _first_hit,
     oracle_min_coverage,
     parse_coverage,
     reduce_min_coverage,
@@ -290,3 +291,67 @@ def test_loop_critical_count_equals_the_induced_solver_on_every_doctor_subset():
 @settings(max_examples=120, deadline=None)
 def test_solver_witness_equals_the_induced_scan_property(inst, q1, q2):
     assert solve_two_side_deletion(inst, q1, q2) == reference_two_side_deletion(inst, q1, q2)
+
+
+def assert_walk_matches_fresh_runs(inst, lo=-1, hi=None):
+    """One walk of `_first_hit` over the sizes (lo, hi], where no subset is
+    a hit, reaches every subset of those sizes once and reads the count a
+    fresh run gives it.  Returns how many subsets it reached."""
+    names = sorted(inst.doctors)
+    hi = len(names) if hi is None else hi
+    seen = []
+    _first_hit(inst, names, lo, hi, lambda combo, count: seen.append((combo, count)))
+    for size in range(lo + 1, hi + 1):
+        # Each size in name order, so the first hit of a size is the scan's.
+        assert [combo for combo, _ in seen if len(combo) == size] == list(combinations(names, size))
+    assert len(seen) == sum(1 for combo, _ in seen if lo < len(combo) <= hi)
+    for combo, count in seen:
+        assert count == _fixed_point(inst, combo)[1], (inst, combo)
+    return len(seen)
+
+
+def test_walk_count_equals_a_fresh_run_on_every_doctor_subset():
+    subsets = 0
+    for inst in critical_count_samples():
+        subsets += assert_walk_matches_fresh_runs(inst)
+        n = len(inst.doctors)
+        for lo, hi in ((-1, 0), (0, 1), (1, 3), (3, 7)):
+            if lo < n:
+                assert_walk_matches_fresh_runs(inst, lo, min(hi, n))
+    assert subsets > 6000
+
+
+@given(instances(max_doctors=6, max_hospitals=5), st.data())
+@settings(max_examples=120, deadline=None)
+def test_walk_count_equals_a_fresh_run_on_every_doctor_subset_property(inst, data):
+    assert_walk_matches_fresh_runs(inst)
+    n = len(inst.doctors)
+    lo = data.draw(st.integers(-1, n - 1), label="lo")
+    assert_walk_matches_fresh_runs(inst, lo, data.draw(st.integers(lo + 1, n), label="hi"))
+
+
+def test_walk_stops_early_on_twenty_doctors():
+    # The smallest critical counts by doctor subset size are 7, 6 and 4 for
+    # sizes 0, 1 and 2, so these budgets hit first at sizes 1 and 2.
+    inst = generate_instance(20, 12, 0.2, 0.5, seed="twenty-0")
+    for q2, size in ((6, 1), (4, 2)):
+        got = solve_two_side_deletion(inst, 20, q2)
+        assert got == reference_two_side_deletion(inst, 20, q2)
+        assert sum(1 for v in got if v.side == "D") == size
+
+
+def test_the_hits_run_gives_the_matching_of_the_graph_without_the_witness():
+    """Per doctor subset D', the run on G - D' and the run on G - D' - C,
+    C its critical set, end in the same matching.  Every edge to C is
+    forbidden by the end of the first run, and lies only in the pool of
+    its hospital in C.  So the first run's final state, less the pools of
+    C, is a fixed point of the second run's loop, and by the monotonicity
+    of the loop the least one: both runs hold the same edges."""
+    pairs = 0
+    for inst in critical_count_samples():
+        names = sorted(inst.doctors)
+        for combo in chain.from_iterable(combinations(names, k) for k in range(len(names) + 1)):
+            matching, critical = _outcome(inst, _fixed_point(inst, combo)[0])
+            assert matching == exists_super_stable(inst, {doctor(n) for n in combo} | critical)
+            pairs += 1
+    assert pairs > 6000

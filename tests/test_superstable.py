@@ -29,6 +29,7 @@ from superstab.hardness import CoverageInstance, reduce_min_coverage, solve_two_
 from superstab.model import (
     HOSPITAL,
     Edge,
+    Instance,
     Vertex,
     all_doctor_choices,
     doctor,
@@ -670,6 +671,44 @@ def test_critical_set_of_a_disjoint_union_is_the_union_of_critical_sets(a, b):
         for v in solve_min_hospital_deletion(inst).critical
     }
     assert solve_min_hospital_deletion(union).critical == expect
+
+
+def forbidden_without(inst, skip=(), gone=()):
+    """The edges the loop forbids on `inst` without the doctors `skip` and
+    the hospitals `gone`, and the critical count."""
+    log, count = _fixed_point(inst, skip, gone)
+    return {inst._edge[e] for _, lost in log for e in lost}, count
+
+
+@given(instances(max_doctors=6, max_hospitals=6), st.data())
+@settings(max_examples=200, deadline=None)
+def test_skipping_more_doctors_forbids_a_subset_property(inst, data):
+    """F(G - D'') is a subset of F(G - D') when D' is a subset of D'':
+    the lemma that lets the two-side walk resume the loop."""
+    more = data.draw(st.sets(st.sampled_from(inst.doctors)) if inst.doctors else st.just(set()))
+    fewer = data.draw(st.sets(st.sampled_from(sorted(more))) if more else st.just(set()))
+    gone = data.draw(st.sets(st.sampled_from(inst.hospitals)) if inst.hospitals else st.just(set()))
+    assert forbidden_without(inst, more, gone)[0] <= forbidden_without(inst, fewer, gone)[0]
+
+
+@given(instances(max_doctors=6, max_hospitals=6), st.data())
+@settings(max_examples=200, deadline=None)
+def test_declaration_order_does_not_change_the_answers_property(inst, data):
+    """Declaring the doctors and the hospitals in another order renumbers
+    the core, and so changes the order in which arrivals reach the loop;
+    the forbidden set, the critical set and the count stay the same."""
+    twin = Instance(
+        tuple(data.draw(st.permutations(inst.doctors), label="doctors")),
+        tuple(data.draw(st.permutations(inst.hospitals), label="hospitals")),
+        inst.edges,
+        inst.rank,
+    )
+    assert closure(twin)[0] == closure(inst)[0]
+    assert solve_min_hospital_deletion(twin).critical == solve_min_hospital_deletion(inst).critical
+    skip = data.draw(st.sets(st.sampled_from(inst.doctors)) if inst.doctors else st.just(set()))
+    gone = data.draw(st.sets(st.sampled_from(inst.hospitals)) if inst.hospitals else st.just(set()))
+    assert forbidden_without(twin, skip, gone) == forbidden_without(inst, skip, gone)
+    assert closure(twin, as_hospitals(gone))[0] == closure(inst, as_hospitals(gone))[0]
 
 
 def test_deeper_rounds_example():
