@@ -14,9 +14,9 @@ _MODULES = ("model", "superstable", "oracle", "hardness")
 
 
 def _module(name: str):
-    from importlib import import_module  # not at the top: `site` may not have loaded it
-
-    return import_module(f"{__name__}.{name}")
+    # The import statement's own hook, not `importlib`: it loads no module
+    # of its own, and `-X importtime` lists what it imports.
+    return __import__(name, globals(), None, (), 1)
 
 
 def __getattr__(name: str) -> object:

@@ -1,17 +1,31 @@
 """Exhaustive ground truth for desk-scale instances.
 
-Everything here enumerates: matchings by binary include/exclude over the
-edge list, in one iterative walk that no recursion limit bounds.  Nothing
-shares logic with the fixed-point solver, which is the point; use these
-to cross-check it, never for real workloads.  Hard caps guard against
-runaway searches and raise CapExceeded instead of truncating silently.
+Everything here enumerates, in iterative walks that no recursion limit
+bounds: `_walk` takes or leaves each edge in turn, and `_least_blocking`
+settles one doctor at a time.  Nothing shares logic with the fixed-point
+solver, which is the point; use these to cross-check it, never for real
+workloads.  Hard caps guard against runaway searches and raise
+CapExceeded instead of truncating silently.
 
 Minimum hospital deletion takes one walk.  For a matching M of G, let
 B(M) be the hospitals of the edges that block M in G.  Deleting
 hospitals keeps the order of the remaining ranks, so M is super-stable
 in G minus a hospital set S exactly when S holds none of M's hospitals
-and all of B(M).  The minimum is the least |B(M)| over matchings M that
-leave all of B(M) unmatched, and each feasible set of that size is one.
+and all of B(M).  Such an S holds a B(M) that works too, so the first
+hit of a scan over hospital subsets by size, in sorted name order, is
+the least B(M) by size, then sorted names, over the matchings M that
+leave all of B(M) unmatched.
+
+The walk settles the doctors in name order, each on one edge m or on
+none.  Each other edge e the doctor ranks no worse than m (each edge,
+with none) demands that its hospital end unmatched, and so in B(M), or
+matched by an edge it ranks strictly above e.  A branch is cut by a
+demand on a hospital holding an edge it ranks no higher than e, by
+taking an edge that its hospital ranks no higher than a demand there,
+and by more demanded hospitals unmatched and out of every later
+doctor's reach, so sure to be in B(M), than the best set so far holds.
+The cuts drop only infeasible matchings and worse sets; at a leaf, B(M)
+is the demanded hospitals left unmatched.
 
 Two-side deletion is a loop over doctor subsets D', each running that
 walk on G minus D', whose ranks keep their order too.
@@ -43,13 +57,10 @@ def _cap_exceeded(count: int, what: str, search: str, keyword: str, cap: int) ->
     )
 
 
-def _walk(
-    pool: list[Edge], ranks: tuple[dict, dict] | None = None, take_first: bool = False
-) -> Iterator[tuple[dict, dict]]:
+def _walk(pool: list[Edge], ranks: tuple[dict, dict] | None = None) -> Iterator[tuple[dict, dict]]:
     """Visit every matching within `pool` once, and yield it as
     (doctor -> edge, hospital -> edge).  Each edge is left out before it
-    is taken, or, with `take_first`, taken first: searches that stop at
-    the first hit meet large matchings sooner.
+    is taken.
 
     The dicts are live: read them before resuming.  Given the doctor and
     hospital rank tables, skip every branch that leaves out an edge whose
@@ -72,42 +83,26 @@ def _walk(
         e = pool[i]
         md = by_d.get(e.doctor)
         mh = by_h.get(e.hospital)
-        take = md is None and mh is None
-        if take and not take_first:
+        if md is None and mh is None:
             stack.append((i + 1, len(by_d), e))
         if (
             md is None or mh is None or ranks is None
             or ranks[0][md] < ranks[0][e] or ranks[1][mh] < ranks[1][e]
         ):
             stack.append((i + 1, len(by_d), None))
-        if take and take_first:
-            stack.append((i + 1, len(by_d), e))
 
 
-def _blocking_hospitals(
-    pool: list[Edge], ranks: tuple[dict, dict], by_d: dict, by_h: dict, limit: int
-) -> set[str] | None:
-    """B(M): the hospitals of the edges in `pool` that block the matching.
-
-    None as soon as a blocking edge's hospital is matched, or B(M) has
-    more than `limit` members.  With limit 0, a set comes back exactly
-    when the matching is super-stable, and it is empty.
-    """
+def _super_stable(pool: list[Edge], ranks: tuple[dict, dict], by_d: dict, by_h: dict) -> bool:
+    """Whether no edge in `pool` blocks the matching."""
     dr, hr = ranks
-    out: set[str] = set()
     for e in pool:
         md = by_d.get(e.doctor)
         if md == e or (md is not None and dr[md] < dr[e]):
             continue
         mh = by_h.get(e.hospital)
-        if mh is not None:
-            if hr[mh] < hr[e]:
-                continue
-            return None
-        out.add(e.hospital)
-        if len(out) > limit:
-            return None
-    return out
+        if mh is None or hr[e] <= hr[mh]:
+            return False
+    return True
 
 
 def all_matchings(inst: Instance, deleted: Iterable[Vertex] = ()) -> Iterator[frozenset[Edge]]:
@@ -142,22 +137,51 @@ def enumerate_super_stable(
     return [
         frozenset(by_d.values())
         for by_d, by_h in _walk(pool, ranks)
-        if _blocking_hospitals(pool, ranks, by_d, by_h, 0) is not None
+        if _super_stable(pool, ranks, by_d, by_h)
     ]
 
 
 def _least_blocking(inst: Instance, pool: list[Edge]) -> list[str]:
     """The least B(M) by size, then sorted names, over the matchings M
     within `pool` that leave B(M) unmatched, in one walk: the first hit
-    of a scan over hospital subsets by size in sorted name order."""
-    ranks = (inst.doctor_rank, inst.hospital_rank)
+    of a scan over hospital subsets by size in sorted name order.  The
+    module docstring gives the walk and its cut rules."""
+    dr, hr = inst.doctor_rank, inst.hospital_rank
+    by_d: dict[str, list[tuple[int, int, str]]] = {}
+    last: dict[str, int] = {}  # hospital -> the index of the last doctor that reaches it
+    for e in pool:
+        by_d.setdefault(e.doctor, []).append((dr[e], hr[e], e.hospital))
+        last[e.hospital] = len(by_d) - 1
+    rows = [sorted(row) for row in by_d.values()]
     best = sorted(inst.hospitals)  # deleting them all leaves the empty matching
-    for by_d, by_h in _walk(pool, ranks, True):
-        found = _blocking_hospitals(pool, ranks, by_d, by_h, len(best))
-        if found is not None and (len(found), sorted(found)) < (len(best), best):
-            best = sorted(found)
-            if not best:
-                break
+    # Entries: next doctor, hospital -> rank of its partner, -> least rank demanded.
+    stack: list[tuple[int, dict, dict]] = [(0, {}, {})]
+    while stack and best:
+        i, held, least = stack.pop()
+        found = [h for h in least if h not in held and last[h] < i]
+        if len(found) > len(best):
+            continue
+        if i == len(rows):
+            best = min(best, sorted(found), key=lambda b: (len(b), b))
+            continue
+        row = rows[i]
+        for k in range(len(row), -1, -1):  # takes pop first, best rank first; none last
+            hold, end = held, len(row)
+            if k < end:
+                rank, r, h = row[k]
+                if h in held or least.get(h, r + 1) <= r:
+                    continue
+                hold = {**held, h: r}
+                end = next((j for j in range(k + 1, end) if row[j][0] > rank), end)
+            need = dict(least)
+            for j in range(end):
+                _, r, h = row[j]
+                if j != k and need.get(h, r + 1) > r:  # a stricter demand is already met
+                    if held.get(h, 0) >= r:  # ranks start at 1
+                        break
+                    need[h] = r
+            else:
+                stack.append((i + 1, hold, need))
     return best
 
 

@@ -30,7 +30,7 @@ from superstab.model import (
     make_instance,
     parse_instance,
 )
-from superstab.oracle import all_matchings, enumerate_super_stable
+from superstab.oracle import _walk, all_matchings, enumerate_super_stable
 from superstab.superstable import ClosureRound, solve_min_hospital_deletion
 
 STRICT_2X2_TEXT = """doctors: d1 d2
@@ -195,6 +195,44 @@ def reference_min_hospital_deletion(inst: Instance) -> tuple[int, frozenset[Vert
             if any(is_super_stable(inst, removed, m) for m in all_matchings(inst, removed)):
                 return size, removed
     raise AssertionError("removing every hospital always leaves the empty matching")
+
+
+def _reference_blocking_hospitals(pool, ranks, by_d, by_h, limit: int) -> set[str] | None:
+    """B(M): the hospitals of the edges in `pool` that block the matching;
+    None as soon as a blocking edge's hospital is matched, or B(M) has
+    more than `limit` members."""
+    dr, hr = ranks
+    out: set[str] = set()
+    for e in pool:
+        md = by_d.get(e.doctor)
+        if md == e or (md is not None and dr[md] < dr[e]):
+            continue
+        mh = by_h.get(e.hospital)
+        if mh is not None:
+            if hr[mh] < hr[e]:
+                continue
+            return None
+        out.add(e.hospital)
+        if len(out) > limit:
+            return None
+    return out
+
+
+def reference_least_blocking(inst: Instance, pool: list[Edge]) -> list[str]:
+    """The least B(M) by size, then sorted names, over the matchings M
+    within `pool` that leave B(M) unmatched, as `oracle._least_blocking`
+    found it before its doctor-by-doctor walk: every matching of the edge
+    walk, each with one scan of `pool` for B(M).  That walk took each
+    edge before leaving it out; the order changes no least set."""
+    ranks = (inst.doctor_rank, inst.hospital_rank)
+    best = sorted(inst.hospitals)  # deleting them all leaves the empty matching
+    for by_d, by_h in _walk(pool, ranks):
+        found = _reference_blocking_hospitals(pool, ranks, by_d, by_h, len(best))
+        if found is not None and (len(found), sorted(found)) < (len(best), best):
+            best = sorted(found)
+            if not best:
+                break
+    return best
 
 
 def reference_exists_super_stable(inst: Instance, deleted=()) -> frozenset[Edge] | None:

@@ -686,6 +686,15 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     assert run_python(0, "-S", "-c", code).stdout == b"True\n"
 
 
+def test_package_names_load_through_the_import_statement():
+    # Its hook, unlike `importlib`, shows in `-X importtime` and loads no module.
+    code = "import sys, superstab; superstab.solve_two_side_deletion; print('importlib' in sys.modules)"
+    out = run_python(0, "-S", "-X", "importtime", "-c", code)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == b"False\n"
+    assert "| superstab.hardness\n" in out.stderr.decode()
+
+
 def _instance_eq(self, other):
     if not isinstance(other, type(self)):
         return NotImplemented
