@@ -1,9 +1,11 @@
 """Name the first problem in input that failed a bulk check.
 
-`model` builds instances and splits `pref` lines with checks that run in
-bulk, in C, and say only that something is wrong.  When one of them
-fails, the code here finds the first problem and says what and where it
-is; good input never loads this module.
+`model` reads instance text in one pass and builds instances with checks
+that run in bulk and say only that something is wrong.  When one of them
+fails, the code here reads the input again, one check at a time in file
+or list order, and says what the first problem is and where; good input
+never loads this module.  `_text_problem` reads text line by line and
+hands its lists to `_list_problem`, which scans them entry by entry.
 """
 
 from __future__ import annotations
@@ -11,12 +13,22 @@ from __future__ import annotations
 import re
 from typing import Mapping
 
-from .model import DOCTOR, HOSPITAL, FormatError, PrefInput, Vertex, _SIDE_WORD, _lines, _name_ok
+from .model import (
+    DOCTOR,
+    HOSPITAL,
+    FormatError,
+    PrefInput,
+    Vertex,
+    _PREF_TOKEN,
+    _SIDE_WORD,
+    _lines,
+    _name_ok,
+    _name_problem,
+)
 
 _OTHER_SIDE = {DOCTOR: HOSPITAL, HOSPITAL: DOCTOR}
-# Tokens of a name line, and of a `pref` body: parentheses and names.
+# The tokens of a name line.
 _NAME_TOKEN = re.compile(r"\S+")
-_PREF_TOKEN = re.compile(r"[()]|[^\s()]+")
 
 
 class _ListError(ValueError):
@@ -81,19 +93,82 @@ def _list_problem(
     )
 
 
-def _text_problem(
-    text: str,
-    doctors: tuple[str, ...],
-    hospitals: tuple[str, ...],
-    prefs: Mapping[Vertex, PrefInput],
-    line_of: Mapping[str, int],
-) -> FormatError:
-    """`_list_problem` of the `pref` lines of `text`, at its line and, when
-    one entry is at fault, that entry's column."""
+def _text_problem(text: str) -> FormatError:
+    """The first problem in instance text that `model.parse_instance`
+    refused, at its line and, where it helps, its column.  The text is
+    read again line by line, with every check in file order; then the
+    `pref` lines go to `_list_problem`, at the line of the list it names
+    and, when one entry is at fault, that entry's column."""
+    try:
+        doctors, hospitals, prefs, where = _read_lines(text)
+    except FormatError as problem:
+        return problem
     problem = _list_problem(doctors, hospitals, prefs)
-    lineno = line_of[problem.owner.name]
-    column = None if problem.entry is None else _entry_column(text, lineno, problem.entry)
-    return FormatError(str(problem), line=lineno, column=column)
+    lineno, body, offset = where[problem.owner.name]
+    if problem.entry is None:
+        return FormatError(str(problem), line=lineno)
+    names = [k for k, t in enumerate(_PREF_TOKEN.findall(body)) if t not in ("(", ")")]
+    return FormatError(str(problem), line=lineno, column=_token_column(_PREF_TOKEN, body, offset, names[problem.entry]))
+
+
+def _read_lines(
+    text: str,
+) -> tuple[tuple[str, ...], tuple[str, ...], dict[Vertex, PrefInput], dict[str, tuple[int, str, int]]]:
+    """The declared names, the tie groups of each `pref` line and, per
+    `pref` line, its number, body and the body's offset; FormatError for
+    the first problem outside the lists themselves."""
+    doctors: tuple[str, ...] | None = None
+    hospitals: tuple[str, ...] | None = None
+    pref_lines: list[tuple[str, int, str, int, list[list[str]]]] = []
+    for lineno, words, body, offset in _lines(text):
+        if words == ["doctors"]:
+            if doctors is not None:
+                raise FormatError("second 'doctors:' line", line=lineno)
+            doctors = _name_list(body, lineno, offset, "doctor")
+        elif words == ["hospitals"]:
+            if hospitals is not None:
+                raise FormatError("second 'hospitals:' line", line=lineno)
+            hospitals = _name_list(body, lineno, offset, "hospital")
+        elif len(words) == 2 and words[0] == "pref":
+            if doctors is None or hospitals is None:
+                raise FormatError("preference line before 'doctors:' and 'hospitals:'", line=lineno)
+            name = words[1]
+            if not _name_ok(name):
+                raise FormatError(f"invalid name {name!r}", line=lineno)
+            pref_lines.append((name, lineno, body, offset, _groups(body, lineno, offset)))
+        else:
+            raise FormatError("expected 'doctors:', 'hospitals:' or 'pref NAME:'", line=lineno, column=1)
+
+    if doctors is None:
+        raise FormatError("missing 'doctors:' line")
+    if hospitals is None:
+        raise FormatError("missing 'hospitals:' line")
+    both = set(doctors) & set(hospitals)
+    if both:
+        raise FormatError(
+            f"name {sorted(both)[0]!r} appears on both sides; the text format keeps the "
+            "two name spaces disjoint"
+        )
+
+    dset, hset = set(doctors), set(hospitals)
+    prefs: dict[Vertex, PrefInput] = {}
+    where: dict[str, tuple[int, str, int]] = {}
+    for name, lineno, body, offset, groups in pref_lines:
+        if name not in dset and name not in hset:
+            raise FormatError(f"preference line for undeclared vertex {name!r}", line=lineno)
+        if name in where:
+            raise FormatError(
+                f"second preference line for {name!r} (first on line {where[name][0]})",
+                line=lineno,
+            )
+        where[name] = lineno, body, offset
+        prefs[Vertex(DOCTOR if name in dset else HOSPITAL, name)] = groups
+
+    for name in doctors + hospitals:
+        if name not in where:
+            side = "doctor" if name in dset else "hospital"
+            raise FormatError(f"missing preference line for {side} {name!r}")
+    return doctors, hospitals, prefs, where
 
 
 def _token_column(pattern: re.Pattern[str], body: str, offset: int, k: int) -> int:
@@ -103,41 +178,44 @@ def _token_column(pattern: re.Pattern[str], body: str, offset: int, k: int) -> i
     return offset + starts[k] + 1
 
 
-def _group_problem(body: str, lineno: int, offset: int) -> FormatError:
-    """The first problem in a `pref` line body that `model._pref_entries`
-    could not split, at its column.  Such a body always has one: a body
-    whose tokens are names and closed, non-empty, unnested tie groups
-    splits there, unless a name holds ':', which this scan reports."""
-    size = None  # names in the open tie group; None outside one
+def _name_list(body: str, lineno: int, offset: int, word: str) -> tuple[str, ...]:
+    """The names of a `doctors:` or `hospitals:` line body; FormatError at
+    the column of the first that is invalid or repeated."""
+    names = body.split()
+    if problem := _name_problem(names, word, f"duplicate {word} name"):
+        raise FormatError(problem[1], line=lineno, column=_token_column(_NAME_TOKEN, body, offset, problem[0]))
+    return tuple(names)
+
+
+def _groups(body: str, lineno: int, offset: int) -> list[list[str]]:
+    """The tie groups of a `pref` line body, best first, each name a group
+    of its own unless parenthesized; FormatError at the column of the
+    first token out of place, or of the '(' left open."""
+    groups: list[list[str]] = []
+    group: list[str] | None = None  # the open tie group
     opened = 0
-    colon = ":" in body  # a token holds no '#', space or parenthesis, so only ':' can be bad
     for k, token in enumerate(_PREF_TOKEN.findall(body)):
+        problem = None
         if token == "(":
-            if size is not None:
+            if group is not None:
                 problem = "nested tie group"
-                break
-            size, opened = 0, k
+            group, opened = [], k
         elif token == ")":
-            if size is None:
+            if group is None:
                 problem = "unmatched ')'"
-                break
-            if not size:
+            elif not group:
                 problem = "empty tie group"
-                break
-            size = None
-        elif colon and not _name_ok(token):
+            else:
+                groups.append(group)
+                group = None
+        elif not _name_ok(token):  # a token holds no '#', space or parenthesis, so only ':' can be bad
             problem = f"invalid name {token!r}"
-            break
-        elif size is not None:
-            size += 1
-    else:  # no problem before the end, so a tie group is still open
-        problem, k = "unclosed tie group", opened
-    return FormatError(problem, line=lineno, column=_token_column(_PREF_TOKEN, body, offset, k))
-
-
-def _entry_column(text: str, lineno: int, entry: int) -> int:
-    """Column of the `entry`-th name (0-based, across tie groups) on the
-    `pref` line `lineno` of `text`."""
-    body, offset = next((b, o) for n, _, b, o in _lines(text) if n == lineno)
-    names = [k for k, t in enumerate(_PREF_TOKEN.findall(body)) if t not in ("(", ")")]
-    return _token_column(_PREF_TOKEN, body, offset, names[entry])
+        elif group is None:
+            groups.append([token])
+        else:
+            group.append(token)
+        if problem:
+            raise FormatError(problem, line=lineno, column=_token_column(_PREF_TOKEN, body, offset, k))
+    if group is not None:
+        raise FormatError("unclosed tie group", line=lineno, column=_token_column(_PREF_TOKEN, body, offset, opened))
+    return groups

@@ -15,10 +15,10 @@ the round definition the tests check the closure against, and what the
 plain `extract_matching` and `critical_hospitals` rescan with.
 Everything is immutable and side-effect free.
 
-The checks that every build runs are bulk checks, in C; they say only
-that something is wrong.  The code that then names the first problem,
-with its line and column, is in `_diagnose`, which good input never
-loads.
+`parse_instance` reads good text in one pass, and every build runs bulk
+checks, in C; both say only that something is wrong.  The code that then
+names the first problem, with its line and column, is in `_diagnose`,
+which good input never loads.
 
 An instance's integer core is its one store (see `Instance`); the
 solvers and the serializer read it by edge id.  `edges`, `rank`,
@@ -123,8 +123,8 @@ class _Record:
 # Names must survive the text format: one token, no grouping or delimiter
 # chars.  `\s` matches exactly the characters `str.isspace` accepts.
 _NOT_IN_NAME = re.compile(r"[\s()#:]")
-# The items of a `pref` body: a tie group's inside, or a name.
-_PREF_ITEM = re.compile(r"\(([^()]*)\)|([^\s()]+)")
+# The tokens of a `pref` body: parentheses and names.
+_PREF_TOKEN = re.compile(r"[()]|[^\s()]+")
 
 
 def _name_ok(name: object) -> bool:
@@ -269,7 +269,7 @@ def _build(
     The checks run in bulk, in C: a set-subset check for the hospitals
     the doctors name, one id lookup per hospital entry for the doctors
     the hospitals name and for mutual listing, and length comparisons
-    for duplicates.  On None, `_from_lists` finds the first problem.
+    for duplicates.  On None, `_diagnose` names the first problem.
     """
     partners = list(chain.from_iterable(map(itemgetter(0), doctor_lists)))
     if not set(hospitals).issuperset(partners):
@@ -447,34 +447,71 @@ def _lines(text: str) -> Iterator[tuple[int, list[str], str, int]]:
         yield lineno, head.split(), body, len(head) + 1
 
 
-def _name_list(body: str, lineno: int, offset: int, word: str) -> tuple[str, ...]:
-    names = body.split()
-    if problem := _name_problem(names, word, f"duplicate {word} name"):
-        from ._diagnose import _NAME_TOKEN, _token_column
-
-        raise FormatError(problem[1], line=lineno, column=_token_column(_NAME_TOKEN, body, offset, problem[0]))
-    return tuple(names)
-
-
-def _pref_entries(body: str, lineno: int, offset: int) -> tuple[_Entries, PrefInput]:
-    """The names of a preference line body in list order and the rank
-    level of each; and the line as a preference list.
-
-    A body without ':' splits in C: by whitespace when it has no
-    parentheses, else into the items of one regex (a tie group or a
-    name), which are well formed when the items are all that is not
-    whitespace and no tie group is empty.  Otherwise the token scanner,
-    `_diagnose._group_problem`, names the first problem.
-    """
-    if ":" not in body and "(" not in body and ")" not in body:
+def _pref_list(body: str) -> _Entries | None:
+    """The names of a `pref` line body in list order and the rank level of
+    each, or None when its tie groups are not well formed.  A body without
+    parentheses splits by whitespace; one with them is read as the tokens
+    of `_PREF_TOKEN`, in one loop that tracks the open tie group.  A name
+    is not checked here: one holding ':' is no declared name, so `_build`
+    refuses it."""
+    if "(" not in body and ")" not in body:
         names = body.split()
-        return (names, range(1, len(names) + 1)), names
-    groups = [[name] if name else tied.split() for tied, name in _PREF_ITEM.findall(body)]
-    if ":" in body or not all(groups) or _PREF_ITEM.sub("", body).strip():
-        from ._diagnose import _group_problem
+        return names, range(1, len(names) + 1)
+    names: list[str] = []
+    levels: list[int] = []
+    level, start = 0, -1  # start: where the open tie group's names begin; -1 outside one
+    for token in _PREF_TOKEN.findall(body):
+        if token == "(":
+            if start >= 0:
+                return None
+            level, start = level + 1, len(names)
+        elif token == ")":
+            if start < 0 or start == len(names):
+                return None
+            start = -1
+        else:
+            if start < 0:
+                level += 1
+            names.append(token)
+            levels.append(level)
+    return None if start >= 0 else (names, levels)
 
-        raise _group_problem(body, lineno, offset)
-    return _entries(groups), groups
+
+def _read_instance(text: str) -> Instance | None:
+    """The instance of good text, read in one pass; None at the first sign
+    of a problem."""
+    doctors = hospitals = None
+    bodies: dict[str, str] = {}
+    prefs = 0  # `pref` lines read
+    for line in text.splitlines():
+        if "#" in line:
+            line = line[: line.index("#")]
+        head, sep, body = line.partition(":")
+        words = head.split()
+        if sep and len(words) == 2 and words[0] == "pref":
+            bodies[words[1]] = body
+            prefs += 1
+        elif not sep:
+            if words:
+                return None
+        elif prefs or ":" in body or "(" in body or ")" in body:
+            return None
+        elif words == ["doctors"] and doctors is None:
+            doctors = tuple(body.split())
+        elif words == ["hospitals"] and hospitals is None:
+            hospitals = tuple(body.split())
+        else:
+            return None
+    if doctors is None or hospitals is None:
+        return None
+    names = doctors + hospitals
+    # Names unique across both sides, each with exactly one `pref` line.
+    if not len(names) == len(bodies) == prefs or bodies.keys() != set(names):
+        return None
+    lists = list(map(_pref_list, map(bodies.__getitem__, names)))
+    if None in lists:
+        return None
+    return _build(doctors, hospitals, lists[: len(doctors)], lists[len(doctors) :])
 
 
 def parse_instance(text: str) -> Instance:
@@ -485,70 +522,18 @@ def parse_instance(text: str) -> Instance:
     read best to worst; parenthesized entries are tied at one level.
     `#` starts a comment and blank lines are skipped.  Problems raise
     FormatError with the offending line (and column where it helps).
+
+    Good text is read in one pass over its lines, each `pref` body split
+    in C or by one regex, and built by `_build`.  Text that fails any of
+    these checks goes to `_diagnose._text_problem`, which reads it again
+    line by line to name its first problem.
     """
-    doctors: tuple[str, ...] | None = None
-    hospitals: tuple[str, ...] | None = None
-    pref_lines: list[tuple[str, int, tuple[_Entries, PrefInput]]] = []
-
-    for lineno, words, body, offset in _lines(text):
-        if words == ["doctors"]:
-            if doctors is not None:
-                raise FormatError("second 'doctors:' line", line=lineno)
-            doctors = _name_list(body, lineno, offset, "doctor")
-        elif words == ["hospitals"]:
-            if hospitals is not None:
-                raise FormatError("second 'hospitals:' line", line=lineno)
-            hospitals = _name_list(body, lineno, offset, "hospital")
-        elif len(words) == 2 and words[0] == "pref":
-            if doctors is None or hospitals is None:
-                raise FormatError("preference line before 'doctors:' and 'hospitals:'", line=lineno)
-            name = words[1]
-            if not _name_ok(name):
-                raise FormatError(f"invalid name {name!r}", line=lineno)
-            pref_lines.append((name, lineno, _pref_entries(body, lineno, offset)))
-        else:
-            raise FormatError(
-                "expected 'doctors:', 'hospitals:' or 'pref NAME:'", line=lineno, column=1
-            )
-
-    if doctors is None:
-        raise FormatError("missing 'doctors:' line")
-    if hospitals is None:
-        raise FormatError("missing 'hospitals:' line")
-    both = set(doctors) & set(hospitals)
-    if both:
-        raise FormatError(
-            f"name {sorted(both)[0]!r} appears on both sides; the text format keeps the "
-            "two name spaces disjoint"
-        )
-
-    dset, hset = set(doctors), set(hospitals)
-    lists: dict[str, _Entries] = {}
-    prefs: dict[Vertex, PrefInput] = {}
-    line_of: dict[str, int] = {}
-    for name, lineno, (entries, raw) in pref_lines:
-        if name not in dset and name not in hset:
-            raise FormatError(f"preference line for undeclared vertex {name!r}", line=lineno)
-        if name in line_of:
-            raise FormatError(
-                f"second preference line for {name!r} (first on line {line_of[name]})",
-                line=lineno,
-            )
-        line_of[name] = lineno
-        lists[name] = entries
-        prefs[Vertex(DOCTOR if name in dset else HOSPITAL, name)] = raw
-
-    for name in doctors + hospitals:
-        if name not in line_of:
-            side = "doctor" if name in dset else "hospital"
-            raise FormatError(f"missing preference line for {side} {name!r}")
-
-    inst = _build(doctors, hospitals, list(map(lists.__getitem__, doctors)), list(map(lists.__getitem__, hospitals)))
+    inst = _read_instance(text)
     if inst is not None:
         return inst
     from ._diagnose import _text_problem
 
-    raise _text_problem(text, doctors, hospitals, prefs, line_of)
+    raise _text_problem(text)
 
 
 def serialize_instance(inst: Instance) -> str:

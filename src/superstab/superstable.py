@@ -291,16 +291,20 @@ def critical_hospitals(
 
 def _outcome(inst: Instance, log: _Log) -> tuple[frozenset[Edge], frozenset[Vertex]]:
     """The matching and the critical hospitals at the loop's fixed point,
-    in O(|E|) over its log: the proposals never forbidden are the held
-    edges, and each doctor takes the one with the smallest hospital name;
-    the critical hospitals received a proposal and are left unmatched.
+    in O(|E|) over its log of edge ids: the proposals never forbidden are
+    the held edges, and each doctor takes the one with the smallest
+    hospital name; the critical hospitals received a proposal and are left
+    unmatched.  Only the matching's edges and the critical hospitals
+    become `Edge` and `Vertex` objects.
     """
-    edge = inst._edge
-    proposed = [edge[e] for new, _ in log for e in new]
-    lost = {edge[e] for _, forbade in log for e in forbade}
-    matching = _smallest_per_doctor(e for e in proposed if e not in lost)
-    wanted = {e.hospital for e in proposed} - {e.hospital for e in matching}
-    return matching, frozenset(Vertex(HOSPITAL, h) for h in wanted)
+    doctors, hospitals, ed, eh = inst.doctors, inst.hospitals, inst._ed, inst._eh
+    proposed = [e for new, _ in log for e in new]
+    lost = {e for _, forbade in log for e in forbade}
+    held = sorted((e for e in proposed if e not in lost), key=lambda e: hospitals[eh[e]], reverse=True)
+    taken = {ed[e]: e for e in held}.values()  # per doctor, the last: the smallest hospital name
+    wanted = {eh[e] for e in proposed}.difference(eh[e] for e in taken)
+    matching = frozenset(Edge(doctors[ed[e]], hospitals[eh[e]]) for e in taken)
+    return matching, frozenset(Vertex(HOSPITAL, hospitals[h]) for h in wanted)
 
 
 def solve_min_hospital_deletion(inst: Instance) -> DeletionCertificate:

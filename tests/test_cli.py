@@ -15,6 +15,7 @@ from conftest import (
     TIE_2X2_TEXT,
     one_hospital_tie_text,
     python_env,
+    rank_groups,
     run_python,
 )
 from superstab.cli import _COMMANDS, _build_parser, _read_plain, generate_instance, main
@@ -244,6 +245,33 @@ def tie_trace_instance(n=400, n_edges=4000, tie_prob=0.8, seed="tie-trace"):
     )
 
 
+# Starts of names: ASCII and non-ASCII letters, a quote and a backslash.
+LABEL_STARTS = ["d", "D", "h", "z", "\u00e9", "\u0414", '"', "\\", 'x"\\']
+
+
+def relabelled(inst, rng):
+    """`inst`, of at least two doctors and two hospitals, with every vertex
+    renamed to a label from `LABEL_STARTS` and a number of one to three
+    digits, the tie groups unchanged.  On each side, name order is neither
+    declaration order nor length order: "d2" and "d10" are doctors, "h2"
+    and "h10" hospitals."""
+    fixed = {"d2", "d10", "h2", "h10"}
+    labels = set(fixed)
+    while len(labels) < len(inst.doctors) + len(inst.hospitals):
+        labels.add(rng.choice(LABEL_STARTS) + str(rng.randrange(10 ** rng.randint(1, 3))))
+    rest = sorted(labels - fixed)
+    rng.shuffle(rest)
+    k = len(inst.doctors) - 2
+    doctors, hospitals = ["d2", "d10", *rest[:k]], ["h2", "h10", *rest[k:]]
+    for names in (doctors, hospitals):
+        rng.shuffle(names)
+        if names == sorted(names):
+            names.reverse()
+    new = dict(zip(inst.doctors + inst.hospitals, doctors + hospitals))
+    prefs = {new[v.name]: [[new[p] for p in g] for g in rank_groups(inst, v)] for v in inst.vertices()}
+    return make_instance(doctors, hospitals, {d: prefs[d] for d in doctors}, {h: prefs[h] for h in hospitals})
+
+
 def test_closure_bytes_match_the_stdlib_encoder(capsys, tmp_path):
     rng = random.Random("closure-bytes")
     shapes = [
@@ -267,6 +295,17 @@ def test_closure_bytes_match_the_stdlib_encoder(capsys, tmp_path):
         (tie_trace_instance(), []),
     ]:
         path.write_text(serialize_instance(inst))
+        rc, _, captured = run_cli(capsys, "--no-timing", "closure", str(path), "--delete", *deleted)
+        assert rc == 0, captured.err
+        assert captured.out == reference_output("closure", inst, deleted)
+    # Canonical order is name order, whatever order the names are declared in.
+    for i in range(16):
+        shape = (rng.randint(6, 25), rng.randint(6, 25), rng.uniform(0.1, 0.8), rng.uniform(0.0, 1.0))
+        inst = relabelled(generate_instance(*shape, seed=f"closure-bytes-relabelled-{i}"), rng)
+        for names in (inst.doctors, inst.hospitals):
+            assert sorted(names) not in (list(names), sorted(names, key=len))
+        deleted = rng.sample(inst.hospitals, rng.randint(2, 4))
+        path.write_text(serialize_instance(inst), encoding="utf-8")
         rc, _, captured = run_cli(capsys, "--no-timing", "closure", str(path), "--delete", *deleted)
         assert rc == 0, captured.err
         assert captured.out == reference_output("closure", inst, deleted)

@@ -7,7 +7,7 @@ from itertools import product
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import superstab
 import superstab.model
@@ -198,6 +198,72 @@ def test_parser_matches_the_character_scanner_on_mutated_files():
         ), needle
 
 
+# What a drawn edit may insert: each piece breaks, or keeps, one rule of
+# the format.  Hypothesis draws the first ones most often.
+FUZZ_PIECES = [" () ", " ( ", " ) ", " (h1) ", " (d1 ", " h1) ", "pref d1:", "doctors: d1\n", "\n", " ", "1", *FUZZ_CHARS]
+
+
+@settings(max_examples=300)
+@given(instances(max_doctors=4, max_hospitals=4).filter(lambda inst: inst.edges), st.data())
+def test_parser_matches_the_character_scanner_on_drawn_edits(inst, data):
+    """The hypothesis twin of the mutation test: one or two drawn edits
+    of a drawn instance's text parse to the same instance or the same
+    error (type, message, line and column) with both parsers.  An edit
+    inserts, deletes or replaces at a drawn place on a drawn line (counted
+    from its end, as Hypothesis favours small numbers), swaps two lines,
+    or renames a vertex everywhere by appending a character."""
+    text = serialize_instance(inst)
+    for _ in range(data.draw(st.integers(1, 2))):
+        lines = text.splitlines(keepends=True) or [""]
+        k = data.draw(st.integers(0, len(lines) - 1))
+        kind = data.draw(st.integers(0, 4))
+        if kind == 3:
+            j = data.draw(st.integers(0, len(lines) - 1))
+            lines[j], lines[k] = lines[k], lines[j]
+            text = "".join(lines)
+        elif kind == 4:
+            name = data.draw(st.sampled_from(inst.doctors + inst.hospitals))
+            text = text.replace(name, name + data.draw(st.sampled_from(FUZZ_CHARS)))
+        else:  # insert, delete or replace
+            end = sum(map(len, lines[: k + 1])) - (lines[k][-1:] == "\n")
+            i = end - data.draw(st.integers(0, len(lines[k].rstrip("\n"))))
+            piece = data.draw(st.sampled_from(FUZZ_PIECES))
+            text = text[:i] + ("" if kind == 1 else piece) + text[i + (kind != 0):]
+    assert _outcome(parse_instance, text) == _outcome(reference_parse_instance, text)
+
+
+def dressed_text(inst: Instance, rng: random.Random, newline: str = "\n") -> str:
+    """The text of `inst` as a person might write it: `pref` lines in a
+    shuffled order, comments at line ends and on lines of their own, blank
+    lines, runs of blanks and tabs, blanks inside and around a tie group,
+    single names in parentheses, and `newline` ending each line."""
+    lines = serialize_instance(inst).splitlines()
+    prefs = lines[2:]
+    rng.shuffle(prefs)
+    out = ["# a comment line: (d1 h1)"]
+    for line in lines[:2] + prefs:
+        head, _, body = line.partition(":")
+        tokens = re.findall(r"\([^()]*\)|\S+", body)
+        if head.startswith("pref"):
+            tokens = [f"({t})" if t[0] != "(" and rng.random() < 0.3 else t for t in tokens]
+            tokens = [t.replace("(", "( ").replace(")", "\t)") if rng.random() < 0.3 else t for t in tokens]
+        blank = rng.choice([" ", "  ", "\t", " \t "])
+        line = head.replace(" ", blank) + rng.choice([":", " :", "\t:"]) + blank + blank.join(tokens)
+        out.append(line + rng.choice(["", "", "  ", "  # note", "# (x y) : z # d1", "#"]))
+        if rng.random() < 0.2:
+            out.append(rng.choice(["", "   ", "\t", "# comment ((", "  # pref d1: h1"]))
+    return newline.join(out) + rng.choice(["", newline])
+
+
+def test_dressed_tie_heavy_texts_parse_as_the_character_scanner_does():
+    rng = random.Random("dressed-texts")
+    for i in range(60):
+        shape = (rng.randint(0, 25), rng.randint(0, 25), rng.uniform(0.1, 0.6), rng.uniform(0.6, 1.0))
+        inst = generate_instance(*shape, seed=f"dressed-{i}")
+        text = dressed_text(inst, rng, "\r\n" if i % 2 else "\n")
+        assert parse_instance(text) == reference_parse_instance(text) == inst, text
+
+
 @given(instances(), st.randoms(use_true_random=False))
 def test_pref_line_order_does_not_change_the_instance_or_its_closure(inst, rng):
     lines = serialize_instance(inst).splitlines(keepends=True)
@@ -246,6 +312,10 @@ NAME_ERRORS = [
     (
         lambda: parse_instance("doctors: d1\nhospitals: h1\npref d(1: h1\n"),
         "line 3: invalid name 'd(1'",
+    ),
+    (
+        lambda: parse_instance("doctors: d(1\nhospitals:\npref d(1:\n"),
+        "line 1, column 10: invalid doctor name 'd(1'",
     ),
     (lambda: make_instance(["d1", "d 2"], ["h1"]), "invalid doctor name 'd 2'"),
     (lambda: make_instance(["d1"], ["h1", "h1"]), "duplicate hospital name 'h1'"),
@@ -684,6 +754,16 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     # The package loads its modules on first access; `dir` still lists every name.
     code = "import superstab; names = dir(superstab); print(set(superstab.__all__) <= set(names))"
     assert run_python(0, "-S", "-c", code).stdout == b"True\n"
+
+
+def test_a_good_closure_run_never_loads_the_error_namer(tmp_path):
+    good = tmp_path / "good.ssm"
+    inst = generate_instance(40, 40, 0.2, 0.8, seed="no-diagnose")
+    good.write_text(dressed_text(inst, random.Random("no-diagnose"), "\r\n"), encoding="utf-8")
+    assert "superstab._diagnose" not in _modules_loaded("closure", str(good), "--delete", "h1", "h2")
+    bad = tmp_path / "bad.ssm"
+    bad.write_text("doctors: d1\nhospitals: h1\npref d1: h1\npref h1:\n")
+    assert "superstab._diagnose" in _modules_loaded("closure", str(bad))
 
 
 def test_package_names_load_through_the_import_statement():
