@@ -4,8 +4,9 @@
 that run in bulk and say only that something is wrong.  When one of them
 fails, the code here reads the input again, one check at a time in file
 or list order, and says what the first problem is and where; good input
-never loads this module.  `_text_problem` reads text line by line and
-hands its lists to `_list_problem`, which scans them entry by entry.
+never loads this module.  `_text_problem` reads text line by line,
+scanning each line's tokens once for its names and their columns, and
+hands the lists to `_list_problem`, which scans them entry by entry.
 """
 
 from __future__ import annotations
@@ -96,30 +97,27 @@ def _list_problem(
 def _text_problem(text: str) -> FormatError:
     """The first problem in instance text that `model.parse_instance`
     refused, at its line and, where it helps, its column.  The text is
-    read again line by line, with every check in file order; then the
-    `pref` lines go to `_list_problem`, at the line of the list it names
-    and, when one entry is at fault, that entry's column."""
+    read again line by line, every check in file order; then the `pref`
+    lines go to `_list_problem`, at the line and column of the entry it
+    names (`_groups` refused empty tie groups, which name no entry)."""
     try:
         doctors, hospitals, prefs, where = _read_lines(text)
     except FormatError as problem:
         return problem
     problem = _list_problem(doctors, hospitals, prefs)
-    lineno, body, offset = where[problem.owner.name]
-    if problem.entry is None:
-        return FormatError(str(problem), line=lineno)
-    names = [k for k, t in enumerate(_PREF_TOKEN.findall(body)) if t not in ("(", ")")]
-    return FormatError(str(problem), line=lineno, column=_token_column(_PREF_TOKEN, body, offset, names[problem.entry]))
+    lineno, columns = where[problem.owner.name]
+    return FormatError(str(problem), line=lineno, column=columns[problem.entry])
 
 
 def _read_lines(
     text: str,
-) -> tuple[tuple[str, ...], tuple[str, ...], dict[Vertex, PrefInput], dict[str, tuple[int, str, int]]]:
+) -> tuple[tuple[str, ...], tuple[str, ...], dict[Vertex, PrefInput], dict[str, tuple[int, list[int]]]]:
     """The declared names, the tie groups of each `pref` line and, per
-    `pref` line, its number, body and the body's offset; FormatError for
+    `pref` line, its number and the column of each entry; FormatError for
     the first problem outside the lists themselves."""
     doctors: tuple[str, ...] | None = None
     hospitals: tuple[str, ...] | None = None
-    pref_lines: list[tuple[str, int, str, int, list[list[str]]]] = []
+    pref_lines: list[tuple[str, int, list[list[str]], list[int]]] = []
     for lineno, words, body, offset in _lines(text):
         if words == ["doctors"]:
             if doctors is not None:
@@ -135,7 +133,7 @@ def _read_lines(
             name = words[1]
             if not _name_ok(name):
                 raise FormatError(f"invalid name {name!r}", line=lineno)
-            pref_lines.append((name, lineno, body, offset, _groups(body, lineno, offset)))
+            pref_lines.append((name, lineno, *_groups(body, lineno, offset)))
         else:
             raise FormatError("expected 'doctors:', 'hospitals:' or 'pref NAME:'", line=lineno, column=1)
 
@@ -152,8 +150,8 @@ def _read_lines(
 
     dset, hset = set(doctors), set(hospitals)
     prefs: dict[Vertex, PrefInput] = {}
-    where: dict[str, tuple[int, str, int]] = {}
-    for name, lineno, body, offset, groups in pref_lines:
+    where: dict[str, tuple[int, list[int]]] = {}
+    for name, lineno, groups, columns in pref_lines:
         if name not in dset and name not in hset:
             raise FormatError(f"preference line for undeclared vertex {name!r}", line=lineno)
         if name in where:
@@ -161,7 +159,7 @@ def _read_lines(
                 f"second preference line for {name!r} (first on line {where[name][0]})",
                 line=lineno,
             )
-        where[name] = lineno, body, offset
+        where[name] = lineno, columns
         prefs[Vertex(DOCTOR if name in dset else HOSPITAL, name)] = groups
 
     for name in doctors + hospitals:
@@ -171,35 +169,32 @@ def _read_lines(
     return doctors, hospitals, prefs, where
 
 
-def _token_column(pattern: re.Pattern[str], body: str, offset: int, k: int) -> int:
-    """1-based column of the `k`-th token `pattern` finds in a line body
-    that starts `offset` characters into its line."""
-    starts = [m.start() for m in pattern.finditer(body)]
-    return offset + starts[k] + 1
-
-
 def _name_list(body: str, lineno: int, offset: int, word: str) -> tuple[str, ...]:
     """The names of a `doctors:` or `hospitals:` line body; FormatError at
     the column of the first that is invalid or repeated."""
-    names = body.split()
+    tokens = list(_NAME_TOKEN.finditer(body))
+    names = tuple(m[0] for m in tokens)
     if problem := _name_problem(names, word, f"duplicate {word} name"):
-        raise FormatError(problem[1], line=lineno, column=_token_column(_NAME_TOKEN, body, offset, problem[0]))
-    return tuple(names)
+        raise FormatError(problem[1], line=lineno, column=offset + tokens[problem[0]].start() + 1)
+    return names
 
 
-def _groups(body: str, lineno: int, offset: int) -> list[list[str]]:
+def _groups(body: str, lineno: int, offset: int) -> tuple[list[list[str]], list[int]]:
     """The tie groups of a `pref` line body, best first, each name a group
-    of its own unless parenthesized; FormatError at the column of the
-    first token out of place, or of the '(' left open."""
+    of its own unless parenthesized, and the 1-based column of each name
+    in list order, from one scan of the body's tokens; FormatError at the
+    column of the first token out of place, or of the '(' left open."""
     groups: list[list[str]] = []
+    columns: list[int] = []
     group: list[str] | None = None  # the open tie group
-    opened = 0
-    for k, token in enumerate(_PREF_TOKEN.findall(body)):
+    opened = 0  # the column of its '('
+    for match in _PREF_TOKEN.finditer(body):
+        token, column = match[0], offset + match.start() + 1
         problem = None
         if token == "(":
             if group is not None:
                 problem = "nested tie group"
-            group, opened = [], k
+            group, opened = [], column
         elif token == ")":
             if group is None:
                 problem = "unmatched ')'"
@@ -210,12 +205,14 @@ def _groups(body: str, lineno: int, offset: int) -> list[list[str]]:
                 group = None
         elif not _name_ok(token):  # a token holds no '#', space or parenthesis, so only ':' can be bad
             problem = f"invalid name {token!r}"
-        elif group is None:
-            groups.append([token])
         else:
-            group.append(token)
+            columns.append(column)
+            if group is None:
+                groups.append([token])
+            else:
+                group.append(token)
         if problem:
-            raise FormatError(problem, line=lineno, column=_token_column(_PREF_TOKEN, body, offset, k))
+            raise FormatError(problem, line=lineno, column=column)
     if group is not None:
-        raise FormatError("unclosed tie group", line=lineno, column=_token_column(_PREF_TOKEN, body, offset, opened))
-    return groups
+        raise FormatError("unclosed tie group", line=lineno, column=opened)
+    return groups, columns

@@ -36,6 +36,7 @@ question.
 
 from __future__ import annotations
 
+import operator
 from itertools import combinations
 from typing import Callable, Sequence
 
@@ -250,7 +251,7 @@ def solve_two_side_deletion(
             "raise max_doctors"
         )
     names = sorted(inst.doctors)
-    most = min(doctor_budget, len(names))
+    most = min(operator.index(doctor_budget), len(names))
     lo, hi = -1, 0
     while lo < most:
         hi = min(hi, most)
@@ -295,8 +296,6 @@ def _first_hit(
     while stack:
         i, combo, saved = stack.pop()
         size = len(combo)
-        if size > hi:
-            continue
         if saved is not None:
             for now, then in zip(state, saved):
                 now[:] = then

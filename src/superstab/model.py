@@ -177,11 +177,9 @@ class Instance(_Record):
         edges: frozenset[Edge],
         rank: Mapping[Vertex, Mapping[Edge, int]],
     ) -> None:
-        fields = self.__dict__
-        fields.update(doctors=doctors, hospitals=hospitals, edges=edges, rank=rank)
-        _validate_instance(self)
-        del fields["edges"], fields["rank"]  # rebuilt from the core when read
-        fields.update(_build(doctors, hospitals, *_table_lists(rank, doctors, hospitals)).__dict__)
+        _validate_instance(doctors, hospitals, edges, rank)
+        # `edges` and `rank` are rebuilt from the core when read.
+        self.__dict__.update(_build(doctors, hospitals, *_table_lists(rank, doctors, hospitals)).__dict__)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Instance):
@@ -338,23 +336,28 @@ def _check_names(doctors: tuple[str, ...], hospitals: tuple[str, ...]) -> None:
             raise ValueError(problem[1])
 
 
-def _validate_instance(inst: Instance) -> None:
-    _check_names(inst.doctors, inst.hospitals)
-    dset, hset = set(inst.doctors), set(inst.hospitals)
-    expected = {Vertex(DOCTOR, d) for d in inst.doctors} | {Vertex(HOSPITAL, h) for h in inst.hospitals}
+def _validate_instance(
+    doctors: tuple[str, ...], hospitals: tuple[str, ...], edges: frozenset[Edge], rank: Mapping[Vertex, Mapping]
+) -> None:
+    """Check the fields given to `Instance(...)`, before any is stored:
+    valid, unique names, edges between declared vertices, and one table
+    per vertex ranking exactly its edges; ValueError for the first problem."""
+    _check_names(doctors, hospitals)
+    dset, hset = set(doctors), set(hospitals)
+    expected = {Vertex(DOCTOR, d) for d in doctors} | {Vertex(HOSPITAL, h) for h in hospitals}
     incident: dict[Vertex, set[Edge]] = {v: set() for v in expected}
-    bad = [e for e in inst.edges if not isinstance(e, Edge) or e.doctor not in dset or e.hospital not in hset]
+    bad = [e for e in edges if not isinstance(e, Edge) or e.doctor not in dset or e.hospital not in hset]
     if bad:  # as `_removed_names` does: the edge whose repr sorts first
         e = min(bad, key=repr)
         if not isinstance(e, Edge):
             raise ValueError(f"edge {e!r} is not an Edge")
         raise ValueError(f"edge {tuple(e)} has an undeclared endpoint")
-    for e in inst.edges:
+    for e in edges:
         incident[Vertex(DOCTOR, e.doctor)].add(e)
         incident[Vertex(HOSPITAL, e.hospital)].add(e)
-    if set(inst.rank) != expected:
+    if set(rank) != expected:
         raise ValueError("preference table must cover every declared vertex exactly")
-    for v, table in inst.rank.items():
+    for v, table in rank.items():
         if set(table) != incident[v]:
             raise ValueError(f"{v.describe()} must rank exactly its incident edges")
         for r in table.values():

@@ -113,8 +113,8 @@ def all_matchings(inst: Instance, deleted: Iterable[Vertex] = ()) -> Iterator[fr
 
 def count_matchings(inst: Instance, deleted: Iterable[Vertex] = (), *, max_edges: int = 20) -> int:
     """How many matchings the graph minus `deleted` has."""
-    _check_edge_cap(inst, deleted, max_edges)
-    return sum(1 for _ in all_matchings(inst, deleted))
+    pool = _check_edge_cap(inst, deleted, max_edges)
+    return sum(1 for _ in _walk(ordered_edges(pool)))
 
 
 def _check_edge_cap(inst: Instance, deleted: Iterable[Vertex], max_edges: int | None) -> frozenset[Edge]:

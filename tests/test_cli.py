@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import superstab.cli
 from conftest import (
     STRICT_2X2_TEXT,
     TIE_2X2_TEXT,
@@ -438,6 +439,13 @@ def test_verify_problem2(capsys, tie_file):
     assert payload["stats"]["oracle_answer"] == "yes"
 
 
+def test_verify_problem2_agrees_on_no(capsys, tie_file):
+    rc, payload, captured = run_cli(capsys, "verify", tie_file, "--mode", "problem2", "--q1", "0", "--q2", "1")
+    assert rc == 0
+    assert payload["stats"]["solver_answer"] == payload["stats"]["oracle_answer"] == "no"
+    assert captured.err == "AGREE\n"
+
+
 def test_verify_problem2_needs_budgets(capsys, tie_file):
     rc, _, captured = run_cli(capsys, "verify", tie_file, "--mode", "problem2")
     assert rc == 2
@@ -460,6 +468,31 @@ def test_oracle_cap_env_is_honored(capsys, strict_file, monkeypatch):
     rc, _, captured = run_cli(capsys, "verify", strict_file, "--mode", "problem1")
     assert rc == 2
     assert "subset-search cap" in captured.err
+
+
+@pytest.mark.parametrize(
+    "cap,args,message",
+    [
+        ("-1", ("verify", "--mode", "problem1"), "SUPERSTAB_ORACLE_CAP must be non-negative"),
+        (None, ("solve2", "--q1", "-1", "--q2", "0"), "--q1 and --q2 must be non-negative"),
+        (None, ("verify", "--mode", "problem2", "--q1", "0", "--q2", "-1"), "--q1 and --q2 must be non-negative"),
+    ],
+)
+def test_negative_budgets_and_caps_exit_2(capsys, tie_file, monkeypatch, cap, args, message):
+    if cap is not None:
+        monkeypatch.setenv("SUPERSTAB_ORACLE_CAP", cap)
+    rc, payload, captured = run_cli(capsys, args[0], tie_file, *args[1:])
+    assert (rc, payload, captured.err) == (2, None, f"error: {message}\n")
+
+
+def test_verify_problem2_disagrees_with_an_over_budget_witness(capsys, tie_file, monkeypatch):
+    over = frozenset({doctor("d1"), doctor("d2"), hospital("h2")})
+    monkeypatch.setattr(superstab.cli, "solve_two_side_deletion", lambda *args: over, raising=False)
+    rc, payload, captured = run_cli(capsys, "verify", tie_file, "--mode", "problem2", "--q1", "1", "--q2", "1")
+    assert rc == 1
+    assert payload["answer"] == "no"
+    assert payload["stats"]["solver_answer"] == "yes"
+    assert captured.err == "DISAGREE\n"
 
 
 def test_gen_is_deterministic(capsys):

@@ -16,7 +16,7 @@ from superstab.hardness import (
     reduce_min_coverage,
     solve_two_side_deletion,
 )
-from superstab.model import Edge, FormatError, doctor, hospital, induced_instance
+from superstab.model import Edge, FormatError, doctor, hospital, induced_instance, make_instance
 from superstab.oracle import CapExceeded, oracle_two_side_deletion
 from superstab.superstable import (
     _fixed_point,
@@ -188,6 +188,18 @@ def test_solver_rejects_negative_budgets(tie_2x2):
         solve_two_side_deletion(tie_2x2, -1, 0)
     with pytest.raises(ValueError, match="non-negative"):
         solve_two_side_deletion(tie_2x2, 0, -1)
+
+
+def test_solver_and_oracle_refuse_a_non_integer_doctor_budget():
+    # Three doctors tied on one hospital: without deleting it, two doctors must go.
+    names = ["d1", "d2", "d3"]
+    inst = make_instance(names, ["h1"], {d: ["h1"] for d in names}, {"h1": [names]})
+    for search in (solve_two_side_deletion, oracle_two_side_deletion):
+        with pytest.raises(TypeError, match="^'float' object cannot be interpreted as an integer$"):
+            search(inst, 1.5, 0)
+    assert solve_two_side_deletion(inst, 1, 0) is None is oracle_two_side_deletion(inst, 1, 0)
+    two = frozenset({doctor("d1"), doctor("d2")})
+    assert solve_two_side_deletion(inst, 2, 0) == two == oracle_two_side_deletion(inst, 2, 0)
 
 
 def test_solver_doctor_cap(strict_2x2):

@@ -365,6 +365,41 @@ def test_name_errors_pin_message_line_and_column(build, message):
         assert type(exc) is ValueError
 
 
+def _delete_a_record_field():
+    round_ = ClosureRound(index=1, proposed=frozenset(), held=frozenset(), forbidden=frozenset())
+    del round_.index
+
+
+RARE_ERRORS = [
+    (
+        lambda: make_instance(["d1"], ["h1"], {"d1": [["h1", 5]]}, {"h1": ["d1"]}),
+        ValueError,
+        "doctor 'd1' lists a non-string entry 5",
+    ),
+    (lambda: make_instance(["d1"], ["h1"], {"d1": [5]}), TypeError, "'int' object is not iterable"),
+    # An earlier list's problem is met before the item that is not iterable.
+    (
+        lambda: make_instance(["d1", "d2"], ["h1"], {"d1": [[]], "d2": [5]}),
+        ValueError,
+        "doctor 'd1' has an empty tie group",
+    ),
+    (
+        lambda: parse_instance("doctors: d1\nhospitals: h1\nhospitals: h1\n"),
+        FormatError,
+        "line 3: second 'hospitals:' line",
+    ),
+    (lambda: parse_instance(STRICT_2X2_TEXT).incident(doctor("zz")), ValueError, "unknown doctor 'zz'"),
+    (_delete_a_record_field, AttributeError, "cannot delete field 'index'"),
+]
+
+
+@pytest.mark.parametrize("build,kind,message", RARE_ERRORS, ids=[m for _, _, m in RARE_ERRORS])
+def test_rare_errors_pin_their_type_and_message(build, kind, message):
+    with pytest.raises(kind) as info:
+        build()
+    assert str(info.value) == message
+
+
 def test_make_instance_reports_list_problems_before_one_sided_entries():
     with pytest.raises(ValueError, match="unknown doctor 'd9'"):
         make_instance(["d1"], ["h1", "h2"], {"d1": ["h1"]}, {"h2": ["d9"]})
@@ -386,7 +421,7 @@ def test_make_instance_error_does_not_depend_on_hash_seed():
 
 
 def test_public_constructors_skip_revalidation(monkeypatch):
-    def refuse(inst):
+    def refuse(*args):
         raise AssertionError("_validate_instance called")
 
     monkeypatch.setattr(superstab.model, "_validate_instance", refuse)

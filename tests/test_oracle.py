@@ -62,6 +62,10 @@ def test_matching_count_under_deletions(strict_2x2):
     assert count_matchings(strict_2x2, {doctor("d1")}) == 3
 
 
+def test_matching_count_reads_a_one_pass_deletion_iterable_once(strict_2x2):
+    assert count_matchings(strict_2x2, iter([hospital("h1")])) == 3
+
+
 def test_all_matchings_are_distinct_and_valid(strict_2x2):
     seen = list(all_matchings(strict_2x2))
     assert len(seen) == len(set(seen)) == 7
