@@ -6,6 +6,10 @@ on first access (PEP 562): `superstab.NAME` imports the modules in
 `_MODULES` order until one lists NAME, and `__all__` and `dir()` import
 them all.  So `import superstab.cli`, or any one submodule, compiles only
 what that module uses.
+
+`_lazy` builds that `__getattr__` for every module of the package: each
+module keeps the code that no hot command runs in a private sibling, and
+reads those names from it on first access.
 """
 
 __version__ = "0.1.0"
@@ -19,18 +23,38 @@ def _module(name: str):
     return __import__(name, globals(), None, (), 1)
 
 
+def _lazy(namespace: dict, owner) -> object:
+    """A PEP 562 `__getattr__` for the module whose globals are `namespace`:
+    it reads NAME from the sibling module `owner(NAME)` names, keeps it in
+    `namespace`, so that the next read is a plain one, and returns it;
+    AttributeError when `owner` gives None."""
+
+    def __getattr__(name: str) -> object:
+        module = owner(name)
+        if module is None:
+            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+        value = namespace[name] = getattr(_module(module), name)
+        return value
+
+    return __getattr__
+
+
+def _owner(name: str) -> str | None:
+    """The first of `_MODULES` whose `__all__` lists `name`, or None."""
+    return next((m for m in _MODULES if name in _module(m).__all__), None)
+
+
+_public_name = _lazy(globals(), _owner)
+
+
 def __getattr__(name: str) -> object:
     if name in _MODULES:
         return _module(name)
     if name == "__all__":
-        value = [n for m in _MODULES for n in _module(m).__all__] + ["__version__"]
-    else:
-        owner = next((m for m in map(_module, _MODULES) if name in m.__all__), None)
-        if owner is None:
-            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-        value = getattr(owner, name)
-    globals()[name] = value
-    return value
+        names = [n for m in _MODULES for n in _module(m).__all__]
+        value = globals()[name] = names + ["__version__"]
+        return value
+    return _public_name(name)
 
 
 def __dir__() -> list[str]:

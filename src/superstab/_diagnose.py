@@ -14,18 +14,8 @@ from __future__ import annotations
 import re
 from typing import Mapping
 
-from .model import (
-    DOCTOR,
-    HOSPITAL,
-    FormatError,
-    PrefInput,
-    Vertex,
-    _PREF_TOKEN,
-    _SIDE_WORD,
-    _lines,
-    _name_ok,
-    _name_problem,
-)
+from ._objects import PrefInput, _lines, _name_ok, _name_problem
+from .model import DOCTOR, HOSPITAL, FormatError, Vertex, _PREF_TOKEN, _SIDE_WORD
 
 _OTHER_SIDE = {DOCTOR: HOSPITAL, HOSPITAL: DOCTOR}
 # The tokens of a name line.

@@ -1,0 +1,382 @@
+"""The Python-object side of `model`, and the plain rescans of `superstable`.
+
+Nothing here runs in `check`, `solve1`, `closure`, `solve2` or
+`verify --mode problem1`, so those commands never compile it.  `model`
+and `superstable` read these names from this module on first access
+(PEP 562), and each public one stays in the `__all__` of its public
+module.  It holds:
+
+- the builders that start from Python objects: `make_instance` and its
+  list checks, and `Instance(...)`'s validation of its four fields;
+- what turns an instance back into lists or text: `serialize_instance`,
+  `induced_instance` and `transpose_instance`;
+- the definitional scans: the choice scans of one closure round,
+  the blocking-edge predicate, and `extract_matching` and
+  `critical_hospitals`, which rescan the edges with the choice scans
+  where the solver reads its own log;
+- the name checks and the line splitter that the coverage reader and
+  `_diagnose` share.
+"""
+
+from __future__ import annotations
+
+import re
+from collections import Counter
+from itertools import chain, count, groupby, repeat
+from operator import itemgetter
+from typing import Iterable, Iterator, Mapping, Sequence
+
+from .model import (
+    DOCTOR,
+    HOSPITAL,
+    Edge,
+    FormatError,
+    Instance,
+    Vertex,
+    _build,
+    _Entries,
+    _removed_names,
+)
+
+# Names must survive the text format: one token, no grouping or delimiter
+# chars.  `\s` matches exactly the characters `str.isspace` accepts.
+_NOT_IN_NAME = re.compile(r"[\s()#:]")
+
+
+def _name_ok(name: object) -> bool:
+    return isinstance(name, str) and bool(name) and not _NOT_IN_NAME.search(name)
+
+
+def _name_problem(names: Sequence[object], word: str, repeated: str) -> tuple[int, str] | None:
+    """The index and message of the first of `names` that is invalid or
+    repeats an earlier one: "invalid {word} name 'x'" or "{repeated} 'x'"."""
+    seen: set[object] = set()
+    for k, name in enumerate(names):
+        if not _name_ok(name):
+            return k, f"invalid {word} name {name!r}"
+        if name in seen:
+            return k, f"{repeated} {name!r}"
+        seen.add(name)
+    return None
+
+
+def _table_lists(
+    rank: Mapping[Vertex, Mapping[Edge, int]], doctors: tuple[str, ...], hospitals: tuple[str, ...]
+) -> list[list[_Entries]]:
+    """The doctors' and the hospitals' lists in the rank tables, in
+    declaration order, as `_build` reads them: each table in rank order,
+    tied edges in table order."""
+    out = []
+    for side, names, partner in ((DOCTOR, doctors, itemgetter(1)), (HOSPITAL, hospitals, itemgetter(0))):
+        tables = map(rank.__getitem__, map(Vertex, repeat(side), names))
+        ordered = (sorted(t.items(), key=itemgetter(1)) for t in tables)  # stable: ties keep table order
+        out.append([([partner(e) for e, _ in t], [r for _, r in t]) for t in ordered])
+    return out
+
+
+def _lists(inst: Instance) -> tuple[list[_Entries], list[_Entries]]:
+    """The doctors' and the hospitals' lists in the core of `inst`, in
+    declaration order, as `_build` reads them."""
+    first, partners = inst._first, list(map(inst.hospitals.__getitem__, inst._eh))
+    doctor_lists = [(partners[a:b], inst._dl[a:b]) for a, b in zip(first, first[1:])]
+    doctor_of, rank = list(map(inst.doctors.__getitem__, inst._ed)).__getitem__, inst._hl.__getitem__
+    return doctor_lists, [(list(map(doctor_of, ids)), list(map(rank, ids))) for ids in inst._by_h]
+
+
+def _entries(groups: list[list[str]]) -> _Entries:
+    """Tie groups, best first, as one list: the names and the level of each."""
+    return list(chain.from_iterable(groups)), list(chain.from_iterable(map(repeat, count(1), map(len, groups))))
+
+
+def _check_names(doctors: tuple[str, ...], hospitals: tuple[str, ...]) -> None:
+    for word, names in (("doctor", doctors), ("hospital", hospitals)):
+        if problem := _name_problem(names, word, f"duplicate {word} name"):
+            raise ValueError(problem[1])
+
+
+def _validate_instance(
+    doctors: tuple[str, ...], hospitals: tuple[str, ...], edges: frozenset[Edge], rank: Mapping[Vertex, Mapping]
+) -> None:
+    """Check the fields given to `Instance(...)`, before any is stored:
+    valid, unique names, edges between declared vertices, and one table
+    per vertex ranking exactly its edges; ValueError for the first problem."""
+    _check_names(doctors, hospitals)
+    dset, hset = set(doctors), set(hospitals)
+    expected = {Vertex(DOCTOR, d) for d in doctors} | {Vertex(HOSPITAL, h) for h in hospitals}
+    incident: dict[Vertex, set[Edge]] = {v: set() for v in expected}
+    bad = [e for e in edges if not isinstance(e, Edge) or e.doctor not in dset or e.hospital not in hset]
+    if bad:  # as `_removed_names` does: the edge whose repr sorts first
+        e = min(bad, key=repr)
+        if not isinstance(e, Edge):
+            raise ValueError(f"edge {e!r} is not an Edge")
+        raise ValueError(f"edge {tuple(e)} has an undeclared endpoint")
+    for e in edges:
+        incident[Vertex(DOCTOR, e.doctor)].add(e)
+        incident[Vertex(HOSPITAL, e.hospital)].add(e)
+    if set(rank) != expected:
+        raise ValueError("preference table must cover every declared vertex exactly")
+    for v, table in rank.items():
+        if set(table) != incident[v]:
+            raise ValueError(f"{v.describe()} must rank exactly its incident edges")
+        for r in table.values():
+            if not isinstance(r, int) or isinstance(r, bool) or r < 1:
+                raise ValueError(f"{v.describe()} has a non-positive rank {r!r}")
+
+
+PrefInput = Sequence["str | Iterable[str]"]
+
+
+def _from_lists(
+    doctors: tuple[str, ...], hospitals: tuple[str, ...], prefs: Mapping[Vertex, PrefInput]
+) -> Instance:
+    """Check one preference list per declared vertex and build the instance.
+
+    The declared names must already be valid and unique.  Lists whose
+    tie groups are all non-empty and hold only strings go to the bulk
+    checks of `_build`.  Only when those fail are the lists scanned entry
+    by entry, by `_diagnose._list_problem`, to raise `_diagnose._ListError`
+    for the first problem, which never depends on hashing.
+    """
+    seen: dict[Vertex, list[list]] = {}  # each list's tie groups, read once
+    lists: dict[Vertex, _Entries] = {}
+    for owner, raw in prefs.items():
+        try:
+            groups = seen[owner] = [[item] if isinstance(item, str) else list(item) for item in raw]
+        except TypeError:  # an item that is not iterable: the scan meets it in order
+            break
+        names, _ = lists[owner] = _entries(groups)
+        if not all(groups) or not all(map(isinstance, names, repeat(str))):
+            break
+    else:
+        inst = _build(
+            doctors,
+            hospitals,
+            [lists[DOCTOR, d] for d in doctors],  # a Vertex is the tuple (side, name)
+            [lists[HOSPITAL, h] for h in hospitals],
+        )
+        if inst is not None:
+            return inst
+
+    from ._diagnose import _list_problem
+
+    raise _list_problem(doctors, hospitals, {**prefs, **seen})
+
+
+def make_instance(
+    doctors: Iterable[str],
+    hospitals: Iterable[str],
+    doctor_prefs: Mapping[str, PrefInput] | None = None,
+    hospital_prefs: Mapping[str, PrefInput] | None = None,
+) -> Instance:
+    """Build a validated instance from per-vertex preference lists.
+
+    A preference list is a sequence whose items are either a partner
+    name (a rank level of its own) or an iterable of names tied at one
+    level, best level first.  Listing must be mutual: a doctor may rank
+    a hospital only if that hospital ranks the doctor back.  Vertices
+    absent from the mapping get an empty list.
+    """
+    doctors = tuple(doctors)
+    hospitals = tuple(hospitals)
+    _check_names(doctors, hospitals)
+    doctor_prefs = dict(doctor_prefs or {})
+    hospital_prefs = dict(hospital_prefs or {})
+    for word, prefs, declared in (
+        ("doctor", doctor_prefs, set(doctors)),
+        ("hospital", hospital_prefs, set(hospitals)),
+    ):
+        extra = set(prefs) - declared
+        if extra:
+            raise ValueError(f"preferences given for undeclared {word} {sorted(extra)[0]!r}")
+
+    lists = {Vertex(DOCTOR, d): doctor_prefs.get(d, ()) for d in doctors}
+    lists.update({Vertex(HOSPITAL, h): hospital_prefs.get(h, ()) for h in hospitals})
+    return _from_lists(doctors, hospitals, lists)
+
+
+def _lines(text: str) -> Iterator[tuple[int, list[str], str, int]]:
+    """Each line of `text` that is not blank once its `#` comment is cut:
+    its number, the words before its first ':', the body after it, and the
+    body's offset in the line.  A line without ':' raises FormatError."""
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0]
+        if not line.strip():
+            continue
+        head, sep, body = line.partition(":")
+        if not sep:
+            raise FormatError("expected ':'", line=lineno, column=len(line.rstrip()) + 1)
+        yield lineno, head.split(), body, len(head) + 1
+
+
+def serialize_instance(inst: Instance) -> str:
+    """Canonical text for an instance; the parser reads it back verbatim.
+
+    Tie groups are emitted best to worst with members sorted by name, so
+    equal instances serialize to identical bytes.
+    """
+    def name_line(label: str, names: tuple[str, ...]) -> str:
+        return f"{label}:" + ("" if not names else " " + " ".join(names))
+
+    lines = [name_line("doctors", inst.doctors), name_line("hospitals", inst.hospitals)]
+    for v, (names, ranks) in zip(inst.vertices(), chain(*_lists(inst))):
+        runs = groupby(zip(ranks, names), itemgetter(0))  # the tie groups: runs of equal rank
+        groups = [sorted(map(itemgetter(1), run)) for _, run in runs]
+        parts = [f"({' '.join(g)})" if len(g) > 1 else g[0] for g in groups]
+        lines.append(f"pref {v.name}:" + ("" if not parts else " " + " ".join(parts)))
+    return "\n".join(lines) + "\n"
+
+
+def induced_edges(inst: Instance, removed: Iterable[Vertex] = ()) -> frozenset[Edge]:
+    """Edges of the subgraph left after deleting `removed` vertices."""
+    gone_d, gone_h = _removed_names(inst, removed)
+    if not gone_d and not gone_h:
+        return inst.edges
+    return frozenset(
+        e for e in inst.edges if e.doctor not in gone_d and e.hospital not in gone_h
+    )
+
+
+def induced_instance(inst: Instance, removed: Iterable[Vertex]) -> Instance:
+    """The instance on the remaining vertices.
+
+    Declaration order is preserved, edge sets shrink accordingly, and
+    surviving rank values carry over unchanged.
+    """
+    removed = frozenset(removed)
+    if not removed:
+        return inst
+    edges = induced_edges(inst, removed)
+    doctors = tuple(d for d in inst.doctors if Vertex(DOCTOR, d) not in removed)
+    hospitals = tuple(h for h in inst.hospitals if Vertex(HOSPITAL, h) not in removed)
+    rank = {v: {e: r for e, r in table.items() if e in edges} for v, table in inst.rank.items()}
+    return _build(doctors, hospitals, *_table_lists(rank, doctors, hospitals))
+
+
+def transpose_instance(inst: Instance) -> Instance:
+    """Swap the two sides, preserving every preference."""
+    doctor_lists, hospital_lists = _lists(inst)
+    return _build(inst.hospitals, inst.doctors, hospital_lists, doctor_lists)
+
+
+def _best_edges(table: dict[Edge, int], pool: Iterable[Edge], end: int) -> list[list[Edge]]:
+    """Per endpoint `e[end]` of the edges in `pool`, its best ones by `table`."""
+    pool = list(pool)
+    keep: dict[str, tuple[int, list[Edge]]] = {}
+    for e in pool:
+        r = table.get(e)
+        if r is None:  # as `_removed_names` does: the edge whose repr sorts first
+            e = min((e for e in pool if e not in table), key=repr)
+            raise ValueError(f"edge {tuple(e)} is not an edge of the instance")
+        b = keep.get(e[end])
+        if b is None or r < b[0]:
+            keep[e[end]] = (r, [e])
+        elif r == b[0]:
+            b[1].append(e)
+    return [es for _, es in keep.values()]
+
+
+def all_doctor_choices(inst: Instance, pool: Iterable[Edge]) -> frozenset[Edge]:
+    """Union of every doctor's weakly best edges within `pool`."""
+    return frozenset(e for es in _best_edges(inst.doctor_rank, pool, 0) for e in es)
+
+
+def all_hospital_choices(inst: Instance, pool: Iterable[Edge]) -> frozenset[Edge]:
+    """Union of every hospital's held edge within `pool` (strict bests only)."""
+    return frozenset(es[0] for es in _best_edges(inst.hospital_rank, pool, 1) if len(es) == 1)
+
+
+def _assignment(
+    pool: frozenset[Edge], matching: Iterable[Edge]
+) -> tuple[dict[str, Edge], dict[str, Edge], frozenset[Edge]]:
+    """Each side's partner in `matching`, which must be a matching of `pool`.
+
+    Otherwise ValueError names, as `_removed_names` does, the edge outside
+    `pool` whose repr sorts first, or else says that two edges share an
+    endpoint, so the message never depends on hashing.
+    """
+    matching = frozenset(matching)
+    by_d: dict[str, Edge] = {}
+    by_h: dict[str, Edge] = {}
+    for e in matching:
+        if e not in pool or e.doctor in by_d or e.hospital in by_h:
+            break
+        by_d[e.doctor] = e
+        by_h[e.hospital] = e
+    else:
+        return by_d, by_h, matching
+    outside = [e for e in matching if e not in pool]
+    if outside:
+        e = min(outside, key=repr)
+        raise ValueError(f"matching edge {tuple(e)} is not in the induced graph")
+    raise ValueError("two matching edges share an endpoint")
+
+
+def blocking_edges(
+    inst: Instance, removed: Iterable[Vertex], matching: Iterable[Edge]
+) -> frozenset[Edge]:
+    """Every edge of the graph minus `removed` that blocks `matching`.
+
+    An edge blocks when both of its endpoints find it at least as good
+    as their current assignment (being unmatched loses to anything).
+    Raises ValueError when `matching` is not a matching of the induced
+    graph.
+    """
+    pool = induced_edges(inst, removed)
+    by_d, by_h, matching = _assignment(pool, matching)
+    dr = inst.doctor_rank
+    hr = inst.hospital_rank
+    out: list[Edge] = []
+    for e in pool:
+        if e in matching:
+            continue
+        md = by_d.get(e.doctor)
+        if md is not None and dr[md] < dr[e]:
+            continue
+        mh = by_h.get(e.hospital)
+        if mh is not None and hr[mh] < hr[e]:
+            continue
+        out.append(e)
+    return frozenset(out)
+
+
+def is_super_stable(
+    inst: Instance, removed: Iterable[Vertex], matching: Iterable[Edge]
+) -> bool:
+    """True when `matching` has no blocking edge in the graph minus `removed`."""
+    return not blocking_edges(inst, removed, matching)
+
+
+def _smallest_per_doctor(edges: Iterable[Edge]) -> frozenset[Edge]:
+    """Each doctor's edge with the smallest hospital name among `edges`."""
+    return frozenset({e.doctor: e for e in sorted(edges, reverse=True)}.values())
+
+
+def extract_matching(inst: Instance, forbidden: Iterable[Edge]) -> frozenset[Edge]:
+    """The matching the non-forbidden doctor choices induce.
+
+    Requires a completed closure result: every hospital may appear in at
+    most one doctor's choice set.  Each doctor with choices left takes
+    the one with the smallest hospital name.
+    """
+    choices = all_doctor_choices(inst, inst.edges - frozenset(forbidden))
+    crowded = [h for h, c in Counter(e.hospital for e in choices).items() if c > 1]
+    if crowded:
+        raise ValueError(
+            f"hospital {sorted(crowded)[0]!r} is chosen by several doctors; "
+            "the forbidden set is not a completed closure result"
+        )
+    return _smallest_per_doctor(choices)
+
+
+def critical_hospitals(
+    inst: Instance, forbidden: Iterable[Edge], matching: Iterable[Edge]
+) -> frozenset[Vertex]:
+    """Hospitals left unmatched that some doctor still wants.
+
+    A hospital is critical when `matching` leaves it empty although it
+    has a forbidden edge or appears in some doctor's current choices.
+    """
+    forbidden = frozenset(forbidden)
+    wanted = {e.hospital for e in forbidden | all_doctor_choices(inst, inst.edges - forbidden)}
+    wanted.difference_update(e.hospital for e in matching)
+    return frozenset(Vertex(HOSPITAL, h) for h in inst.hospitals if h in wanted)

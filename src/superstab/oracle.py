@@ -29,23 +29,19 @@ is the demanded hospitals left unmatched.
 
 Two-side deletion is a loop over doctor subsets D', each running that
 walk on G minus D', whose ranks keep their order too.
+
+`verify --mode problem1` loads this module.  `_check_edge_cap`, the one
+caller of `induced_edges`, imports it where it runs, so that command
+never loads `_objects`.
 """
 
 from __future__ import annotations
 
+import operator
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from .model import (
-    CapExceeded,
-    Edge,
-    Instance,
-    Vertex,
-    doctor,
-    hospital,
-    induced_edges,
-    ordered_edges,
-)
+from .model import CapExceeded, Edge, Instance, Vertex, doctor, hospital, ordered_edges
 
 CAP_ENV = "SUPERSTAB_ORACLE_CAP"
 
@@ -107,7 +103,7 @@ def _super_stable(pool: list[Edge], ranks: tuple[dict, dict], by_d: dict, by_h: 
 
 def all_matchings(inst: Instance, deleted: Iterable[Vertex] = ()) -> Iterator[frozenset[Edge]]:
     """Yield every matching of the graph minus `deleted`, each exactly once."""
-    for by_d, _ in _walk(ordered_edges(induced_edges(inst, deleted))):
+    for by_d, _ in _walk(ordered_edges(_check_edge_cap(inst, deleted, None))):
         yield frozenset(by_d.values())
 
 
@@ -118,6 +114,8 @@ def count_matchings(inst: Instance, deleted: Iterable[Vertex] = (), *, max_edges
 
 
 def _check_edge_cap(inst: Instance, deleted: Iterable[Vertex], max_edges: int | None) -> frozenset[Edge]:
+    from ._objects import induced_edges
+
     pool = induced_edges(inst, deleted)
     if max_edges is not None and len(pool) > max_edges:
         raise _cap_exceeded(len(pool), "edges", "enumeration", "max_edges", max_edges)
@@ -225,6 +223,7 @@ def oracle_two_side_deletion(
             total_vertices, "vertices", "subset-search", "max_vertices", max_vertices
         )
     names = sorted(inst.doctors)
+    doctor_budget, hospital_budget = operator.index(doctor_budget), operator.index(hospital_budget)
     pool = ordered_edges(inst.edges)
     best = None
     for size in range(min(doctor_budget, len(names)) + 1):

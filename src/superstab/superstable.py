@@ -27,24 +27,38 @@ what a caller reads.  The deleted vertices of both sides are arguments
 of the loop: `_fixed_point(inst, skip, gone)` never lets the doctors
 named in `skip` propose, and its doctors pass over the edges of the
 hospitals named in `gone`.
+
+`extract_matching` and `critical_hospitals` read the same answers from
+the edges again, with `model`'s choice scans.  No command runs them, so
+they live with those scans in `_objects`, which no solver command
+compiles; both are still attributes of this module, read on first
+access, and listed in its `__all__`.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import cached_property
 from typing import Callable, Collection, Iterable, Iterator, Sequence
 
-from .model import (
-    HOSPITAL,
-    Edge,
-    Instance,
-    Vertex,
-    _Record,
-    _removed_names,
-    all_doctor_choices,
-    all_hospital_choices,  # unused here; bench/tracer.py patches both scans in this module
-    induced_instance,  # unused here; bench/tracer.py patches it
+from . import _lazy
+from .model import HOSPITAL, Edge, Instance, Vertex, _Record, _removed_names
+
+# The plain rescans, which no command runs, are read from `_objects` on
+# first access.  So are the choice scans and `induced_instance`, which no
+# code here calls: they resolve here only because `bench/tracer.py` names
+# this module among its targets.
+__getattr__ = _lazy(
+    globals(),
+    dict.fromkeys(
+        (
+            "extract_matching",
+            "critical_hospitals",
+            "all_doctor_choices",
+            "all_hospital_choices",
+            "induced_instance",
+        ),
+        "_objects",
+    ).get,
 )
 
 
@@ -251,42 +265,6 @@ def closure(
     log, _ = _fixed_point(inst, gone=gone)
     trace = ClosureTrace(initial, log=log, edges=edge)
     return trace.result, trace
-
-
-def _smallest_per_doctor(edges: Iterable[Edge]) -> frozenset[Edge]:
-    """Each doctor's edge with the smallest hospital name among `edges`."""
-    return frozenset({e.doctor: e for e in sorted(edges, reverse=True)}.values())
-
-
-def extract_matching(inst: Instance, forbidden: Iterable[Edge]) -> frozenset[Edge]:
-    """The matching the non-forbidden doctor choices induce.
-
-    Requires a completed closure result: every hospital may appear in at
-    most one doctor's choice set.  Each doctor with choices left takes
-    the one with the smallest hospital name.
-    """
-    choices = all_doctor_choices(inst, inst.edges - frozenset(forbidden))
-    crowded = [h for h, c in Counter(e.hospital for e in choices).items() if c > 1]
-    if crowded:
-        raise ValueError(
-            f"hospital {sorted(crowded)[0]!r} is chosen by several doctors; "
-            "the forbidden set is not a completed closure result"
-        )
-    return _smallest_per_doctor(choices)
-
-
-def critical_hospitals(
-    inst: Instance, forbidden: Iterable[Edge], matching: Iterable[Edge]
-) -> frozenset[Vertex]:
-    """Hospitals left unmatched that some doctor still wants.
-
-    A hospital is critical when `matching` leaves it empty although it
-    has a forbidden edge or appears in some doctor's current choices.
-    """
-    forbidden = frozenset(forbidden)
-    wanted = {e.hospital for e in forbidden | all_doctor_choices(inst, inst.edges - forbidden)}
-    wanted.difference_update(e.hospital for e in matching)
-    return frozenset(Vertex(HOSPITAL, h) for h in inst.hospitals if h in wanted)
 
 
 def _outcome(inst: Instance, log: _Log) -> tuple[frozenset[Edge], frozenset[Vertex]]:

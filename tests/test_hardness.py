@@ -195,8 +195,10 @@ def test_solver_and_oracle_refuse_a_non_integer_doctor_budget():
     names = ["d1", "d2", "d3"]
     inst = make_instance(names, ["h1"], {d: ["h1"] for d in names}, {"h1": [names]})
     for search in (solve_two_side_deletion, oracle_two_side_deletion):
-        with pytest.raises(TypeError, match="^'float' object cannot be interpreted as an integer$"):
-            search(inst, 1.5, 0)
+        for budgets in ((1.5, 0), (0, 1.5)):
+            with pytest.raises(TypeError, match="^'float' object cannot be interpreted as an integer$"):
+                search(inst, *budgets)
+        assert search(inst, 0, True) == search(inst, 0, 1) == frozenset({hospital("h1")})
     assert solve_two_side_deletion(inst, 1, 0) is None is oracle_two_side_deletion(inst, 1, 0)
     two = frozenset({doctor("d1"), doctor("d2")})
     assert solve_two_side_deletion(inst, 2, 0) == two == oracle_two_side_deletion(inst, 2, 0)

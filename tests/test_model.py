@@ -579,6 +579,25 @@ def test_package_lists_every_module_name_once():
     assert names == [n for m in modules for n in m.__all__] + ["__version__"]
     for name in names:
         assert getattr(superstab, name) is not None, name
+        owner = next((m for m in modules if name in m.__all__), superstab)
+        assert getattr(superstab, name) is getattr(owner, name), name
+    # A fresh import of a module loads the private module that holds a name
+    # of its only when that name is first read.
+    private = ["superstab._objects", "superstab._coverage", "superstab._writer", "superstab._commands"]
+    for module, name, loads in (
+        ("model", "make_instance", ["superstab._objects"]),
+        ("superstable", "extract_matching", ["superstab._objects"]),
+        ("hardness", "parse_coverage", ["superstab._objects", "superstab._coverage"]),
+        ("cli", "generate_instance", ["superstab._commands"]),
+    ):
+        code = (
+            f"import sys, superstab.{module} as m\n"
+            f"print([p for p in {private!r} if p in sys.modules])\n"
+            f"m.{name}\n"
+            f"print([p for p in {private!r} if p in sys.modules])\n"
+        )
+        out = run_python(0, "-S", "-c", code)
+        assert out.stdout.decode() == f"[]\n{loads!r}\n", (module, out.stderr)
 
 
 def test_transpose_swaps_sides():
@@ -771,20 +790,31 @@ def _modules_loaded(*cli_args: str) -> set[str]:
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     lazy = {"superstab.hardness", "superstab.oracle", "superstab._diagnose", "random"}
-    assert {"dataclasses", "inspect", *lazy} & _modules_loaded() == set()
+    # The object side of `model`, the closure writer, the coverage side of
+    # `hardness` and the cold commands.
+    cold = {"superstab._objects", "superstab._writer", "superstab._coverage", "superstab._commands"}
+    assert {"dataclasses", "inspect", *lazy, *cold} & _modules_loaded() == set()
     tie = str(DATA / "tie.ssm")
-    assert "superstab.oracle" not in _modules_loaded("solve2", tie, "--q1", "1", "--q2", "1")
-    assert "superstab.hardness" not in _modules_loaded("verify", tie, "--mode", "problem1")
+    loaded = {
+        args[0]: _modules_loaded(*args)
+        for args in (
+            ["check", tie],
+            ["solve1", tie, "--q", "1"],
+            ["closure", tie],
+            ["solve2", tie, "--q1", "1", "--q2", "1"],
+            ["verify", tie, "--mode", "problem1"],
+        )
+    }
+    assert "superstab.oracle" not in loaded["solve2"]
+    assert "superstab.hardness" not in loaded["verify"]
     # argparse, and the gettext it imports, load only for help and usage errors.
     parser = {"argparse", "gettext"}
-    for args in (
-        ["check", tie],
-        ["solve1", tie, "--q", "1"],
-        ["closure", tie],
-        ["solve2", tie, "--q1", "1", "--q2", "1"],
-        ["verify", tie, "--mode", "problem1"],
-    ):
-        assert parser & _modules_loaded(*args) == set(), args
+    for command, modules in loaded.items():
+        assert parser & modules == set(), command
+        if command != "closure":
+            assert {"superstab._objects", "superstab._writer", "superstab._coverage"} & modules == set(), command
+    package = {m for m in loaded["closure"] if m.split(".")[0] == "superstab"}
+    assert package == {"superstab", "superstab.cli", "superstab.model", "superstab.superstable", "superstab._writer"}
     assert parser <= _modules_loaded("--help")
     # The package loads its modules on first access; `dir` still lists every name.
     code = "import superstab; names = dir(superstab); print(set(superstab.__all__) <= set(names))"
