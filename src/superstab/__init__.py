@@ -9,7 +9,9 @@ what that module uses.
 
 `_lazy` builds that `__getattr__` for every module of the package: each
 module keeps the code that no hot command runs in a private sibling, and
-reads those names from it on first access.
+reads those names from it on first access.  A module's `__all__` already
+says which of its names live there, so the only names spelled out are
+those that no `__all__` of the module lists.
 """
 
 __version__ = "0.1.0"
@@ -23,14 +25,18 @@ def _module(name: str):
     return __import__(name, globals(), None, (), 1)
 
 
-def _lazy(namespace: dict, owner) -> object:
+def _lazy(namespace: dict, owner=None, listed: str | None = None) -> object:
     """A PEP 562 `__getattr__` for the module whose globals are `namespace`:
-    it reads NAME from the sibling module `owner(NAME)` names, keeps it in
-    `namespace`, so that the next read is a plain one, and returns it;
-    AttributeError when `owner` gives None."""
+    it reads NAME from the sibling module that `owner(NAME)` names, or else
+    from `listed` when the module's `__all__` lists NAME (a name the module
+    defines never reaches it), keeps it in `namespace`, so that the next
+    read is a plain one, and returns it; AttributeError when neither gives
+    a module."""
 
     def __getattr__(name: str) -> object:
-        module = owner(name)
+        module = owner and owner(name)
+        if module is None and name in namespace.get("__all__", ()):
+            module = listed
         if module is None:
             raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
         value = namespace[name] = getattr(_module(module), name)

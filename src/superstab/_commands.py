@@ -4,11 +4,13 @@
 handlers of `verify`, `gen`, `reduce` and `transpose`, with
 `generate_instance` and the argparse parser, live here, so those four
 hot commands do not compile them; `cli` reads each from here on first
-access (PEP 562).  The handlers look up `parse_instance` and the names
-that `cli` loads on first use on `cli` itself, so a value set there,
-such as a tracing wrapper, is what they call.  `make_instance`,
-`serialize_instance` and `transpose_instance` are imported where they
-run, so `verify --mode problem1` does not load `_objects`.
+access (PEP 562).  The handlers look up `parse_instance`,
+`solve_two_side_deletion` and `oracle_min_hospital_deletion` on `cli`
+itself, so a value set there, such as a tracing wrapper, is what they
+call.  Every other name from a module that not all of these commands
+load (`oracle`, `_coverage`, `_objects`) is imported where it runs, so
+each command loads only its row of the README's table: `verify --mode
+problem1` does not load `_objects`, and `gen` does not load `oracle`.
 """
 
 from __future__ import annotations
@@ -75,16 +77,17 @@ def generate_instance(
 def _oracle_caps(keyword: str) -> dict[str, int]:
     """The oracle keyword arguments for `verify`: `{keyword: cap}` when the
     cap variable is set, else none, so the oracle's own default holds."""
-    cap_env = _cli.CAP_ENV
-    raw = os.environ.get(cap_env)
+    from .oracle import CAP_ENV
+
+    raw = os.environ.get(CAP_ENV)
     if raw is None:
         return {}
     try:
         cap = int(raw)
     except ValueError:
-        raise ValueError(f"{cap_env} must be an integer, got {raw!r}") from None
+        raise ValueError(f"{CAP_ENV} must be an integer, got {raw!r}") from None
     if cap < 0:
-        raise ValueError(f"{cap_env} must be non-negative")
+        raise ValueError(f"{CAP_ENV} must be non-negative")
     return {keyword: cap}
 
 
@@ -93,15 +96,17 @@ def _cmd_verify(ns: SimpleNamespace) -> int:
     timer = _Timer()
     stats: dict = {}
     if ns.mode == "existence":
+        from .oracle import count_matchings, enumerate_super_stable
+
         caps = _oracle_caps("max_edges")
         solver_yes = exists_super_stable(inst) is not None
-        oracle_found = _cli.enumerate_super_stable(inst, **caps)
+        oracle_found = enumerate_super_stable(inst, **caps)
         oracle_yes = bool(oracle_found)
         agree = solver_yes == oracle_yes
         stats = {
             "solver_answer": "yes" if solver_yes else "no",
             "oracle_answer": "yes" if oracle_yes else "no",
-            "search_space": _cli.count_matchings(inst, **caps),
+            "search_space": count_matchings(inst, **caps),
         }
     elif ns.mode == "problem1":
         caps = _oracle_caps("max_hospitals")
@@ -110,13 +115,15 @@ def _cmd_verify(ns: SimpleNamespace) -> int:
         agree = len(cert.critical) == oracle_min
         stats = {"solver_min": len(cert.critical), "oracle_min": oracle_min}
     else:
+        from .oracle import oracle_two_side_deletion
+
         if ns.q1 is None or ns.q2 is None:
             raise ValueError("--mode problem2 needs --q1 and --q2")
         if ns.q1 < 0 or ns.q2 < 0:
             raise ValueError("--q1 and --q2 must be non-negative")
         caps = _oracle_caps("max_vertices")
         solver_witness = _cli.solve_two_side_deletion(inst, ns.q1, ns.q2)
-        oracle_witness = _cli.oracle_two_side_deletion(inst, ns.q1, ns.q2, **caps)
+        oracle_witness = oracle_two_side_deletion(inst, ns.q1, ns.q2, **caps)
         agree = (solver_witness is None) == (oracle_witness is None)
         for witness in (solver_witness, oracle_witness):
             if witness is None:
@@ -141,7 +148,7 @@ def _cmd_verify(ns: SimpleNamespace) -> int:
 def _cmd_gen(ns: SimpleNamespace) -> int:
     from ._objects import serialize_instance
 
-    inst = _cli.generate_instance(ns.doctors, ns.hospitals, ns.density, ns.tie_prob, ns.seed)
+    inst = generate_instance(ns.doctors, ns.hospitals, ns.density, ns.tie_prob, ns.seed)
     sys.stdout.write(serialize_instance(inst))
     print(
         f"generated {len(inst.doctors)} doctors, {len(inst.hospitals)} hospitals, "
@@ -152,9 +159,10 @@ def _cmd_gen(ns: SimpleNamespace) -> int:
 
 
 def _cmd_reduce(ns: SimpleNamespace) -> int:
+    from ._coverage import parse_coverage, reduce_min_coverage
     from ._objects import serialize_instance
 
-    red = _cli.reduce_min_coverage(_cli.parse_coverage(_read(ns.file)))
+    red = reduce_min_coverage(parse_coverage(_read(ns.file)))
     sys.stdout.write(serialize_instance(red.instance))
     sys.stdout.write(f"# q1={red.doctor_budget} q2={red.hospital_budget}\n")
     print(

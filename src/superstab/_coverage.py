@@ -157,7 +157,7 @@ def oracle_min_coverage(cov: CoverageInstance, *, max_families: int = 20) -> boo
     """Brute-force answer to the coverage question itself."""
     m = len(cov.families)
     if m > max_families:
-        raise CapExceeded(f"{m} families exceed the subset-search cap of {max_families}")
+        raise CapExceeded(f"{m} families exceed the subset-search cap of {max_families}; raise max_families")
     for picked in combinations(range(m), cov.picks):
         union: set[str] = set()
         for i in picked:

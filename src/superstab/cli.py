@@ -19,12 +19,13 @@ load with it.  The rest loads on first use:
   `_build_parser`;
 - `_coverage` in `reduce`, and `random` in `gen`.
 
-The names this module uses from those modules are in the table below:
-each is still an attribute of this module, imported on first access
+The table below holds only the names read on this module: the handlers
+and helpers kept elsewhere, `generate_instance`, and the two entry
+points that `bench/tracer.py` wraps.  Each is imported on first access
 (PEP 562), and the commands look it up on the module when they run, so
 a value set on the module, such as a tracing wrapper, is what they call.
-The handlers in `_commands` look up `parse_instance` and those names on
-this module too.
+The handlers in `_commands` look up `parse_instance` and those two entry
+points on this module too, and import every other name where it runs.
 
 `argparse` loads only for `--help` and for command lines that the plain
 reader declines.  A plain command line is the command, then its FILE
@@ -46,24 +47,17 @@ from . import _lazy
 from .model import _removed_names, hospital, ordered_edges, parse_instance
 from .superstable import closure, exists_super_stable, solve_min_hospital_deletion
 
-# The module that defines each name that only some commands use.
+# The module that defines each name that is read on this module.
 __getattr__ = _lazy(
     globals(),
     {
         "solve_two_side_deletion": "hardness",
-        "parse_coverage": "_coverage",
-        "reduce_min_coverage": "_coverage",
-        "CAP_ENV": "oracle",
-        "count_matchings": "oracle",
-        "enumerate_super_stable": "oracle",
         "oracle_min_hospital_deletion": "oracle",
-        "oracle_two_side_deletion": "oracle",
         "_write_closure": "_writer",
         **dict.fromkeys(
-            ("_cmd_verify", "_cmd_gen", "_cmd_reduce", "_cmd_transpose", "generate_instance"),
+            ("_cmd_verify", "_cmd_gen", "_cmd_reduce", "_cmd_transpose", "generate_instance", "_build_parser"),
             "_commands",
         ),
-        "_build_parser": "_commands",
     }.get,
 )
 

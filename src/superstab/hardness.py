@@ -32,8 +32,8 @@ The instance builder turns set-coverage data (pick exactly `picks`
 families, keep their union within `cover_limit`) into a fully
 indifferent matching instance whose deletion budgets mirror the coverage
 question.  That side lives in `_coverage`: `solve2` never runs it, so it
-never compiles it.  Its names are still attributes of this module, read
-on first access, and listed in its `__all__`.
+never compiles it.  `__all__` here lists its names, and each is read
+from `_coverage` on first access.
 """
 
 from __future__ import annotations
@@ -45,25 +45,11 @@ from . import _lazy
 from .model import CapExceeded, Instance, Vertex, doctor
 from .superstable import _count, _fixed_point, _loop, _outcome
 
-# The coverage side is read from `_coverage` on first access.
-# `induced_instance`, which no code here calls, resolves here only because
-# `bench/tracer.py` names this module among its targets.
-__getattr__ = _lazy(
-    globals(),
-    {
-        **dict.fromkeys(
-            (
-                "CoverageInstance",
-                "ReductionOutput",
-                "parse_coverage",
-                "reduce_min_coverage",
-                "oracle_min_coverage",
-            ),
-            "_coverage",
-        ),
-        "induced_instance": "_objects",
-    }.get,
-)
+# Each name of `__all__` that this file does not define, the coverage
+# side, is read from `_coverage` on first access.  `induced_instance`,
+# which no code here calls, is read from `_objects`: it resolves here only
+# because `bench/tracer.py` names this module among its targets.
+__getattr__ = _lazy(globals(), {"induced_instance": "_objects"}.get, "_coverage")
 
 
 def solve_two_side_deletion(

@@ -6,25 +6,20 @@ any ranked edge).  A matching is super-stable when no edge outside it is
 weakly preferred, by both of its endpoints at once, to whatever those
 endpoints currently hold.
 
-This module owns the data model, the instance text format and its
-validation, induced subgraphs, the transpose transform, the choice scans
-that define one closure round (each doctor's weakly best edges, each
-hospital's strictly best one), and the super-stability predicate.  The
-solvers, in the sibling modules, never run the choice scans: they are
-the round definition the tests check the closure against, and what the
-plain `extract_matching` and `critical_hospitals` rescan with.
-Everything is immutable and side-effect free.
+This module owns the data model and the instance text format: the
+vertex, edge and error types, `Instance` and its builder `_build`, the
+text reader and `_removed_names`, which is what `check`, `solve1`,
+`closure`, `solve2` and `verify --mode problem1` run.  Everything is
+immutable and side-effect free.
 
-What lives where.  This file keeps what `check`, `solve1`, `closure`,
-`solve2` and `verify --mode problem1` run: the data model, `Instance`,
-its builder `_build`, the text reader and `_removed_names`.  The rest,
-which only library callers, tests and the cold commands run, is the
-Python-object side in `_objects`: `make_instance`, `serialize_instance`,
+The Python-object side, which only library callers, tests and the cold
+commands run, is in `_objects`: `make_instance`, `serialize_instance`,
 `Instance(...)`'s validation, induced subgraphs, the transpose, the
-choice scans and the blocking-edge predicate.  Every command compiles
-what it imports, so the hot ones compile none of that; each of those
-names is still an attribute of this module, read from `_objects` on
-first access (PEP 562), and listed in `__all__` here.
+choice scans that define one closure round (each doctor's weakly best
+edges, each hospital's strictly best one), and the blocking-edge and
+super-stability predicates.  Every command compiles what it imports, so
+the hot ones compile none of that.  Each of those names that `__all__`
+here lists is read from `_objects` on first access (PEP 562).
 
 `parse_instance` reads good text in one pass, and every build runs bulk
 checks, in C; both say only that something is wrong.  The code that then
@@ -40,7 +35,6 @@ and `incident` reads `rank`.
 from __future__ import annotations
 
 import re
-import sys
 from functools import cached_property
 from itertools import accumulate, chain, count, repeat
 from operator import itemgetter
@@ -48,30 +42,9 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from . import _lazy
 
-# The names the object side defines, and the private ones read on this
-# module: by `Instance(...)`, so that a value set here is what it runs,
-# and by the tests.  Each is read from `_objects` on first access.
-__getattr__ = _lazy(
-    globals(),
-    dict.fromkeys(
-        (
-            "make_instance",
-            "serialize_instance",
-            "induced_edges",
-            "induced_instance",
-            "transpose_instance",
-            "all_doctor_choices",
-            "all_hospital_choices",
-            "blocking_edges",
-            "is_super_stable",
-            "_validate_instance",
-            "_table_lists",
-            "_from_lists",
-        ),
-        "_objects",
-    ).get,
-)
-_model = sys.modules[__name__]
+# Each name of `__all__` that this file does not define is read from
+# `_objects` on first access.
+__getattr__ = _lazy(globals(), listed="_objects")
 
 DOCTOR = "D"
 HOSPITAL = "H"
@@ -195,9 +168,11 @@ class Instance(_Record):
         edges: frozenset[Edge],
         rank: Mapping[Vertex, Mapping[Edge, int]],
     ) -> None:
-        _model._validate_instance(doctors, hospitals, edges, rank)
+        from ._objects import _table_lists, _validate_instance
+
+        _validate_instance(doctors, hospitals, edges, rank)
         # `edges` and `rank` are rebuilt from the core when read.
-        lists = _model._table_lists(rank, doctors, hospitals)
+        lists = _table_lists(rank, doctors, hospitals)
         self.__dict__.update(_build(doctors, hospitals, *lists).__dict__)
 
     def __eq__(self, other: object) -> bool:
@@ -268,7 +243,7 @@ class Instance(_Record):
         try:
             return frozenset(self.rank[v])
         except KeyError:
-            raise ValueError(f"unknown {v.describe()}") from None
+            raise _unknown(v) from None
 
 
 def _build(
@@ -426,11 +401,15 @@ def _removed_names(inst: Instance, removed: Iterable[Vertex]) -> tuple[set[str],
         else:
             bad.append(v)
     if bad:
-        v = min(bad, key=repr)
-        if not isinstance(v, Vertex) or v.side not in known:
-            raise ValueError(f"unknown vertex {v!r}")
-        raise ValueError(f"unknown {v.describe()}")
+        raise _unknown(min(bad, key=repr))
     return names[DOCTOR], names[HOSPITAL]
+
+
+def _unknown(v: object) -> ValueError:
+    """The error for `v`, which is not a vertex of the instance at hand."""
+    if isinstance(v, Vertex) and v.side in _SIDE_WORD:
+        return ValueError(f"unknown {v.describe()}")
+    return ValueError(f"unknown vertex {v!r}")
 
 
 __all__ = [

@@ -22,17 +22,20 @@ Every one-side question is one run of `_fixed_point`, read with
 from `_loop`, resuming them from one doctor subset's fixed point to the
 next.  No caller copies the instance.  The loop works on its integer core
 (see `model.Instance`): edge ids, doctor and hospital indices, and state
-in lists indexed by them; `Edge` and `Vertex` objects are made only for
-what a caller reads.  The deleted vertices of both sides are arguments
-of the loop: `_fixed_point(inst, skip, gone)` never lets the doctors
-named in `skip` propose, and its doctors pass over the edges of the
-hospitals named in `gone`.
+in lists indexed by them; it makes no `Edge` or `Vertex` object.
+`closure()` does: its forbidden set and its trace are of `Edge`s, so it
+builds the `Edge` of every edge id once, as `inst._edge`, and `check`,
+`solve1` and `closure` run it.  `exists_super_stable` and the two-side
+search make objects only for what they return.  The deleted vertices of
+both sides are arguments of the loop: `_fixed_point(inst, skip, gone)`
+never lets the doctors named in `skip` propose, and its doctors pass
+over the edges of the hospitals named in `gone`.
 
 `extract_matching` and `critical_hospitals` read the same answers from
-the edges again, with `model`'s choice scans.  No command runs them, so
-they live with those scans in `_objects`, which no solver command
-compiles; both are still attributes of this module, read on first
-access, and listed in its `__all__`.
+the edges again, with the choice scans of `_objects`.  No command runs
+them, so they live with those scans in `_objects`, which no solver
+command compiles; `__all__` here lists them, and each is read from
+`_objects` on first access.
 """
 
 from __future__ import annotations
@@ -43,22 +46,14 @@ from typing import Callable, Collection, Iterable, Iterator, Sequence
 from . import _lazy
 from .model import HOSPITAL, Edge, Instance, Vertex, _Record, _removed_names
 
-# The plain rescans, which no command runs, are read from `_objects` on
-# first access.  So are the choice scans and `induced_instance`, which no
-# code here calls: they resolve here only because `bench/tracer.py` names
-# this module among its targets.
+# Each name of `__all__` that this file does not define, the plain
+# rescans, is read from `_objects` on first access.  So are the choice
+# scans and `induced_instance`, which no code here calls: they resolve
+# here only because `bench/tracer.py` names this module among its targets.
 __getattr__ = _lazy(
     globals(),
-    dict.fromkeys(
-        (
-            "extract_matching",
-            "critical_hospitals",
-            "all_doctor_choices",
-            "all_hospital_choices",
-            "induced_instance",
-        ),
-        "_objects",
-    ).get,
+    dict.fromkeys(("all_doctor_choices", "all_hospital_choices", "induced_instance"), "_objects").get,
+    "_objects",
 )
 
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import superstab
 from superstab.cli import generate_instance
 from superstab._diagnose import _ListError
+from superstab._objects import _from_lists
 from superstab.model import (
     DOCTOR,
     HOSPITAL,
@@ -20,7 +21,6 @@ from superstab.model import (
     FormatError,
     Instance,
     Vertex,
-    _from_lists,
     all_doctor_choices,
     all_hospital_choices,
     doctor,

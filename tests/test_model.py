@@ -389,6 +389,9 @@ RARE_ERRORS = [
         "line 3: second 'hospitals:' line",
     ),
     (lambda: parse_instance(STRICT_2X2_TEXT).incident(doctor("zz")), ValueError, "unknown doctor 'zz'"),
+    (lambda: parse_instance(STRICT_2X2_TEXT).incident(("D", "zz")), ValueError, "unknown vertex ('D', 'zz')"),
+    (lambda: parse_instance(STRICT_2X2_TEXT).incident("h1"), ValueError, "unknown vertex 'h1'"),
+    (lambda: parse_instance(STRICT_2X2_TEXT).incident(5), ValueError, "unknown vertex 5"),
     (_delete_a_record_field, AttributeError, "cannot delete field 'index'"),
 ]
 
@@ -424,7 +427,7 @@ def test_public_constructors_skip_revalidation(monkeypatch):
     def refuse(*args):
         raise AssertionError("_validate_instance called")
 
-    monkeypatch.setattr(superstab.model, "_validate_instance", refuse)
+    monkeypatch.setattr("superstab._objects._validate_instance", refuse)
     inst = parse_instance(STRICT_2X2_TEXT)
     made = make_instance(["d1"], ["h1"], {"d1": ["h1"]}, {"h1": ["d1"]})
     sub = induced_instance(inst, {hospital("h1")})
@@ -598,6 +601,41 @@ def test_package_lists_every_module_name_once():
         )
         out = run_python(0, "-S", "-c", code)
         assert out.stdout.decode() == f"[]\n{loads!r}\n", (module, out.stderr)
+
+
+def test_modules_resolve_only_the_names_read_on_them():
+    # A name that no code reads on a module raises AttributeError there,
+    # naming that module, and loads no private module.
+    private = [f"superstab.{m}" for m in ("_objects", "_coverage", "_writer", "_commands", "_diagnose")]
+    for module, name in (
+        ("cli", "count_matchings"),
+        ("cli", "parse_coverage"),
+        ("model", "_validate_instance"),
+        ("model", "extract_matching"),
+        ("superstable", "make_instance"),
+    ):
+        code = (
+            f"import sys, superstab.{module} as m\n"
+            "try:\n"
+            f"    m.{name}\n"
+            "except AttributeError as exc:\n"
+            "    print(exc)\n"
+            f"print([p for p in {private!r} if p in sys.modules])\n"
+        )
+        out = run_python(0, "-S", "-c", code)
+        assert out.stdout.decode() == f"module 'superstab.{module}' has no attribute {name!r}\n[]\n", out.stderr
+    # The names that the benchmark tracer reads on a module whose `__all__`
+    # does not list them are the object side's own.
+    from superstab import _objects
+
+    for module, name in (
+        ("superstable", "all_doctor_choices"),
+        ("superstable", "all_hospital_choices"),
+        ("superstable", "induced_instance"),
+        ("hardness", "induced_instance"),
+    ):
+        assert name not in getattr(superstab, module).__all__
+        assert getattr(getattr(superstab, module), name) is getattr(_objects, name), (module, name)
 
 
 def test_transpose_swaps_sides():
