@@ -28,6 +28,23 @@ never walks the large ones.  The first doctor set within the hospital
 budget runs the loop once more on its own, and takes its critical set
 from that run as the one-side solver reads its own.
 
+The same lemma bounds the count from below, which makes the walk a
+branch-and-bound search (Land & Doig, 1960).  At a node the state is the
+fixed point with only the doctors kept so far proposing, so its count is
+read there for free.  Keeping a set A of the doctors still to decide
+lowers the count by at most |A|, for two reasons.  The wanted hospitals,
+those with a non-empty pool, only grow: no forbidden edge comes back, and
+a doctor's tie group only moves later.  And a doctor left without a live
+proposal stays so, while each doctor of A adds at most one with one.  A
+doctor whose first tie group holds a lone hospital, one that no other
+doctor lists, lowers the count by nothing: its first proposal makes
+wanted a hospital that no other doctor can.  Every doctor of a coverage
+reduction has one, its slot hospital.  So a node whose count, less the
+number of doctors without one that it may still keep, exceeds the
+hospital budget holds no hit, and the walk cuts it.  The surviving sets
+keep their order, so the first hit, and with it the witness, is the
+uncut walk's.
+
 The instance builder turns set-coverage data (pick exactly `picks`
 families, keep their union within `cover_limit`) into a fully
 indifferent matching instance whose deletion budgets mirror the coverage
@@ -80,7 +97,10 @@ def solve_two_side_deletion(
     from a fixed point with more doctors left out; the module docstring
     gives the lemma that makes this sound.  In a window it cuts every node
     that cannot reach a size above lo or below the smallest hit so far,
-    and it stops at a hit of size lo + 1.  The first subset within the
+    and it stops at a hit of size lo + 1.  It also cuts every node whose
+    count, less the doctors it may still keep that could lower it, exceeds
+    the hospital budget: by the same lemma no subset below it fits, so the
+    first hit stays the uncut walk's.  The first subset within the
     hospital budget runs the loop once more on its own and reads its
     critical set from that run, as `solve_min_hospital_deletion` would on
     the instance without those doctors.
@@ -98,7 +118,7 @@ def solve_two_side_deletion(
     lo, hi = -1, 0
     while lo < most:
         hi = min(hi, most)
-        combo = _first_hit(inst, names, lo, hi, lambda _, count: count <= hospital_budget)
+        combo = _first_hit(inst, names, lo, hi, hospital_budget)
         if combo is not None:
             _, critical = _outcome(inst, _fixed_point(inst, combo)[0])
             return frozenset(doctor(n) for n in combo) | critical
@@ -111,27 +131,51 @@ def _first_hit(
     names: Sequence[str],
     lo: int,
     hi: int,
-    hit: Callable[[tuple[str, ...], int], bool],
+    budget: int,
+    hit: Callable[[tuple[str, ...], int], object] | None = None,
 ) -> tuple[str, ...] | None:
     """The first, in name order, of the smallest subsets of `names` with a
-    size in (lo, hi] whose critical count `hit` accepts, or None.
+    size in (lo, hi] and a critical count of at most `budget`, or None.
+    `hit`, when given, is handed each subset the walk reaches with its
+    count, and a subset it rejects is no hit.
 
     One depth-first walk decides the doctors in the order of `names`.
     Skipping a doctor puts it in the subset and leaves the loop's state as
     it is; keeping it lets its first tie group propose, and the loop
     resumes from the parent node's fixed point.  Skips go first, so the
-    subsets of each size reach `hit` in name order.  Once no skip is left,
+    subsets of each size are reached in name order.  Once no skip is left,
     the remaining doctors propose together and the loop runs once more.
     The walk cuts every node that cannot reach a size above `lo` or below
     the smallest hit so far, and stops at a hit of size `lo + 1`.  A keep
     first restores the state copied at its node, since the skips walked
     before it changed that state; at most one copy per doctor on the
     path is held, O(|D|·(|D|+|H|)) memory.
+
+    It also cuts every node whose subsets all count above `budget`, by
+    the bound of the module docstring.  At node i, with `size` doctors
+    skipped, `_count(state)` is the count K of the doctors kept so far.
+    Each subset below keeps some of the n - i doctors still to decide,
+    and lowers K by at most one per kept doctor without a lone hospital
+    in its first tie group.  It keeps at most `free[i]` of those, and at
+    most n - i - (lo + 1 - size) doctors in all when the window still
+    needs lo + 1 - size > 0 more skips.  A cut subtree holds no hit and
+    the surviving subsets keep their order, so the first hit is the
+    uncut walk's.
     """
     propose, run, state = _loop(inst)
     index = {name: d for d, name in enumerate(inst.doctors)}
     order = [index[name] for name in names]
     n = len(order)
+    eh, dl, first = inst._eh, inst._dl, inst._first
+    lone = [len(ids) == 1 for ids in inst._by_h]
+    # free[i]: how many of the doctors order[i:] have no lone hospital in
+    # their first tie group, the only ones whose keep can lower the count.
+    # A doctor's ids are in rank order, so that group is the ids of its
+    # first id's rank.
+    free = [0] * (n + 1)
+    for i in reversed(range(n)):
+        ids = range(first[order[i]], first[order[i] + 1])
+        free[i] = free[i + 1] + (not any(lone[eh[e]] for e in ids if dl[e] == dl[ids[0]]))
     found = None
     # A node is (position of the next doctor, the names skipped so far,
     # None); its keep branch is the same with the state copied at the node.
@@ -144,6 +188,8 @@ def _first_hit(
                 now[:] = then
             run(list(propose(order[i])))
             i += 1
+        if _count(state) - min(free[i], n - i - max(0, lo + 1 - size)) > budget:
+            continue
         if size < hi and i < n:
             if size + n - i - 1 > lo:
                 stack.append((i, combo, [now[:] for now in state]))
@@ -151,7 +197,8 @@ def _first_hit(
             continue
         if i < n:
             run([e for d in order[i:] for e in propose(d)])
-        if hit(combo, _count(state)):
+        count = _count(state)
+        if (hit is None or hit(combo, count)) and count <= budget:
             found, hi = combo, size - 1
             if hi == lo:
                 break

@@ -242,7 +242,7 @@ class Instance(_Record):
     def incident(self, v: Vertex) -> frozenset[Edge]:
         try:
             return frozenset(self.rank[v])
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: `v` is unhashable
             raise _unknown(v) from None
 
 

@@ -31,7 +31,7 @@ from superstab.model import (
     parse_instance,
 )
 from superstab.oracle import _walk, all_matchings, enumerate_super_stable
-from superstab.superstable import ClosureRound, solve_min_hospital_deletion
+from superstab.superstable import ClosureRound, _count, _loop, solve_min_hospital_deletion
 
 STRICT_2X2_TEXT = """doctors: d1 d2
 hospitals: h1 h2
@@ -291,6 +291,41 @@ def reference_two_side_deletion(
             if len(cert.critical) <= hospital_budget:
                 return removed | cert.critical
     return None
+
+
+def reference_first_hit(inst: Instance, names, lo: int, hi: int, hit):
+    """The doctor walk of `hardness._first_hit` without its cut on the
+    count, the reference for that cut: the first, in name order, of the
+    smallest subsets of `names` with a size in (lo, hi] whose critical
+    count `hit` accepts, or None.  It cuts only nodes that cannot reach a
+    size above `lo` or below the smallest hit so far, so it hands `hit`
+    every other subset."""
+    propose, run, state = _loop(inst)
+    index = {name: d for d, name in enumerate(inst.doctors)}
+    order = [index[name] for name in names]
+    n = len(order)
+    found = None
+    stack: list = [(0, (), None)]
+    while stack:
+        i, combo, saved = stack.pop()
+        size = len(combo)
+        if saved is not None:
+            for now, then in zip(state, saved):
+                now[:] = then
+            run(list(propose(order[i])))
+            i += 1
+        if size < hi and i < n:
+            if size + n - i - 1 > lo:
+                stack.append((i, combo, [now[:] for now in state]))
+            stack.append((i + 1, combo + (names[i],), None))
+            continue
+        if i < n:
+            run([e for d in order[i:] for e in propose(d)])
+        if hit(combo, _count(state)):
+            found, hi = combo, size - 1
+            if hi == lo:
+                break
+    return found
 
 
 def reference_two_side_oracle(

@@ -16,7 +16,7 @@ from superstab.hardness import (
     reduce_min_coverage,
     solve_two_side_deletion,
 )
-from superstab.model import Edge, FormatError, doctor, hospital, induced_instance, make_instance
+from superstab.model import Edge, FormatError, doctor, hospital, induced_instance, make_instance, parse_instance
 from superstab.oracle import CapExceeded, oracle_two_side_deletion
 from superstab.superstable import (
     _fixed_point,
@@ -25,7 +25,7 @@ from superstab.superstable import (
     solve_min_hospital_deletion,
 )
 
-from conftest import instances, reference_two_side_deletion, sample_instances
+from conftest import instances, reference_first_hit, reference_two_side_deletion, sample_instances
 
 COVER_TEXT = """ground: a b
 set A: a
@@ -311,11 +311,12 @@ def test_solver_witness_equals_the_induced_scan_property(inst, q1, q2):
 def assert_walk_matches_fresh_runs(inst, lo=-1, hi=None):
     """One walk of `_first_hit` over the sizes (lo, hi], where no subset is
     a hit, reaches every subset of those sizes once and reads the count a
-    fresh run gives it.  Returns how many subsets it reached."""
+    fresh run gives it.  Returns how many subsets it reached.  No count
+    exceeds the number of hospitals, so with that budget nothing is cut."""
     names = sorted(inst.doctors)
     hi = len(names) if hi is None else hi
     seen = []
-    _first_hit(inst, names, lo, hi, lambda combo, count: seen.append((combo, count)))
+    _first_hit(inst, names, lo, hi, len(inst.hospitals), lambda combo, count: seen.append((combo, count)))
     for size in range(lo + 1, hi + 1):
         # Each size in name order, so the first hit of a size is the scan's.
         assert [combo for combo, _ in seen if len(combo) == size] == list(combinations(names, size))
@@ -343,6 +344,115 @@ def test_walk_count_equals_a_fresh_run_on_every_doctor_subset_property(inst, dat
     n = len(inst.doctors)
     lo = data.draw(st.integers(-1, n - 1), label="lo")
     assert_walk_matches_fresh_runs(inst, lo, data.draw(st.integers(lo + 1, n), label="hi"))
+
+
+def lone_first_doctors(inst):
+    """The doctors whose first tie group holds a hospital that no other
+    doctor lists, read from the ranks."""
+    out = set()
+    for d in inst.doctors:
+        ranks = inst.rank[doctor(d)]
+        best = min(ranks.values(), default=None)
+        if any(r == best and len(inst.incident(hospital(e.hospital))) == 1 for e, r in ranks.items()):
+            out.add(d)
+    return out
+
+
+def assert_keeping_more_lowers_the_count_by_at_most_the_free_doctors(inst, kept, more):
+    """With the doctors `kept`, and then also `more`, proposing: the count
+    falls by at most one per added doctor, and by nothing for an added
+    doctor whose first tie group holds a lone hospital.  Returns how many
+    added doctors were of that kind."""
+    def count(keep):
+        return _fixed_point(inst, [d for d in inst.doctors if d not in keep])[1]
+
+    added = more - kept
+    lone = added & lone_first_doctors(inst)
+    before, after = count(kept), count(kept | more)
+    assert after >= before - len(added), (inst, kept, more)
+    assert after >= before - len(added - lone), (inst, kept, more)
+    return len(lone)
+
+
+def test_keeping_more_doctors_lowers_the_count_by_at_most_the_free_doctors():
+    rng = random.Random("count-bound")
+    lone = 0
+    for inst in critical_count_samples():
+        for _ in range(8):
+            kept = {d for d in inst.doctors if rng.random() < 0.4}
+            more = {d for d in inst.doctors if rng.random() < 0.5}
+            lone += assert_keeping_more_lowers_the_count_by_at_most_the_free_doctors(inst, kept, more)
+    assert lone > 100
+
+
+@given(instances(max_doctors=6, max_hospitals=6), st.data())
+@settings(max_examples=150, deadline=None)
+def test_keeping_more_doctors_lowers_the_count_by_at_most_the_free_doctors_property(inst, data):
+    kept = {d for d in inst.doctors if data.draw(st.booleans(), label=f"keep {d}")}
+    more = {d for d in inst.doctors if data.draw(st.booleans(), label=f"add {d}")}
+    assert_keeping_more_lowers_the_count_by_at_most_the_free_doctors(inst, kept, more)
+
+
+def assert_cut_walk_matches_the_uncut_walk(inst, q1, q2):
+    """In every window of sizes that `solve_two_side_deletion` walks for
+    the doctor budget q1, the walk that cuts on the count finds the
+    uncut walk's first subset within q2.  Returns how many subsets each
+    walk reached."""
+    names = sorted(inst.doctors)
+    most = min(q1, len(names))
+    cut, uncut = [], []
+    lo, hi = -1, 0
+    while lo < most:
+        hi = min(hi, most)
+        got = _first_hit(inst, names, lo, hi, q2, lambda combo, count: cut.append(combo) or True)
+        want = reference_first_hit(inst, names, lo, hi, lambda combo, count: uncut.append(combo) or count <= q2)
+        assert got == want, (inst, q1, q2, lo, hi)
+        lo, hi = hi, 2 * hi + 1
+    return len(cut), len(uncut)
+
+
+def test_cut_walk_finds_the_uncut_walks_hit_on_every_budget():
+    cut = uncut = 0
+    for inst in critical_count_samples():
+        for q1 in range(len(inst.doctors) + 1):
+            for q2 in range(len(inst.hospitals) + 1):
+                reached = assert_cut_walk_matches_the_uncut_walk(inst, q1, q2)
+                cut, uncut = cut + reached[0], uncut + reached[1]
+    assert cut < uncut
+
+
+@given(instances(max_doctors=6, max_hospitals=5), st.integers(0, 6), st.integers(0, 5))
+@settings(max_examples=150, deadline=None)
+def test_cut_walk_finds_the_uncut_walks_hit_on_every_budget_property(inst, q1, q2):
+    assert_cut_walk_matches_the_uncut_walk(inst, q1, q2)
+
+
+def test_a_lone_hospital_after_the_first_tie_group_leaves_the_doctor_free():
+    # d3 alone lists h3, but in its second tie group.  With d1 kept, the
+    # count is 1; keeping d3 too lowers it to 0, so d3 counts as free.
+    inst = parse_instance(
+        "doctors: d1 d2 d3\nhospitals: h1 h2 h3 h4\n"
+        "pref d1: (h1 h4)\npref d2: (h1 h2 h4)\npref d3: (h1 h4) h3\n"
+        "pref h1: (d1 d2) d3\npref h2: d2\npref h3: d3\npref h4: (d2 d3) d1\n"
+    )
+    assert lone_first_doctors(inst) == {"d2"}
+    assert _fixed_point(inst, ["d2", "d3"])[1] == 1
+    assert _fixed_point(inst, ["d2"])[1] == 0
+    assert_cut_walk_matches_the_uncut_walk(inst, 1, 0)
+    assert solve_two_side_deletion(inst, 1, 0) == frozenset({doctor("d2")})
+
+
+def test_cut_walk_finds_the_uncut_walks_hit_past_the_oracle_caps():
+    rng = random.Random("cut-walk-large")
+    cut = uncut = 0
+    for i in range(6):
+        n, m = rng.randint(12, 16), rng.randint(8, 16)
+        inst = generate_instance(n, m, rng.uniform(0.2, 0.5), rng.uniform(0.0, 0.8), seed=f"cut-{i}")
+        for q1 in range(4):
+            for q2 in range(m + 1):
+                reached = assert_cut_walk_matches_the_uncut_walk(inst, q1, q2)
+                cut, uncut = cut + reached[0], uncut + reached[1]
+    assert cut < uncut
 
 
 def test_walk_stops_early_on_twenty_doctors():

@@ -392,6 +392,8 @@ RARE_ERRORS = [
     (lambda: parse_instance(STRICT_2X2_TEXT).incident(("D", "zz")), ValueError, "unknown vertex ('D', 'zz')"),
     (lambda: parse_instance(STRICT_2X2_TEXT).incident("h1"), ValueError, "unknown vertex 'h1'"),
     (lambda: parse_instance(STRICT_2X2_TEXT).incident(5), ValueError, "unknown vertex 5"),
+    (lambda: parse_instance(STRICT_2X2_TEXT).incident(["D", "d1"]), ValueError, "unknown vertex ['D', 'd1']"),
+    (lambda: parse_instance(STRICT_2X2_TEXT).incident({"D": "d1"}), ValueError, "unknown vertex {'D': 'd1'}"),
     (_delete_a_record_field, AttributeError, "cannot delete field 'index'"),
 ]
 
