@@ -15,11 +15,12 @@ import re
 from typing import Mapping
 
 from ._objects import PrefInput, _lines, _name_ok, _name_problem
-from .model import DOCTOR, HOSPITAL, FormatError, Vertex, _PREF_TOKEN, _SIDE_WORD
+from .model import DOCTOR, HOSPITAL, FormatError, Vertex, _SIDE_WORD
 
 _OTHER_SIDE = {DOCTOR: HOSPITAL, HOSPITAL: DOCTOR}
-# The tokens of a name line.
+# The tokens of a name line, and of a `pref` body: parentheses and names.
 _NAME_TOKEN = re.compile(r"\S+")
+_PREF_TOKEN = re.compile(r"[()]|[^\s()]+")
 
 
 class _ListError(ValueError):

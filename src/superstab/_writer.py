@@ -4,16 +4,32 @@
 streams the JSON from the trace's log of edge ids; no other command runs
 it, so no other command compiles it.  `cli` reads `_write_closure` from
 here on first access (PEP 562).
+
+It loads no `json`: each name is quoted by `_json.encode_basestring_ascii`,
+the C function that `json.dumps` calls on a string, and the two small
+values, `deleted_hospitals` (names) and `stats` (`str` to `int`), are
+written here as `json.dumps(value, indent=2)` writes them.  Each edge's
+block is built once, at the rounds' depth, and a top-level list is
+re-indented from the same join (see `_write_closure`).  Like every
+command, it runs inside `cli.main`, with the cyclic collector off: the
+writer's per-edge lists hold no cycles, so a collection would free
+nothing.
 """
 
 from __future__ import annotations
 
-import json
 import sys
 from itertools import compress
 
+from _json import encode_basestring_ascii as _quoted
+
 from .model import Instance, Vertex
 from .superstable import ClosureTrace
+
+# What follows each newline inside a list at the rounds' depth (8 spaces)
+# and the 4 of them that a top-level list, two levels up, leaves out.
+_PAD = "\n" + " " * 8
+_SHIFT = "\n" + " " * 4
 
 
 def _write_closure(
@@ -26,44 +42,44 @@ def _write_closure(
     among the sorted doctor names times |H| plus its hospital's place
     among the sorted hospital names.  As names are unique on each side,
     that is the order `ordered_edges` gives their edges.  Each name is
-    quoted once, each edge's `[doctor, hospital]` block is built once per
-    depth that prints it, and a list of edges is one join over the blocks
+    quoted once, and each edge's `[doctor, hospital]` block is built once,
+    at the rounds' depth.  A list of edges is one join over the blocks
     whose flag is set, written as it is rather than copied into a larger
-    string.  The initial forbidden flags are the edges of the deleted
-    hospitals, read from the core.  So each round costs O(|E|), and live
-    memory beyond the list being written is O(|E|).
+    string.  A top-level list is the same join with four spaces removed
+    after each newline: a quoted name holds no raw newline, so every
+    newline in the join is the indent's.  The final `forbidden` list is
+    the last round's, as no flag changes after it.  The initial forbidden
+    flags are the edges of the deleted hospitals, read from the core.  So
+    each round costs O(|E|), and live memory beyond the list being
+    written is O(|E|).
     """
     doctors, hospitals, ed, eh = inst.doctors, inst.hospitals, inst._ed, inst._eh
     n, d_place, h_place = len(hospitals), _places(doctors), _places(hospitals)
     key = [d_place[d] * n + h_place[h] for d, h in zip(ed, eh)]
     order = sorted(range(len(key)), key=key.__getitem__)
-    at = dict(zip(order, range(len(order))))
-    quoted_d, quoted_h = list(map(json.dumps, doctors)), list(map(json.dumps, hospitals))
-    pairs = [(quoted_d[ed[e]], quoted_h[eh[e]]) for e in order]
-
-    def blocks(depth: int) -> list[str]:
-        inner = "\n" + "  " * (depth + 1)
-        close = "\n" + "  " * depth + "]"
-        return [f"[{inner}{d},{inner}{h}{close}" for d, h in pairs]
-
+    at = [0] * len(order)  # each edge id's place in `order`
+    for place, e in enumerate(order):
+        at[e] = place
+    quoted_d, quoted_h = list(map(_quoted, doctors)), list(map(_quoted, hospitals))
+    inner = _PAD + "  "
+    blocks = [f"[{inner}{quoted_d[ed[e]]},{inner}{quoted_h[eh[e]]}{_PAD}]" for e in order]
+    join = ("," + _PAD).join
     write = sys.stdout.write
 
-    def put(items: list[str], flags: bytearray, pad: str) -> None:
-        """Write the list of the flagged blocks, each on a line of its own
-        after `pad`, without copying it into a string of its own first."""
-        body = ("," + pad).join(compress(items, flags))
-        if body:
-            write(f"[{pad}")
-            write(body)
-            write(f"{pad[:-2]}]")
-        else:
+    def put(body: str, top: bool = False) -> None:
+        """Write the list whose items' join is `body`, at the rounds' depth
+        or, with `top`, at the top level."""
+        if not body:
             write("[]")
+        elif top:
+            write(f"[{_SHIFT}")
+            write(body.replace(_SHIFT, "\n"))
+            write("\n  ]")
+        else:
+            write(f"[{_PAD}")
+            write(body)
+            write(f"{_PAD[:-2]}]")
 
-    def indented(value: object) -> str:
-        return json.dumps(value, indent=2).replace("\n", "\n  ")
-
-    top, inside = blocks(2), blocks(4)
-    top_pad, inside_pad = "\n" + "  " * 2, "\n" + "  " * 4
     held = bytearray(len(order))
     forbidden = bytearray(len(order))
     gone = {v.name for v in removed}
@@ -71,8 +87,10 @@ def _write_closure(
         if h in gone:
             for e in ids:
                 forbidden[at[e]] = 1
-    write(f'{{\n  "command": "closure",\n  "deleted_hospitals": {indented(sorted(gone))},\n  "initial_forbidden": ')
-    put(top, forbidden, top_pad)
+    write('{\n  "command": "closure",\n  "deleted_hospitals": ')
+    put(join(map(_quoted, sorted(gone))), top=True)
+    write(',\n  "initial_forbidden": ')
+    put(join(compress(blocks, forbidden)), top=True)
     write(',\n  "rounds": [')
     # A run has at least one round, the last one forbidding nothing.
     sep = ""
@@ -80,19 +98,21 @@ def _write_closure(
         for e in new:
             held[at[e]] = 1
         write(f'{sep}\n    {{\n      "round": {index},\n      "proposed": ')
-        put(inside, held, inside_pad)
+        put(join(compress(blocks, held)))
         for e in lost:
             held[at[e]] = 0
             forbidden[at[e]] = 1
         write(',\n      "held": ')
-        put(inside, held, inside_pad)
+        put(join(compress(blocks, held)))
         write(',\n      "forbidden": ')
-        put(inside, forbidden, inside_pad)
+        last = join(compress(blocks, forbidden))
+        put(last)
         write("\n    }")
         sep = ","
     write('\n  ],\n  "forbidden": ')
-    put(top, forbidden, top_pad)
-    write(f',\n  "stats": {indented(stats)}\n}}\n')
+    put(last, top=True)
+    fields = ",\n    ".join(f"{_quoted(name)}: {value}" for name, value in stats.items())
+    write(f',\n  "stats": {{\n    {fields}\n  }}\n}}\n')
 
 
 def _places(names: tuple[str, ...]) -> list[int]:

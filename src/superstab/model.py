@@ -34,7 +34,6 @@ and `incident` reads `rank`.
 
 from __future__ import annotations
 
-import re
 from functools import cached_property
 from itertools import accumulate, chain, count, repeat
 from operator import itemgetter
@@ -131,9 +130,6 @@ class _Record:
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
 
-
-# The tokens of a `pref` body: parentheses and names.
-_PREF_TOKEN = re.compile(r"[()]|[^\s()]+")
 
 # One list as `_build` reads it: the partner names in list order and the
 # rank of each.
@@ -299,31 +295,33 @@ def _build(
 def _pref_list(body: str) -> _Entries | None:
     """The names of a `pref` line body in list order and the rank level of
     each, or None when its tie groups are not well formed.  A body without
-    parentheses splits by whitespace; one with them is read as the tokens
-    of `_PREF_TOKEN`, in one loop that tracks the open tie group.  A name
-    is not checked here: one holding ':' is no declared name, so `_build`
+    parentheses splits by whitespace.  One with them is read one tie group
+    at a time: split on '(', each piece after the first holds one group,
+    closed by its first ')', and the names that follow it, which rank
+    alone.  A ')' anywhere else, a group left open and an empty one are
+    refused; a second '(' inside a group leaves it open.  A name is not
+    checked here: one holding ':' is no declared name, so `_build`
     refuses it."""
     if "(" not in body and ")" not in body:
         names = body.split()
         return names, range(1, len(names) + 1)
-    names: list[str] = []
-    levels: list[int] = []
-    level, start = 0, -1  # start: where the open tie group's names begin; -1 outside one
-    for token in _PREF_TOKEN.findall(body):
-        if token == "(":
-            if start >= 0:
-                return None
-            level, start = level + 1, len(names)
-        elif token == ")":
-            if start < 0 or start == len(names):
-                return None
-            start = -1
-        else:
-            if start < 0:
-                level += 1
-            names.append(token)
-            levels.append(level)
-    return None if start >= 0 else (names, levels)
+    head, *groups = body.split("(")
+    if ")" in head:
+        return None
+    names = head.split()
+    level = len(names)  # the last level given
+    levels = list(range(1, level + 1))
+    for group in groups:
+        inside, closed, after = group.partition(")")
+        tied, alone = inside.split(), after.split()
+        if not (closed and tied) or ")" in after:
+            return None
+        names += tied
+        levels += [level + 1] * len(tied)
+        names += alone
+        levels += range(level + 2, level + 2 + len(alone))
+        level += 1 + len(alone)
+    return names, levels
 
 
 def _read_instance(text: str) -> Instance | None:
@@ -373,7 +371,7 @@ def parse_instance(text: str) -> Instance:
     FormatError with the offending line (and column where it helps).
 
     Good text is read in one pass over its lines, each `pref` body split
-    in C or by one regex, and built by `_build`.  Text that fails any of
+    in C, one tie group at a time, and built by `_build`.  Text that fails any of
     these checks goes to `_diagnose._text_problem`, which reads it again
     line by line to name its first problem.
     """

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import os
 import random
+import re
 import subprocess
 import sys
 from itertools import combinations
@@ -520,6 +521,35 @@ def closure_trace_violations(inst: Instance, deleted, forbidden, trace) -> list[
             if d in best_left and worst > best_left[d]:
                 bad.append(f"stage {stage_no}: doctor {d!r} lost a worse edge than one it kept")
     return bad
+
+
+# The tokens of a `pref` body: parentheses and names.
+_REFERENCE_PREF_TOKEN = re.compile(r"[()]|[^\s()]+")
+
+
+def reference_pref_list(body: str) -> tuple[list[str], list[int]] | None:
+    """The token reader that `model._pref_list` replaced: one loop over the
+    regex tokens of a `pref` body that tracks the open tie group.  The
+    names in list order and the rank level of each, or None when a group
+    is nested, empty, left open or closed without being opened."""
+    names: list[str] = []
+    levels: list[int] = []
+    level, start = 0, -1  # start: where the open tie group's names begin; -1 outside one
+    for token in _REFERENCE_PREF_TOKEN.findall(body):
+        if token == "(":
+            if start >= 0:
+                return None
+            level, start = level + 1, len(names)
+        elif token == ")":
+            if start < 0 or start == len(names):
+                return None
+            start = -1
+        else:
+            if start < 0:
+                level += 1
+            names.append(token)
+            levels.append(level)
+    return None if start >= 0 else (names, levels)
 
 
 def _reference_name_ok(name: str) -> bool:

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import gc
 import json
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -346,6 +348,46 @@ def test_names_are_escaped_like_the_stdlib_encoder(capsys, tmp_path, args, refer
         assert quoted in captured.out
 
 
+QUOTED_TEXT = """doctors: d"1 d\\2 dé
+hospitals: h"1 h\\2 hД
+pref d"1: (h"1 hД) h\\2
+pref d\\2: h"1 (hД h\\2)
+pref dé: (hД h"1)
+pref h"1: (d"1 d\\2) dé
+pref h\\2: d"1 d\\2
+pref hД: (dé d"1 d\\2)
+"""
+
+
+@pytest.mark.parametrize(
+    "options",
+    [
+        ["--no-timing"],
+        ["--no-timing", "--delete", 'h"1'],
+        ["--no-timing", "--delete", "h\\2", "hД"],
+        ["--delete", 'h"1', "h\\2"],
+    ],
+    ids=["kept", "quote-deleted", "backslash-and-cyrillic-deleted", "timed"],
+)
+def test_closure_of_quoted_names_is_the_stdlib_encoders(capsys, tmp_path, options):
+    path = tmp_path / "quoted.ssm"
+    path.write_text(QUOTED_TEXT, encoding="utf-8")
+    inst = parse_instance(QUOTED_TEXT)
+    assert {'d"1', "d\\2", "dé", 'h"1', "h\\2", "hД"} <= set(inst.doctors + inst.hospitals)
+    deleted = options[options.index("--delete") + 1 :] if "--delete" in options else []
+    rc, payload, captured = run_cli(capsys, "closure", str(path), *options)
+    assert rc == 0, captured.err
+    out = captured.out
+    assert out.isascii()
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+    expected = json.loads(reference_output("closure", inst, deleted))
+    if "--no-timing" not in options:
+        assert isinstance(payload["stats"]["elapsed_ms"], int)
+        out = re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', out)
+        expected["stats"]["elapsed_ms"] = 0
+    assert out == json.dumps(expected, indent=2) + "\n"
+
+
 def test_timing_adds_only_elapsed_ms(capsys, tie_file):
     _, _, untimed = run_cli(capsys, "--no-timing", "closure", tie_file)
     rc, timed, captured = run_cli(capsys, "closure", tie_file)
@@ -595,6 +637,66 @@ def test_help_exits_zero(capsys):
     rc, _, captured = run_cli(capsys, "--help")
     assert rc == 0
     assert "superstab" in captured.out
+
+
+def interrupted(ns):
+    raise KeyboardInterrupt
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["from-enabled", "from-disabled"])
+def test_main_restores_the_collectors_state(capsys, strict_file, tie_file, tmp_path, monkeypatch, enabled):
+    """`main` runs each handler with the cyclic collector off and leaves it
+    as it found it, on every way out."""
+    inside = []
+    check = superstab.cli._cmd_check
+    monkeypatch.setattr(superstab.cli, "_cmd_check", lambda ns: inside.append(gc.isenabled()) or check(ns))
+    command_lines = [
+        (["check", strict_file], 0),
+        (["check", tie_file], 1),
+        (["check", str(tmp_path / "absent.ssm")], 2),
+        (["--help"], 0),
+        (["solve1", tie_file, "--q"], 2),  # a usage error, from argparse
+    ]
+    was = gc.isenabled()
+    try:
+        for argv, code in command_lines:
+            (gc.enable if enabled else gc.disable)()
+            assert main(argv) == code, argv
+            assert gc.isenabled() is enabled, argv
+        (gc.enable if enabled else gc.disable)()
+        monkeypatch.setattr(superstab.cli, "_cmd_closure", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(["closure", strict_file])
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    capsys.readouterr()
+    assert inside == [False, False, False]
+
+
+def test_main_leaves_no_cyclic_garbage_that_grows_with_the_input(capsys, tmp_path):
+    """What `gc.collect()` finds after `main` is no more on a 400x400 file
+    (4,000 edges) than on `tests/data/tie.ssm`.  `solve2` and `verify`
+    refuse the large file at their caps, after parsing it."""
+    large = tmp_path / "large.ssm"
+    large.write_text(serialize_instance(generate_instance(400, 400, 0.025, 0.8, seed="cyclic-garbage")))
+    small = str(Path(__file__).resolve().parent / "data" / "tie.ssm")
+    commands = [["check"], ["solve1", "--q", "1"], ["solve2", "--q1", "1", "--q2", "1"], ["closure"], ["verify", "--mode", "problem1"]]
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        for command in commands:
+            found = {}
+            # The first run of each file imports what the command loads.
+            for path in (small, str(large), small, str(large)):
+                gc.collect()
+                main(["--no-timing", command[0], path, *command[1:]])
+                found[path] = gc.collect()
+            capsys.readouterr()
+            assert found[str(large)] <= found[small], (command, found)
+    finally:
+        if was:
+            gc.enable()
 
 
 def test_unknown_command(capsys):

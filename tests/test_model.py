@@ -19,6 +19,7 @@ from conftest import (
     instances,
     naive_is_super_stable,
     reference_parse_instance,
+    reference_pref_list,
     run_python,
     sample_instances,
     shuffled_tables_twin,
@@ -40,6 +41,7 @@ from superstab.model import (
     induced_instance,
     is_super_stable,
     make_instance,
+    _pref_list,
     ordered_edges,
     parse_instance,
     serialize_instance,
@@ -262,6 +264,40 @@ def test_dressed_tie_heavy_texts_parse_as_the_character_scanner_does():
         inst = generate_instance(*shape, seed=f"dressed-{i}")
         text = dressed_text(inst, rng, "\r\n" if i % 2 else "\n")
         assert parse_instance(text) == reference_parse_instance(text) == inst, text
+
+
+# What a `pref` body is drawn from: names (one holding ':', which
+# `_build` refuses later), whole tie groups, lone parentheses, and blanks,
+# Unicode ones included.
+PREF_BODY_PIECES = [
+    "a", "b7", "\u00e9", "x:y", "(a b)", "( \u00e9\t)", "(", ")", " ", "  ", "\t", "\xa0", "\u2028", "\x1c",
+]
+
+
+def _pref_outcome(read, body: str):
+    entries = read(body)
+    return None if entries is None else (list(entries[0]), list(entries[1]))
+
+
+def test_pref_list_reads_bodies_as_the_token_reader_does():
+    pinned = ["", " ", "a", "a b", "(a b) c", "(a)(b)", "a(b)c", "( a\t)  b (c d)", "x:y (a)"]
+    refused = ["(", ")", "()", "( )", "(a", "a)", "((a))", "(a (b) c)", "(a) b) c", ") (a", "(a)(", "(a) (b"]
+    for body in pinned + refused:
+        assert _pref_outcome(_pref_list, body) == _pref_outcome(reference_pref_list, body), body
+        assert (reference_pref_list(body) is None) == (body in refused), body
+    rng = random.Random("pref-list")
+    outcomes = {"plain": 0, "grouped": 0, "refused": 0}
+    for _ in range(20000):
+        body = "".join(rng.choice(PREF_BODY_PIECES) for _ in range(rng.randrange(16)))
+        got = _pref_outcome(_pref_list, body)
+        assert got == _pref_outcome(reference_pref_list, body), body
+        outcomes["refused" if got is None else "grouped" if "(" in body else "plain"] += 1
+    assert min(outcomes.values()) >= 1000, outcomes
+
+
+@given(st.lists(st.sampled_from(PREF_BODY_PIECES), max_size=24).map("".join))
+def test_pref_list_reads_drawn_bodies_as_the_token_reader_does(body):
+    assert _pref_outcome(_pref_list, body) == _pref_outcome(reference_pref_list, body)
 
 
 @given(instances(), st.randoms(use_true_random=False))
@@ -855,7 +891,11 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
             assert {"superstab._objects", "superstab._writer", "superstab._coverage"} & modules == set(), command
     package = {m for m in loaded["closure"] if m.split(".")[0] == "superstab"}
     assert package == {"superstab", "superstab.cli", "superstab.model", "superstab.superstable", "superstab._writer"}
-    assert parser <= _modules_loaded("--help")
+    # Only the commands that print through `json.dumps` load `json`.
+    assert [command for command, modules in loaded.items() if "json" in modules] == ["check", "solve1", "solve2", "verify"]
+    help_modules = _modules_loaded("--help")
+    assert parser <= help_modules
+    assert "json" not in help_modules
     # The package loads its modules on first access; `dir` still lists every name.
     code = "import superstab; names = dir(superstab); print(set(superstab.__all__) <= set(names))"
     assert run_python(0, "-S", "-c", code).stdout == b"True\n"
