@@ -8,9 +8,9 @@ access (PEP 562).  The handlers look up `parse_instance`,
 `solve_two_side_deletion` and `oracle_min_hospital_deletion` on `cli`
 itself, so a value set there, such as a tracing wrapper, is what they
 call.  Every other name from a module that not all of these commands
-load (`oracle`, `_coverage`, `_objects`) is imported where it runs, so
-each command loads only its row of the README's table: `verify --mode
-problem1` does not load `_objects`, and `gen` does not load `oracle`.
+load (`oracle`, `_objects`) is imported where it runs, so each command
+loads only its row of the README's table: `verify --mode problem1` does
+not load `_objects`, and `gen` does not load `oracle`.
 """
 
 from __future__ import annotations
@@ -159,8 +159,7 @@ def _cmd_gen(ns: SimpleNamespace) -> int:
 
 
 def _cmd_reduce(ns: SimpleNamespace) -> int:
-    from ._coverage import parse_coverage, reduce_min_coverage
-    from ._objects import serialize_instance
+    from ._objects import parse_coverage, reduce_min_coverage, serialize_instance
 
     red = reduce_min_coverage(parse_coverage(_read(ns.file)))
     sys.stdout.write(serialize_instance(red.instance))

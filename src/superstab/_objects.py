@@ -1,10 +1,10 @@
-"""The Python-object side of `model`, and the plain rescans of `superstable`.
+"""The cold code of `model`, `superstable` and `hardness`.
 
 Nothing here runs in `check`, `solve1`, `closure`, `solve2` or
-`verify --mode problem1`, so those commands never compile it.  `model`
-and `superstable` read these names from this module on first access
-(PEP 562), and each public one stays in the `__all__` of its public
-module.  It holds:
+`verify --mode problem1` on good input, so those commands never compile
+it.  `model`, `superstable` and `hardness` read these names from this
+module on first access (PEP 562), and each public one stays in the
+`__all__` of its public module.  It holds:
 
 - the builders that start from Python objects: `make_instance` and its
   list checks, and `Instance(...)`'s validation of its four fields;
@@ -14,28 +14,46 @@ module.  It holds:
   the blocking-edge predicate, and `extract_matching` and
   `critical_hospitals`, which rescan the edges with the choice scans
   where the solver reads its own log;
-- the name checks and the line splitter that the coverage reader and
-  `_diagnose` share.
+- the error namer: `model` reads instance text in one pass and builds
+  instances with checks that run in bulk and say only that something is
+  wrong.  When one of them fails, `_text_problem` or `_list_problem`
+  reads the input again, one check at a time in file or list order, and
+  says what the first problem is and where; good input never runs it.
+  `_text_problem` reads text line by line, scanning each line's tokens
+  once for its names and their columns, and hands the lists to
+  `_list_problem`, which scans them entry by entry;
+- the coverage side of `hardness`: coverage data, its file format, and
+  the instance family built from it, which only `reduce` runs.
+
+A private module stands apart only where some command loads its public
+module without it.  The error namer and the coverage side both read the
+name checks and the line splitter here, so every run that needed one of
+them loaded this module too, and they live in it.
 """
 
 from __future__ import annotations
 
 import re
 from collections import Counter
-from itertools import chain, count, groupby, repeat
+from itertools import chain, combinations, count, groupby, repeat
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .model import (
     DOCTOR,
     HOSPITAL,
+    CapExceeded,
     Edge,
     FormatError,
     Instance,
     Vertex,
+    _SIDE_WORD,
     _build,
     _Entries,
+    _Record,
     _removed_names,
+    doctor,
+    hospital,
 )
 
 # Names must survive the text format: one token, no grouping or delimiter
@@ -134,8 +152,8 @@ def _from_lists(
     The declared names must already be valid and unique.  Lists whose
     tie groups are all non-empty and hold only strings go to the bulk
     checks of `_build`.  Only when those fail are the lists scanned entry
-    by entry, by `_diagnose._list_problem`, to raise `_diagnose._ListError`
-    for the first problem, which never depends on hashing.
+    by entry, by `_list_problem`, to raise `_ListError` for the first
+    problem, which never depends on hashing.
     """
     seen: dict[Vertex, list[list]] = {}  # each list's tie groups, read once
     lists: dict[Vertex, _Entries] = {}
@@ -156,8 +174,6 @@ def _from_lists(
         )
         if inst is not None:
             return inst
-
-    from ._diagnose import _list_problem
 
     raise _list_problem(doctors, hospitals, {**prefs, **seen})
 
@@ -242,10 +258,11 @@ def induced_instance(inst: Instance, removed: Iterable[Vertex]) -> Instance:
     Declaration order is preserved, edge sets shrink accordingly, and
     surviving rank values carry over unchanged.
     """
+    removed = list(removed)
+    edges = induced_edges(inst, removed)  # checks each member before any is hashed
     removed = frozenset(removed)
     if not removed:
         return inst
-    edges = induced_edges(inst, removed)
     doctors = tuple(d for d in inst.doctors if Vertex(DOCTOR, d) not in removed)
     hospitals = tuple(h for h in inst.hospitals if Vertex(HOSPITAL, h) not in removed)
     rank = {v: {e: r for e, r in table.items() if e in edges} for v, table in inst.rank.items()}
@@ -380,3 +397,348 @@ def critical_hospitals(
     wanted = {e.hospital for e in forbidden | all_doctor_choices(inst, inst.edges - forbidden)}
     wanted.difference_update(e.hospital for e in matching)
     return frozenset(Vertex(HOSPITAL, h) for h in inst.hospitals if h in wanted)
+
+
+_OTHER_SIDE = {DOCTOR: HOSPITAL, HOSPITAL: DOCTOR}
+# The tokens of a name line, and of a `pref` body: parentheses and names.
+_NAME_TOKEN = re.compile(r"\S+")
+_PREF_TOKEN = re.compile(r"[()]|[^\s()]+")
+
+
+class _ListError(ValueError):
+    """A problem in one preference list: `owner` holds the list and `entry`
+    is the 0-based position of the faulty entry, counted across tie groups
+    (None when no single entry is at fault)."""
+
+    def __init__(self, message: str, owner: Vertex, entry: int | None = None):
+        super().__init__(message)
+        self.owner = owner
+        self.entry = entry
+
+
+def _list_problem(
+    doctors: tuple[str, ...], hospitals: tuple[str, ...], prefs: Mapping[Vertex, PrefInput]
+) -> _ListError:
+    """The first problem in lists that `_build` refused, scanned entry by
+    entry: problems within a list come first, lists in `prefs` order and
+    entries in list order; then the first one-sided listing in edge order,
+    doctors' lists before hospitals'.  So which one is reported never
+    depends on hashing."""
+    partners = {DOCTOR: frozenset(hospitals), HOSPITAL: frozenset(doctors)}
+    # Per list, partner name -> rank level, in entry order.
+    levels_of: dict[Vertex, dict[str, int]] = {}
+    for owner, raw in prefs.items():
+        levels: dict[str, int] = {}
+        for level, item in enumerate(raw, 1):
+            group = [item] if isinstance(item, str) else list(item)
+            if not group:
+                return _ListError(f"{owner.describe()} has an empty tie group", owner)
+            for name in group:
+                if not isinstance(name, str):
+                    return _ListError(
+                        f"{owner.describe()} lists a non-string entry {name!r}", owner, len(levels)
+                    )
+                if name not in partners[owner.side]:
+                    return _ListError(
+                        f"unknown {_SIDE_WORD[_OTHER_SIDE[owner.side]]} {name!r} "
+                        f"in preference list of {owner.name!r}",
+                        owner,
+                        len(levels),
+                    )
+                if name in levels:
+                    return _ListError(
+                        f"{owner.name!r} lists {name!r} more than once", owner, len(levels)
+                    )
+                levels[name] = level
+        levels_of[owner] = levels
+
+    one_sided = []
+    for owner, levels in levels_of.items():
+        for name in levels:
+            if owner.name not in levels_of[Vertex(_OTHER_SIDE[owner.side], name)]:
+                pair = (owner.name, name) if owner.side == DOCTOR else (name, owner.name)
+                one_sided.append((owner.side, pair, owner, name))
+    _, _, owner, name = min(one_sided)
+    partner = Vertex(_OTHER_SIDE[owner.side], name)
+    return _ListError(
+        f"{owner.describe()} lists {name!r} but {partner.describe()} does not list {owner.name!r}",
+        owner,
+        list(levels_of[owner]).index(name),
+    )
+
+
+def _text_problem(text: str) -> FormatError:
+    """The first problem in instance text that `model.parse_instance`
+    refused, at its line and, where it helps, its column.  The text is
+    read again line by line, every check in file order; then the `pref`
+    lines go to `_list_problem`, at the line and column of the entry it
+    names (`_groups` refused empty tie groups, which name no entry)."""
+    try:
+        doctors, hospitals, prefs, where = _read_lines(text)
+    except FormatError as problem:
+        return problem
+    problem = _list_problem(doctors, hospitals, prefs)
+    lineno, columns = where[problem.owner.name]
+    return FormatError(str(problem), line=lineno, column=columns[problem.entry])
+
+
+def _read_lines(
+    text: str,
+) -> tuple[tuple[str, ...], tuple[str, ...], dict[Vertex, PrefInput], dict[str, tuple[int, list[int]]]]:
+    """The declared names, the tie groups of each `pref` line and, per
+    `pref` line, its number and the column of each entry; FormatError for
+    the first problem outside the lists themselves."""
+    doctors: tuple[str, ...] | None = None
+    hospitals: tuple[str, ...] | None = None
+    pref_lines: list[tuple[str, int, list[list[str]], list[int]]] = []
+    for lineno, words, body, offset in _lines(text):
+        if words == ["doctors"]:
+            if doctors is not None:
+                raise FormatError("second 'doctors:' line", line=lineno)
+            doctors = _name_list(body, lineno, offset, "doctor")
+        elif words == ["hospitals"]:
+            if hospitals is not None:
+                raise FormatError("second 'hospitals:' line", line=lineno)
+            hospitals = _name_list(body, lineno, offset, "hospital")
+        elif len(words) == 2 and words[0] == "pref":
+            if doctors is None or hospitals is None:
+                raise FormatError("preference line before 'doctors:' and 'hospitals:'", line=lineno)
+            name = words[1]
+            if not _name_ok(name):
+                raise FormatError(f"invalid name {name!r}", line=lineno)
+            pref_lines.append((name, lineno, *_groups(body, lineno, offset)))
+        else:
+            raise FormatError("expected 'doctors:', 'hospitals:' or 'pref NAME:'", line=lineno, column=1)
+
+    if doctors is None:
+        raise FormatError("missing 'doctors:' line")
+    if hospitals is None:
+        raise FormatError("missing 'hospitals:' line")
+    both = set(doctors) & set(hospitals)
+    if both:
+        raise FormatError(
+            f"name {sorted(both)[0]!r} appears on both sides; the text format keeps the "
+            "two name spaces disjoint"
+        )
+
+    dset, hset = set(doctors), set(hospitals)
+    prefs: dict[Vertex, PrefInput] = {}
+    where: dict[str, tuple[int, list[int]]] = {}
+    for name, lineno, groups, columns in pref_lines:
+        if name not in dset and name not in hset:
+            raise FormatError(f"preference line for undeclared vertex {name!r}", line=lineno)
+        if name in where:
+            raise FormatError(
+                f"second preference line for {name!r} (first on line {where[name][0]})",
+                line=lineno,
+            )
+        where[name] = lineno, columns
+        prefs[Vertex(DOCTOR if name in dset else HOSPITAL, name)] = groups
+
+    for name in doctors + hospitals:
+        if name not in where:
+            side = "doctor" if name in dset else "hospital"
+            raise FormatError(f"missing preference line for {side} {name!r}")
+    return doctors, hospitals, prefs, where
+
+
+def _name_list(body: str, lineno: int, offset: int, word: str) -> tuple[str, ...]:
+    """The names of a `doctors:` or `hospitals:` line body; FormatError at
+    the column of the first that is invalid or repeated."""
+    tokens = list(_NAME_TOKEN.finditer(body))
+    names = tuple(m[0] for m in tokens)
+    if problem := _name_problem(names, word, f"duplicate {word} name"):
+        raise FormatError(problem[1], line=lineno, column=offset + tokens[problem[0]].start() + 1)
+    return names
+
+
+def _groups(body: str, lineno: int, offset: int) -> tuple[list[list[str]], list[int]]:
+    """The tie groups of a `pref` line body, best first, each name a group
+    of its own unless parenthesized, and the 1-based column of each name
+    in list order, from one scan of the body's tokens; FormatError at the
+    column of the first token out of place, or of the '(' left open."""
+    groups: list[list[str]] = []
+    columns: list[int] = []
+    group: list[str] | None = None  # the open tie group
+    opened = 0  # the column of its '('
+    for match in _PREF_TOKEN.finditer(body):
+        token, column = match[0], offset + match.start() + 1
+        problem = None
+        if token == "(":
+            if group is not None:
+                problem = "nested tie group"
+            group, opened = [], column
+        elif token == ")":
+            if group is None:
+                problem = "unmatched ')'"
+            elif not group:
+                problem = "empty tie group"
+            else:
+                groups.append(group)
+                group = None
+        elif not _name_ok(token):  # a token holds no '#', space or parenthesis, so only ':' can be bad
+            problem = f"invalid name {token!r}"
+        else:
+            columns.append(column)
+            if group is None:
+                groups.append([token])
+            else:
+                group.append(token)
+        if problem:
+            raise FormatError(problem, line=lineno, column=column)
+    if group is not None:
+        raise FormatError("unclosed tie group", line=lineno, column=opened)
+    return groups, columns
+
+
+class CoverageInstance(_Record):
+    """Choose exactly `picks` families whose union has at most `cover_limit`
+    elements."""
+
+    _fields = ("ground", "families", "picks", "cover_limit")
+
+    def __init__(
+        self, ground: tuple[str, ...], families: tuple[frozenset[str], ...], picks: int, cover_limit: int
+    ) -> None:
+        super().__init__(ground, families, picks, cover_limit)
+        if problem := _name_problem(self.ground, "ground element", "duplicate ground element"):
+            raise ValueError(problem[1])
+        for i, fam in enumerate(self.families, 1):
+            stray = fam.difference(self.ground)
+            if stray:
+                raise ValueError(
+                    f"family {i} contains {sorted(stray)[0]!r}, which is not a ground element"
+                )
+        if not 0 <= self.picks <= len(self.families):
+            raise ValueError("picks must be between 0 and the number of families")
+        if not 0 <= self.cover_limit <= len(self.ground):
+            raise ValueError("cover_limit must be between 0 and the ground size")
+
+
+class ReductionOutput(_Record):
+    """The built instance plus budgets and the index-to-vertex name maps.  Its
+    fields are `instance: Instance`, `doctor_budget: int`,
+    `hospital_budget: int`, and `doctor_of` and `slot_of`, each a
+    `Mapping[int, Vertex]`."""
+
+    _fields = ("instance", "doctor_budget", "hospital_budget", "doctor_of", "slot_of")
+
+
+def parse_coverage(text: str) -> CoverageInstance:
+    """Parse coverage text: a `ground:` line, one `set NAME:` line per
+    family, and `x:` / `y:` lines for picks and cover limit."""
+    ground: tuple[str, ...] | None = None
+    families: list[frozenset[str]] = []
+    family_names: set[str] = set()
+    picks: int | None = None
+    limit: int | None = None
+
+    for lineno, words, body, _ in _lines(text):
+        if words == ["ground"]:
+            if ground is not None:
+                raise FormatError("second 'ground:' line", line=lineno)
+            ground = _token_list(body, lineno, "ground element")
+        elif len(words) == 2 and words[0] == "set":
+            if ground is None:
+                raise FormatError("'set' line before 'ground:' line", line=lineno)
+            name = words[1]
+            if not _name_ok(name):
+                raise FormatError(f"invalid set name {name!r}", line=lineno)
+            if name in family_names:
+                raise FormatError(f"duplicate set name {name!r}", line=lineno)
+            family_names.add(name)
+            members = _token_list(body, lineno, "set member")
+            stray = set(members) - set(ground)
+            if stray:
+                raise FormatError(
+                    f"set {name!r} contains {sorted(stray)[0]!r}, which is not in the ground set",
+                    line=lineno,
+                )
+            families.append(frozenset(members))
+        elif words in (["x"], ["y"]):
+            label = words[0]
+            try:
+                value = int(body.strip())
+            except ValueError:
+                raise FormatError(f"'{label}:' needs an integer", line=lineno) from None
+            if label == "x":
+                if picks is not None:
+                    raise FormatError("second 'x:' line", line=lineno)
+                picks = value
+            else:
+                if limit is not None:
+                    raise FormatError("second 'y:' line", line=lineno)
+                limit = value
+        else:
+            raise FormatError("expected 'ground:', 'set NAME:', 'x:' or 'y:'", line=lineno)
+
+    if ground is None:
+        raise FormatError("missing 'ground:' line")
+    if picks is None:
+        raise FormatError("missing 'x:' line")
+    if limit is None:
+        raise FormatError("missing 'y:' line")
+    try:
+        return CoverageInstance(ground, tuple(families), picks, limit)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from None
+
+
+def _token_list(body: str, lineno: int, word: str) -> tuple[str, ...]:
+    names = body.split()
+    if problem := _name_problem(names, word, f"duplicate {word}"):
+        raise FormatError(problem[1], line=lineno)
+    return tuple(names)
+
+
+def reduce_min_coverage(cov: CoverageInstance) -> ReductionOutput:
+    """Build the matching instance that mirrors a coverage question.
+
+    Family i becomes doctor `Ti`; ground element j becomes hospital `sj`;
+    each doctor also gets a private slot hospital `ti`.  A doctor is
+    adjacent to its members' hospitals and its own slot, and every
+    preference list is one big tie.  The budgets are `m - picks` doctor
+    deletions and `cover_limit` hospital deletions.
+    """
+    m = len(cov.families)
+    n = len(cov.ground)
+    doctors = tuple(f"T{i}" for i in range(1, m + 1))
+    grounds = tuple(f"s{j}" for j in range(1, n + 1))
+    slots = tuple(f"t{i}" for i in range(1, m + 1))
+    index_of = {name: j for j, name in enumerate(cov.ground, 1)}
+
+    doctor_prefs: dict[str, list[list[str]]] = {}
+    member_doctors: dict[str, list[str]] = {g: [] for g in grounds}
+    for i, fam in enumerate(cov.families, 1):
+        partners = [f"s{index_of[name]}" for name in sorted(fam, key=index_of.get)]
+        for g in partners:
+            member_doctors[g].append(f"T{i}")
+        doctor_prefs[f"T{i}"] = [partners + [f"t{i}"]]
+    hospital_prefs: dict[str, list[list[str]]] = {
+        g: ([ds] if ds else []) for g, ds in member_doctors.items()
+    }
+    for i in range(1, m + 1):
+        hospital_prefs[f"t{i}"] = [[f"T{i}"]]
+
+    instance = make_instance(doctors, grounds + slots, doctor_prefs, hospital_prefs)
+    return ReductionOutput(
+        instance=instance,
+        doctor_budget=m - cov.picks,
+        hospital_budget=cov.cover_limit,
+        doctor_of={i: doctor(f"T{i}") for i in range(1, m + 1)},
+        slot_of={i: hospital(f"t{i}") for i in range(1, m + 1)},
+    )
+
+
+def oracle_min_coverage(cov: CoverageInstance, *, max_families: int = 20) -> bool:
+    """Brute-force answer to the coverage question itself."""
+    m = len(cov.families)
+    if m > max_families:
+        raise CapExceeded(f"{m} families exceed the subset-search cap of {max_families}; raise max_families")
+    for picked in combinations(range(m), cov.picks):
+        union: set[str] = set()
+        for i in picked:
+            union |= cov.families[i]
+        if len(union) <= cov.cover_limit:
+            return True
+    return False

@@ -19,7 +19,8 @@ load with it.  The rest loads on first use:
 - `_commands` in `verify`, `gen`, `reduce`, `transpose` and for the
   argparse parser: their handlers, `generate_instance` and
   `_build_parser`;
-- `_coverage` in `reduce`, and `random` in `gen`.
+- `_objects` in `verify --mode existence`, `gen`, `reduce`,
+  `transpose` and on bad input, and `random` in `gen`.
 
 The `closure` writer loads no `json`: it quotes names with the C
 function `json.dumps` uses, builds each edge's block once, at the

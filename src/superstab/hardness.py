@@ -48,9 +48,9 @@ uncut walk's.
 The instance builder turns set-coverage data (pick exactly `picks`
 families, keep their union within `cover_limit`) into a fully
 indifferent matching instance whose deletion budgets mirror the coverage
-question.  That side lives in `_coverage`: `solve2` never runs it, so it
-never compiles it.  `__all__` here lists its names, and each is read
-from `_coverage` on first access.
+question.  That side lives in `_objects`, with the rest of the code
+that `solve2` never runs, so `solve2` never compiles it.  `__all__` here
+lists its names, and each is read from `_objects` on first access.
 """
 
 from __future__ import annotations
@@ -63,10 +63,10 @@ from .model import CapExceeded, Instance, Vertex, doctor
 from .superstable import _count, _fixed_point, _loop, _outcome
 
 # Each name of `__all__` that this file does not define, the coverage
-# side, is read from `_coverage` on first access.  `induced_instance`,
-# which no code here calls, is read from `_objects`: it resolves here only
-# because `bench/tracer.py` names this module among its targets.
-__getattr__ = _lazy(globals(), {"induced_instance": "_objects"}.get, "_coverage")
+# side, is read from `_objects` on first access.  So is `induced_instance`,
+# which no code here calls: it resolves here only because
+# `bench/tracer.py` names this module among its targets.
+__getattr__ = _lazy(globals(), {"induced_instance": "_objects"}.get, "_objects")
 
 
 def solve_two_side_deletion(

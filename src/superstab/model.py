@@ -23,8 +23,8 @@ here lists is read from `_objects` on first access (PEP 562).
 
 `parse_instance` reads good text in one pass, and every build runs bulk
 checks, in C; both say only that something is wrong.  The code that then
-names the first problem, with its line and column, is in `_diagnose`,
-which good input never loads.
+names the first problem, with its line and column, is in `_objects`
+too, which good input never loads.
 
 An instance's integer core is its one store (see `Instance`); the
 solvers and the serializer read it by edge id.  `edges`, `rank`,
@@ -257,7 +257,8 @@ def _build(
     The checks run in bulk, in C: a set-subset check for the hospitals
     the doctors name, one id lookup per hospital entry for the doctors
     the hospitals name and for mutual listing, and length comparisons
-    for duplicates.  On None, `_diagnose` names the first problem.
+    for duplicates.  On None, `_objects._list_problem` names the first
+    problem.
     """
     partners = list(chain.from_iterable(map(itemgetter(0), doctor_lists)))
     if not set(hospitals).issuperset(partners):
@@ -372,13 +373,13 @@ def parse_instance(text: str) -> Instance:
 
     Good text is read in one pass over its lines, each `pref` body split
     in C, one tie group at a time, and built by `_build`.  Text that fails any of
-    these checks goes to `_diagnose._text_problem`, which reads it again
+    these checks goes to `_objects._text_problem`, which reads it again
     line by line to name its first problem.
     """
     inst = _read_instance(text)
     if inst is not None:
         return inst
-    from ._diagnose import _text_problem
+    from ._objects import _text_problem
 
     raise _text_problem(text)
 

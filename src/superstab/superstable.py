@@ -250,7 +250,7 @@ def closure(
     the number of edges at that rank.  Reaching the fixed point costs
     O(|E| log |E|), and the trace keeps the loop's O(|E|) log.
     """
-    deleted = frozenset(deleted)
+    deleted = list(deleted)  # checked before any member is hashed
     bad = [v for v in deleted if not isinstance(v, Vertex) or v.side != HOSPITAL]
     if bad:  # as `_removed_names` does: the member whose repr sorts first
         raise ValueError(f"closure deletes hospitals only, got {min(bad, key=repr)!r}")
@@ -293,14 +293,6 @@ def solve_min_hospital_deletion(inst: Instance) -> DeletionCertificate:
     return DeletionCertificate(forbidden, matching, critical, trace)
 
 
-def decide_hospital_deletion(inst: Instance, budget: int) -> tuple[bool, DeletionCertificate]:
-    """Can deleting at most `budget` hospitals make the instance solvable?"""
-    if budget < 0:
-        raise ValueError("budget must be non-negative")
-    cert = solve_min_hospital_deletion(inst)
-    return len(cert.critical) <= budget, cert
-
-
 def exists_super_stable(inst: Instance, deleted: Iterable[Vertex] = ()) -> frozenset[Edge] | None:
     """A super-stable matching of the graph minus `deleted`, or None.
 
@@ -324,6 +316,5 @@ __all__ = [
     "extract_matching",
     "critical_hospitals",
     "solve_min_hospital_deletion",
-    "decide_hospital_deletion",
     "exists_super_stable",
 ]

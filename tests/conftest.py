@@ -13,8 +13,7 @@ from hypothesis import strategies as st
 
 import superstab
 from superstab.cli import generate_instance
-from superstab._diagnose import _ListError
-from superstab._objects import _from_lists
+from superstab._objects import _from_lists, _ListError
 from superstab.model import (
     DOCTOR,
     HOSPITAL,
@@ -625,7 +624,7 @@ def reference_parse_instance(text: str) -> Instance:
     """The character-by-character parser that `parse_instance` replaced:
     it records every entry's column and keeps them all for the error path.
     The list checks are the library's `_from_lists`, whose failures the
-    library's `_diagnose` names."""
+    library's `_objects._list_problem` names."""
     doctors: tuple[str, ...] | None = None
     hospitals: tuple[str, ...] | None = None
     pref_lines: list[tuple[str, int, list[list[tuple[str, int]]]]] = []

@@ -430,6 +430,17 @@ RARE_ERRORS = [
     (lambda: parse_instance(STRICT_2X2_TEXT).incident(5), ValueError, "unknown vertex 5"),
     (lambda: parse_instance(STRICT_2X2_TEXT).incident(["D", "d1"]), ValueError, "unknown vertex ['D', 'd1']"),
     (lambda: parse_instance(STRICT_2X2_TEXT).incident({"D": "d1"}), ValueError, "unknown vertex {'D': 'd1'}"),
+    # Members that cannot be hashed are checked before any member is hashed.
+    (
+        lambda: closure(parse_instance(STRICT_2X2_TEXT), [["H", "h1"]]),
+        ValueError,
+        "closure deletes hospitals only, got ['H', 'h1']",
+    ),
+    (
+        lambda: induced_instance(parse_instance(STRICT_2X2_TEXT), [["H", "h1"]]),
+        ValueError,
+        "unknown vertex ['H', 'h1']",
+    ),
     (_delete_a_record_field, AttributeError, "cannot delete field 'index'"),
 ]
 
@@ -624,11 +635,11 @@ def test_package_lists_every_module_name_once():
         assert getattr(superstab, name) is getattr(owner, name), name
     # A fresh import of a module loads the private module that holds a name
     # of its only when that name is first read.
-    private = ["superstab._objects", "superstab._coverage", "superstab._writer", "superstab._commands"]
+    private = ["superstab._objects", "superstab._writer", "superstab._commands"]
     for module, name, loads in (
         ("model", "make_instance", ["superstab._objects"]),
         ("superstable", "extract_matching", ["superstab._objects"]),
-        ("hardness", "parse_coverage", ["superstab._objects", "superstab._coverage"]),
+        ("hardness", "parse_coverage", ["superstab._objects"]),
         ("cli", "generate_instance", ["superstab._commands"]),
     ):
         code = (
@@ -644,7 +655,7 @@ def test_package_lists_every_module_name_once():
 def test_modules_resolve_only_the_names_read_on_them():
     # A name that no code reads on a module raises AttributeError there,
     # naming that module, and loads no private module.
-    private = [f"superstab.{m}" for m in ("_objects", "_coverage", "_writer", "_commands", "_diagnose")]
+    private = [f"superstab.{m}" for m in ("_objects", "_writer", "_commands")]
     for module, name in (
         ("cli", "count_matchings"),
         ("cli", "parse_coverage"),
@@ -864,36 +875,58 @@ def _modules_loaded(*cli_args: str) -> set[str]:
     return set(out.stdout.decode().splitlines()[-1].split())
 
 
-def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
-    lazy = {"superstab.hardness", "superstab.oracle", "superstab._diagnose", "random"}
-    # The object side of `model`, the closure writer, the coverage side of
-    # `hardness` and the cold commands.
-    cold = {"superstab._objects", "superstab._writer", "superstab._coverage", "superstab._commands"}
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect(tmp_path):
+    lazy = {"superstab.hardness", "superstab.oracle", "random"}
+    # The cold code of `model`, `superstable` and `hardness`, the closure
+    # writer and the cold commands.
+    cold = {"superstab._objects", "superstab._writer", "superstab._commands"}
     assert {"dataclasses", "inspect", *lazy, *cold} & _modules_loaded() == set()
     tie = str(DATA / "tie.ssm")
-    loaded = {
-        args[0]: _modules_loaded(*args)
-        for args in (
-            ["check", tie],
-            ["solve1", tie, "--q", "1"],
-            ["closure", tie],
-            ["solve2", tie, "--q1", "1", "--q2", "1"],
-            ["verify", tie, "--mode", "problem1"],
-        )
-    }
-    assert "superstab.oracle" not in loaded["solve2"]
-    assert "superstab.hardness" not in loaded["verify"]
+    bad = tmp_path / "bad.ssm"
+    bad.write_text("doctors: d1\nhospitals: h1\npref d1: (h1\npref h1: d1\n")
     # argparse, and the gettext it imports, load only for help and usage errors.
     parser = {"argparse", "gettext"}
+    # Every row of the README's module table: a command line and what it
+    # loads besides `cli`, `model` and `superstable`.  Bad input loads
+    # `_objects`, which names its first problem.
+    table = [
+        (["check", tie], {"json"}),
+        (["solve1", tie, "--q", "1"], {"json"}),
+        (["closure", tie], {"superstab._writer"}),
+        (["solve2", tie, "--q1", "1", "--q2", "1"], {"superstab.hardness", "json"}),
+        (["verify", tie, "--mode", "problem1"], {"superstab._commands", "superstab.oracle", "json"}),
+        (["verify", tie, "--mode", "existence"], {"superstab._commands", "superstab.oracle", "superstab._objects", "json"}),
+        (
+            ["verify", tie, "--mode", "problem2", "--q1", "1", "--q2", "1"],
+            {"superstab._commands", "superstab.hardness", "superstab.oracle", "json"},
+        ),
+        (["transpose", tie], {"superstab._commands", "superstab._objects"}),
+        (["reduce", str(DATA / "cover.cov")], {"superstab._commands", "superstab._objects"}),
+        (
+            ["gen", "--doctors", "3", "--hospitals", "3", "--density", "0.5", "--tie-prob", "0.5"],
+            {"superstab._commands", "superstab._objects", "random"},
+        ),
+        (["--help"], {"superstab._commands", *parser}),
+        (["check", str(bad)], {"superstab._objects"}),
+    ]
+    runs = {}
+    for args, extra in table:
+        modules = runs[tuple(args)] = _modules_loaded(*args)
+        tracked = {m for m in modules if m.split(".")[0] in {"superstab", "random", *parser} or m == "json"}
+        assert tracked == {"superstab", "superstab.cli", "superstab.model", "superstab.superstable", *extra}, args
+        assert {"dataclasses", "inspect"} & modules == set(), args
+    loaded = {args[0]: runs[tuple(args)] for args, _ in table[:5]}
+    assert "superstab.oracle" not in loaded["solve2"]
+    assert "superstab.hardness" not in loaded["verify"]
     for command, modules in loaded.items():
         assert parser & modules == set(), command
         if command != "closure":
-            assert {"superstab._objects", "superstab._writer", "superstab._coverage"} & modules == set(), command
+            assert {"superstab._objects", "superstab._writer"} & modules == set(), command
     package = {m for m in loaded["closure"] if m.split(".")[0] == "superstab"}
     assert package == {"superstab", "superstab.cli", "superstab.model", "superstab.superstable", "superstab._writer"}
     # Only the commands that print through `json.dumps` load `json`.
     assert [command for command, modules in loaded.items() if "json" in modules] == ["check", "solve1", "solve2", "verify"]
-    help_modules = _modules_loaded("--help")
+    help_modules = runs[("--help",)]
     assert parser <= help_modules
     assert "json" not in help_modules
     # The package loads its modules on first access; `dir` still lists every name.
@@ -905,10 +938,10 @@ def test_a_good_closure_run_never_loads_the_error_namer(tmp_path):
     good = tmp_path / "good.ssm"
     inst = generate_instance(40, 40, 0.2, 0.8, seed="no-diagnose")
     good.write_text(dressed_text(inst, random.Random("no-diagnose"), "\r\n"), encoding="utf-8")
-    assert "superstab._diagnose" not in _modules_loaded("closure", str(good), "--delete", "h1", "h2")
+    assert "superstab._objects" not in _modules_loaded("closure", str(good), "--delete", "h1", "h2")
     bad = tmp_path / "bad.ssm"
     bad.write_text("doctors: d1\nhospitals: h1\npref d1: h1\npref h1:\n")
-    assert "superstab._diagnose" in _modules_loaded("closure", str(bad))
+    assert "superstab._objects" in _modules_loaded("closure", str(bad))
 
 
 def test_package_names_load_through_the_import_statement():

@@ -48,7 +48,6 @@ from superstab.superstable import (
     _outcome,
     closure,
     critical_hospitals,
-    decide_hospital_deletion,
     exists_super_stable,
     extract_matching,
     solve_min_hospital_deletion,
@@ -572,17 +571,6 @@ def test_solver_matching_is_super_stable_after_the_deletions():
         assert naive_is_super_stable(inst, cert.critical, cert.matching)
         sub = induced_instance(inst, cert.critical)
         assert is_super_stable(sub, set(), cert.matching)
-
-
-def test_decide_budget_thresholds(strict_2x2, tie_2x2):
-    ok, cert = decide_hospital_deletion(strict_2x2, 0)
-    assert ok and cert.critical == frozenset()
-    assert decide_hospital_deletion(tie_2x2, 0)[0] is False
-    assert decide_hospital_deletion(tie_2x2, 1)[0] is False
-    assert decide_hospital_deletion(tie_2x2, 2)[0] is True
-    assert decide_hospital_deletion(tie_2x2, 99)[0] is True
-    with pytest.raises(ValueError, match="non-negative"):
-        decide_hospital_deletion(tie_2x2, -1)
 
 
 def test_exists_examples(strict_2x2, tie_2x2, one_pair):
