@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from itertools import chain, combinations, count, groupby, repeat
+from itertools import chain, combinations, count, filterfalse, groupby, repeat
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -51,6 +51,8 @@ from .model import (
     _build,
     _Entries,
     _Record,
+    _checked,
+    _pair,
     _removed_names,
     doctor,
     hospital,
@@ -122,12 +124,10 @@ def _validate_instance(
     dset, hset = set(doctors), set(hospitals)
     expected = {Vertex(DOCTOR, d) for d in doctors} | {Vertex(HOSPITAL, h) for h in hospitals}
     incident: dict[Vertex, set[Edge]] = {v: set() for v in expected}
-    bad = [e for e in edges if not isinstance(e, Edge) or e.doctor not in dset or e.hospital not in hset]
-    if bad:  # as `_removed_names` does: the edge whose repr sorts first
-        e = min(bad, key=repr)
-        if not isinstance(e, Edge):
-            raise ValueError(f"edge {e!r} is not an Edge")
-        raise ValueError(f"edge {tuple(e)} has an undeclared endpoint")
+    declared = lambda e: isinstance(e, Edge) and _pair(e) and e.doctor in dset and e.hospital in hset
+    edges = _checked(edges, declared, lambda e: ValueError(
+        f"edge {tuple(e)} has an undeclared endpoint" if isinstance(e, Edge) else f"edge {e!r} is not an Edge"
+    ))
     for e in edges:
         incident[Vertex(DOCTOR, e.doctor)].add(e)
         incident[Vertex(HOSPITAL, e.hospital)].add(e)
@@ -275,15 +275,19 @@ def transpose_instance(inst: Instance) -> Instance:
     return _build(inst.hospitals, inst.doctors, hospital_lists, doctor_lists)
 
 
+def _edge_name(e: object) -> str:
+    """How an error names an edge argument: a tuple, such as an Edge, or a
+    string by the plain tuple of its items, anything else by its repr."""
+    return repr(tuple(e)) if isinstance(e, (tuple, str)) else repr(e)
+
+
 def _best_edges(table: dict[Edge, int], pool: Iterable[Edge], end: int) -> list[list[Edge]]:
     """Per endpoint `e[end]` of the edges in `pool`, its best ones by `table`."""
-    pool = list(pool)
+    outside = lambda e: ValueError(f"edge {_edge_name(e)} is not an edge of the instance")
+    pool = _checked(pool, lambda e: _pair(e) and e in table, outside)
     keep: dict[str, tuple[int, list[Edge]]] = {}
     for e in pool:
-        r = table.get(e)
-        if r is None:  # as `_removed_names` does: the edge whose repr sorts first
-            e = min((e for e in pool if e not in table), key=repr)
-            raise ValueError(f"edge {tuple(e)} is not an edge of the instance")
+        r = table[e]
         b = keep.get(e[end])
         if b is None or r < b[0]:
             keep[e[end]] = (r, [e])
@@ -305,27 +309,19 @@ def all_hospital_choices(inst: Instance, pool: Iterable[Edge]) -> frozenset[Edge
 def _assignment(
     pool: frozenset[Edge], matching: Iterable[Edge]
 ) -> tuple[dict[str, Edge], dict[str, Edge], frozenset[Edge]]:
-    """Each side's partner in `matching`, which must be a matching of `pool`.
-
-    Otherwise ValueError names, as `_removed_names` does, the edge outside
-    `pool` whose repr sorts first, or else says that two edges share an
-    endpoint, so the message never depends on hashing.
-    """
-    matching = frozenset(matching)
-    by_d: dict[str, Edge] = {}
-    by_h: dict[str, Edge] = {}
-    for e in matching:
-        if e not in pool or e.doctor in by_d or e.hospital in by_h:
-            break
-        by_d[e.doctor] = e
-        by_h[e.hospital] = e
-    else:
-        return by_d, by_h, matching
-    outside = [e for e in matching if e not in pool]
-    if outside:
-        e = min(outside, key=repr)
-        raise ValueError(f"matching edge {tuple(e)} is not in the induced graph")
-    raise ValueError("two matching edges share an endpoint")
+    """Each side's partner in `matching`, which must be a matching of `pool`:
+    else ValueError names a member outside `pool`, by `_checked`, or says
+    that two edges share an endpoint."""
+    # Equal pairs, such as an Edge and its plain tuple, count once, as the first of them, the one a set keeps.
+    members = list(matching)
+    members = [*dict.fromkeys(filter(_pair, members)), *filterfalse(_pair, members)]
+    outside = lambda e: ValueError(f"matching edge {_edge_name(e)} is not in the induced graph")
+    matching = frozenset(_checked(members, lambda e: _pair(e) and e in pool, outside))
+    by_d = {e[0]: e for e in matching}
+    by_h = {e[1]: e for e in matching}
+    if not len(by_d) == len(by_h) == len(matching):
+        raise ValueError("two matching edges share an endpoint")
+    return by_d, by_h, matching
 
 
 def blocking_edges(
@@ -363,11 +359,6 @@ def is_super_stable(
     return not blocking_edges(inst, removed, matching)
 
 
-def _smallest_per_doctor(edges: Iterable[Edge]) -> frozenset[Edge]:
-    """Each doctor's edge with the smallest hospital name among `edges`."""
-    return frozenset({e.doctor: e for e in sorted(edges, reverse=True)}.values())
-
-
 def extract_matching(inst: Instance, forbidden: Iterable[Edge]) -> frozenset[Edge]:
     """The matching the non-forbidden doctor choices induce.
 
@@ -375,14 +366,17 @@ def extract_matching(inst: Instance, forbidden: Iterable[Edge]) -> frozenset[Edg
     most one doctor's choice set.  Each doctor with choices left takes
     the one with the smallest hospital name.
     """
-    choices = all_doctor_choices(inst, inst.edges - frozenset(forbidden))
+    # A member that is no edge of `inst` forbids nothing; one that cannot be hashed is refused.
+    unhashable = lambda e: ValueError(f"forbidden edge {_edge_name(e)} cannot be hashed")
+    forbidden = _checked(forbidden, _hashable, unhashable)
+    choices = all_doctor_choices(inst, inst.edges.difference(forbidden))
     crowded = [h for h, c in Counter(e.hospital for e in choices).items() if c > 1]
     if crowded:
         raise ValueError(
             f"hospital {sorted(crowded)[0]!r} is chosen by several doctors; "
             "the forbidden set is not a completed closure result"
         )
-    return _smallest_per_doctor(choices)
+    return frozenset({e.doctor: e for e in sorted(choices, reverse=True)}.values())
 
 
 def critical_hospitals(
@@ -393,10 +387,19 @@ def critical_hospitals(
     A hospital is critical when `matching` leaves it empty although it
     has a forbidden edge or appears in some doctor's current choices.
     """
-    forbidden = frozenset(forbidden)
-    wanted = {e.hospital for e in forbidden | all_doctor_choices(inst, inst.edges - forbidden)}
-    wanted.difference_update(e.hospital for e in matching)
+    edge = lambda e: _pair(e) and not isinstance(e, Vertex)  # an Edge, or a plain pair of strings read as one
+    role = lambda word: lambda e: ValueError(f"{word} edge {_edge_name(e)} is not an Edge")
+    forbidden = frozenset(_checked(forbidden, edge, role("forbidden")))
+    wanted = {e[1] for e in forbidden | all_doctor_choices(inst, inst.edges - forbidden)}
+    wanted.difference_update(e[1] for e in _checked(matching, edge, role("matching")))
     return frozenset(Vertex(HOSPITAL, h) for h in inst.hospitals if h in wanted)
+
+
+def _hashable(m: object) -> bool:
+    try:
+        return hash(m) is not None
+    except TypeError:
+        return False
 
 
 _OTHER_SIDE = {DOCTOR: HOSPITAL, HOSPITAL: DOCTOR}

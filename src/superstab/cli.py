@@ -95,33 +95,22 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-class _Timer:
-    def __init__(self) -> None:
-        self.t0 = time.perf_counter()
-
-    def ms(self) -> int:
-        return int(round((time.perf_counter() - self.t0) * 1000))
-
-
-def _finish_stats(stats: dict, timer: _Timer, ns: SimpleNamespace) -> dict:
+def _finish_stats(stats: dict, t0: float, ns: SimpleNamespace) -> dict:
     if not ns.no_timing:
-        stats["elapsed_ms"] = timer.ms()
+        stats["elapsed_ms"] = int(round((time.perf_counter() - t0) * 1000))
     return stats
 
 
 def _cmd_check(ns: SimpleNamespace) -> int:
     inst = parse_instance(_read(ns.file))
-    timer = _Timer()
+    t0 = time.perf_counter()
     cert = solve_min_hospital_deletion(inst)
     ok = not cert.critical
     payload: dict = {"command": "check", "answer": "yes" if ok else "none"}
     if ok:
         payload["matching"] = ordered_edges(cert.matching)
-    payload["stats"] = _finish_stats(
-        {"iterations": cert.trace.iterations, "forbidden_size": len(cert.forbidden)},
-        timer,
-        ns,
-    )
+    stats = {"iterations": cert.trace.iterations, "forbidden_size": len(cert.forbidden)}
+    payload["stats"] = _finish_stats(stats, t0, ns)
     _emit(payload, "super-stable matching found" if ok else "no super-stable matching")
     return 0 if ok else 1
 
@@ -130,7 +119,7 @@ def _cmd_solve1(ns: SimpleNamespace) -> int:
     if ns.q < 0:
         raise ValueError("--q must be non-negative")
     inst = parse_instance(_read(ns.file))
-    timer = _Timer()
+    t0 = time.perf_counter()
     cert = solve_min_hospital_deletion(inst)
     ok = len(cert.critical) <= ns.q
     payload = {
@@ -145,7 +134,7 @@ def _cmd_solve1(ns: SimpleNamespace) -> int:
                 "min_deletions": len(cert.critical),
                 "budget": ns.q,
             },
-            timer,
+            t0,
             ns,
         ),
     }
@@ -161,7 +150,7 @@ def _cmd_solve2(ns: SimpleNamespace) -> int:
     if ns.q1 < 0 or ns.q2 < 0:
         raise ValueError("--q1 and --q2 must be non-negative")
     inst = parse_instance(_read(ns.file))
-    timer = _Timer()
+    t0 = time.perf_counter()
     witness = _cli.solve_two_side_deletion(inst, ns.q1, ns.q2)
     payload: dict = {"command": "solve2", "answer": "yes" if witness is not None else "no"}
     if witness is not None:
@@ -171,7 +160,7 @@ def _cmd_solve2(ns: SimpleNamespace) -> int:
         matching = exists_super_stable(inst, witness)
         assert matching is not None
         payload["matching"] = ordered_edges(matching)
-    payload["stats"] = _finish_stats({"doctor_budget": ns.q1, "hospital_budget": ns.q2}, timer, ns)
+    payload["stats"] = _finish_stats({"doctor_budget": ns.q1, "hospital_budget": ns.q2}, t0, ns)
     _emit(
         payload,
         "deletion set found within budgets" if witness is not None else "no deletion set within budgets",
@@ -182,11 +171,9 @@ def _cmd_solve2(ns: SimpleNamespace) -> int:
 def _cmd_closure(ns: SimpleNamespace) -> int:
     inst = parse_instance(_read(ns.file))
     removed = frozenset(hospital(name) for name in ns.delete)
-    timer = _Timer()
+    t0 = time.perf_counter()
     forbidden, trace = closure(inst, removed)
-    stats = _finish_stats(
-        {"iterations": trace.iterations, "forbidden_size": len(forbidden)}, timer, ns
-    )
+    stats = _finish_stats({"iterations": trace.iterations, "forbidden_size": len(forbidden)}, t0, ns)
     _cli._write_closure(inst, removed, trace, stats)
     print(f"closure fixed point after {trace.iterations} rounds", file=sys.stderr)
     return 0

@@ -10,7 +10,7 @@ This module owns the data model and the instance text format: the
 vertex, edge and error types, `Instance` and its builder `_build`, the
 text reader and `_removed_names`, which is what `check`, `solve1`,
 `closure`, `solve2` and `verify --mode problem1` run.  Everything is
-immutable and side-effect free.
+immutable and side-effect free; `_checked` checks every vertex or edge given.
 
 The Python-object side, which only library callers, tests and the cold
 commands run, is in `_objects`: `make_instance`, `serialize_instance`,
@@ -37,7 +37,7 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import accumulate, chain, count, repeat
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from . import _lazy
 
@@ -236,10 +236,8 @@ class Instance(_Record):
             yield Vertex(HOSPITAL, h)
 
     def incident(self, v: Vertex) -> frozenset[Edge]:
-        try:
-            return frozenset(self.rank[v])
-        except (KeyError, TypeError):  # TypeError: `v` is unhashable
-            raise _unknown(v) from None
+        _checked([v], lambda v: _pair(v) and v in self.rank, _unknown)
+        return frozenset(self.rank[v])
 
 
 def _build(
@@ -384,29 +382,36 @@ def parse_instance(text: str) -> Instance:
     raise _text_problem(text)
 
 
-def _removed_names(inst: Instance, removed: Iterable[Vertex]) -> tuple[set[str], set[str]]:
-    """The doctor names and the hospital names of the vertices in `removed`.
+def _pair(m: object) -> bool:
+    """Whether `m` is a pair of strings, as every well-formed Vertex and
+    Edge is, and so may be hashed."""
+    return isinstance(m, tuple) and len(m) == 2 and isinstance(m[0], str) and isinstance(m[1], str)
 
-    A member that is not a vertex of `inst` raises ValueError; of several,
-    the one whose repr sorts first is named, so the message never depends
-    on hashing.
-    """
+
+def _checked(members: Iterable, ok: Callable[[object], bool], error: Callable[[object], Exception]) -> list:
+    """`members` as a list, once `ok` has accepted each; else `error` for the
+    refused member whose repr sorts first, so the one named never depends on
+    hashing.  A test that hashes a member asks `_pair` first, or tries the
+    hash, so a member that cannot be hashed is refused, not a TypeError."""
+    members = list(members)
+    refused = [m for m in members if not ok(m)]
+    if refused:
+        raise error(min(refused, key=repr))
+    return members
+
+
+def _removed_names(inst: Instance, removed: Iterable[Vertex]) -> tuple[set[str], set[str]]:
+    """The doctor names and the hospital names of the vertices in `removed`;
+    ValueError, by `_checked`, for a member that is not a vertex of `inst`."""
     known = {DOCTOR: inst.doctor_set, HOSPITAL: inst.hospital_set}
-    names: dict[str, set[str]] = {DOCTOR: set(), HOSPITAL: set()}
-    bad = []
-    for v in removed:
-        if isinstance(v, Vertex) and v.side in known and v.name in known[v.side]:
-            names[v.side].add(v.name)
-        else:
-            bad.append(v)
-    if bad:
-        raise _unknown(min(bad, key=repr))
-    return names[DOCTOR], names[HOSPITAL]
+    is_known = lambda v: isinstance(v, Vertex) and _pair(v) and v.name in known.get(v.side, ())
+    removed = _checked(removed, is_known, _unknown)
+    return {v.name for v in removed if v.side == DOCTOR}, {v.name for v in removed if v.side == HOSPITAL}
 
 
 def _unknown(v: object) -> ValueError:
     """The error for `v`, which is not a vertex of the instance at hand."""
-    if isinstance(v, Vertex) and v.side in _SIDE_WORD:
+    if isinstance(v, Vertex) and v.side in (DOCTOR, HOSPITAL):  # a tuple test: `v.side` may not hash
         return ValueError(f"unknown {v.describe()}")
     return ValueError(f"unknown vertex {v!r}")
 

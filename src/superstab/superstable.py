@@ -44,7 +44,7 @@ from functools import cached_property
 from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from . import _lazy
-from .model import HOSPITAL, Edge, Instance, Vertex, _Record, _removed_names
+from .model import HOSPITAL, Edge, Instance, Vertex, _checked, _Record, _removed_names
 
 # Each name of `__all__` that this file does not define, the plain
 # rescans, is read from `_objects` on first access.  So are the choice
@@ -117,8 +117,10 @@ class ClosureTrace:
         return tuple(out)
 
     def __eq__(self, other: object) -> bool:
-        same = (self.initial_forbidden, self.rounds)
-        return isinstance(other, ClosureTrace) and same == (other.initial_forbidden, other.rounds)
+        # Equal `rounds`, read from the log: equal initial sets, and per round equal new proposals and losses.
+        steps = lambda trace: [(frozenset(new), frozenset(lost)) for _, new, lost in trace.changes()]
+        same = isinstance(other, ClosureTrace) and self.initial_forbidden == other.initial_forbidden
+        return same and steps(self) == steps(other)
 
     def __hash__(self) -> int:
         return hash((self.initial_forbidden, self.iterations, self.result))
@@ -250,10 +252,8 @@ def closure(
     the number of edges at that rank.  Reaching the fixed point costs
     O(|E| log |E|), and the trace keeps the loop's O(|E|) log.
     """
-    deleted = list(deleted)  # checked before any member is hashed
-    bad = [v for v in deleted if not isinstance(v, Vertex) or v.side != HOSPITAL]
-    if bad:  # as `_removed_names` does: the member whose repr sorts first
-        raise ValueError(f"closure deletes hospitals only, got {min(bad, key=repr)!r}")
+    hospitals_only = lambda v: ValueError(f"closure deletes hospitals only, got {v!r}")
+    deleted = _checked(deleted, lambda v: isinstance(v, Vertex) and v.side == HOSPITAL, hospitals_only)
     _, gone = _removed_names(inst, deleted)
     edge = inst._edge
     initial = frozenset(edge[e] for h, ids in zip(inst.hospitals, inst._by_h) if h in gone for e in ids)

@@ -48,8 +48,16 @@ from superstab.model import (
     transpose_instance,
 )
 from superstab.hardness import CoverageInstance, ReductionOutput, parse_coverage, reduce_min_coverage
-from superstab.oracle import all_matchings
-from superstab.superstable import ClosureRound, DeletionCertificate, closure, solve_min_hospital_deletion
+from superstab.oracle import all_matchings, count_matchings
+from superstab.superstable import (
+    ClosureRound,
+    DeletionCertificate,
+    closure,
+    critical_hospitals,
+    exists_super_stable,
+    extract_matching,
+    solve_min_hospital_deletion,
+)
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -441,8 +449,81 @@ RARE_ERRORS = [
         ValueError,
         "unknown vertex ['H', 'h1']",
     ),
+    # Every public function that takes vertices or edges checks each member
+    # as `model._checked` does: an edge given as a list, or a vertex or edge
+    # with a list for a name, is named by ValueError.
+    (
+        lambda: blocking_edges(_strict(), (), [["d1", "h1"]]),
+        ValueError,
+        "matching edge ['d1', 'h1'] is not in the induced graph",
+    ),
+    (lambda: blocking_edges(_strict(), [Vertex("D", ["x"])], ()), ValueError, "unknown doctor ['x']"),
+    (
+        lambda: is_super_stable(_strict(), (), [["d1", "h1"]]),
+        ValueError,
+        "matching edge ['d1', 'h1'] is not in the induced graph",
+    ),
+    (
+        lambda: is_super_stable(_strict(), (), [Edge("d1", ["x"])]),
+        ValueError,
+        "matching edge ('d1', ['x']) is not in the induced graph",
+    ),
+    (
+        lambda: all_doctor_choices(_strict(), [["d1", "h1"]]),
+        ValueError,
+        "edge ['d1', 'h1'] is not an edge of the instance",
+    ),
+    (
+        lambda: all_doctor_choices(_strict(), [Vertex("D", ["x"])]),
+        ValueError,
+        "edge ('D', ['x']) is not an edge of the instance",
+    ),
+    (
+        lambda: all_hospital_choices(_strict(), [["d1", "h1"]]),
+        ValueError,
+        "edge ['d1', 'h1'] is not an edge of the instance",
+    ),
+    (
+        lambda: all_hospital_choices(_strict(), [Edge("d1", ["x"])]),
+        ValueError,
+        "edge ('d1', ['x']) is not an edge of the instance",
+    ),
+    (lambda: extract_matching(_strict(), [["d1", "h1"]]), ValueError, "forbidden edge ['d1', 'h1'] cannot be hashed"),
+    (
+        lambda: extract_matching(_strict(), [Vertex("H", ["x"])]),
+        ValueError,
+        "forbidden edge ('H', ['x']) cannot be hashed",
+    ),
+    (
+        lambda: critical_hospitals(_strict(), [["d1", "h1"]], ()),
+        ValueError,
+        "forbidden edge ['d1', 'h1'] is not an Edge",
+    ),
+    (
+        lambda: critical_hospitals(_strict(), (), [Vertex("H", ["x"])]),
+        ValueError,
+        "matching edge ('H', ['x']) is not an Edge",
+    ),
+    (
+        lambda: critical_hospitals(_strict(), (), [hospital("h1")]),
+        ValueError,
+        "matching edge ('H', 'h1') is not an Edge",
+    ),
+    (lambda: exists_super_stable(_strict(), [Vertex("D", ["x"])]), ValueError, "unknown doctor ['x']"),
+    (lambda: closure(_strict(), [Vertex("H", ["x"])]), ValueError, "unknown hospital ['x']"),
+    (lambda: induced_edges(_strict(), [Vertex("H", ["x"])]), ValueError, "unknown hospital ['x']"),
+    (lambda: count_matchings(_strict(), [Vertex("D", ["x"])]), ValueError, "unknown doctor ['x']"),
+    (
+        lambda: Instance(("d1", "d2"), ("h1", "h2"), [*_strict().edges, Edge("d1", ["x"])], _strict().rank),
+        ValueError,
+        "edge ('d1', ['x']) has an undeclared endpoint",
+    ),
     (_delete_a_record_field, AttributeError, "cannot delete field 'index'"),
 ]
+
+
+def _strict() -> Instance:
+    return parse_instance(STRICT_2X2_TEXT)
 
 
 @pytest.mark.parametrize("build,kind,message", RARE_ERRORS, ids=[m for _, _, m in RARE_ERRORS])
@@ -450,6 +531,17 @@ def test_rare_errors_pin_their_type_and_message(build, kind, message):
     with pytest.raises(kind) as info:
         build()
     assert str(info.value) == message
+
+
+def test_a_plain_pair_of_names_counts_as_its_edge():
+    inst = parse_instance((DATA / "tie.ssm").read_text())
+    forbidden, _ = closure(inst)
+    for matching in ([], [Edge("d1", "h1")], sorted(extract_matching(inst, forbidden))):
+        plain = [tuple(e) for e in matching]
+        assert blocking_edges(inst, (), plain) == blocking_edges(inst, (), matching)
+        assert critical_hospitals(inst, [tuple(e) for e in forbidden], plain) == critical_hospitals(
+            inst, forbidden, matching
+        )
 
 
 def test_make_instance_reports_list_problems_before_one_sided_entries():
@@ -757,19 +849,21 @@ def test_blocking_rejects_invalid_matchings(strict_2x2):
 
 def test_blocking_error_does_not_depend_on_hash_seed():
     # Of several edges outside the graph, the one whose repr sorts first is
-    # named, and an edge outside the graph is named before a shared endpoint.
+    # named, also when another cannot be hashed, and an edge outside the
+    # graph is named before a shared endpoint.
     path = str(Path(__file__).parent / "data" / "tie.ssm")
     code = (
         "import sys\n"
         "from superstab.model import Edge, blocking_edges, parse_instance\n"
         "inst = parse_instance(open(sys.argv[1]).read())\n"
         "cases = [\n"
-        "    [('d1', 'h9'), ('d2', 'h8'), ('d9', 'h1')],\n"
-        "    [('d1', 'h1'), ('d1', 'h2'), ('d9', 'h2')],\n"
+        "    [Edge('d1', 'h9'), Edge('d2', 'h8'), Edge('d9', 'h1')],\n"
+        "    [Edge('d1', 'h1'), Edge('d1', 'h2'), Edge('d9', 'h2')],\n"
+        "    [Edge('d1', 'h1'), ['d1', 'h1'], Edge('d9', 'h2')],\n"
         "]\n"
-        "for pairs in cases:\n"
+        "for matching in cases:\n"
         "    try:\n"
-        "        blocking_edges(inst, (), [Edge(*p) for p in pairs])\n"
+        "        blocking_edges(inst, (), matching)\n"
         "    except ValueError as exc:\n"
         "        print(exc)\n"
     )
@@ -778,23 +872,31 @@ def test_blocking_error_does_not_depend_on_hash_seed():
         assert run.stdout == (
             b"matching edge ('d1', 'h9') is not in the induced graph\n"
             b"matching edge ('d9', 'h2') is not in the induced graph\n"
+            b"matching edge ('d9', 'h2') is not in the induced graph\n"
         ), (seed, run.stderr)
 
 
 def test_instance_and_choice_errors_do_not_depend_on_hash_seed():
     # Of several edges that are not Edges, have an undeclared endpoint or
-    # lie outside the instance, the one whose repr sorts first is named.
+    # lie outside the instance, the one whose repr sorts first is named,
+    # also when another cannot be hashed; so is a vertex of a deleted set.
     path = str(Path(__file__).parent / "data" / "tie.ssm")
     code = (
         "import sys\n"
-        "from superstab.model import Edge, Instance, all_doctor_choices, all_hospital_choices, parse_instance\n"
+        "from superstab.model import Edge, Instance, Vertex, all_doctor_choices, all_hospital_choices, parse_instance\n"
+        "from superstab.superstable import critical_hospitals, exists_super_stable\n"
         "inst = parse_instance(open(sys.argv[1]).read())\n"
         "foreign = {Edge('d2', 'h8'), Edge('d1', 'h9'), Edge('d9', 'h1'), Edge('d3', 'h3')}\n"
+        "unhashable = [*foreign, ['d0', 'h0']]\n"
         "calls = [\n"
         "    lambda: Instance(inst.doctors, inst.hospitals, inst.edges | foreign, inst.rank),\n"
         "    lambda: Instance(inst.doctors, inst.hospitals, inst.edges | foreign | {('d2', 'h7')}, inst.rank),\n"
         "    lambda: all_doctor_choices(inst, inst.edges | foreign),\n"
         "    lambda: all_hospital_choices(inst, inst.edges | foreign),\n"
+        "    lambda: Instance(inst.doctors, inst.hospitals, [*inst.edges, *unhashable], inst.rank),\n"
+        "    lambda: all_doctor_choices(inst, [*inst.edges, *unhashable]),\n"
+        "    lambda: critical_hospitals(inst, [None, ['d1', 'h1']], ()),\n"
+        "    lambda: exists_super_stable(inst, [Vertex('H', 'h9'), Vertex('D', ['x'])]),\n"
         "]\n"
         "for call in calls:\n"
         "    try:\n"
@@ -809,6 +911,10 @@ def test_instance_and_choice_errors_do_not_depend_on_hash_seed():
             b"edge ('d2', 'h7') is not an Edge\n"
             b"edge ('d1', 'h9') is not an edge of the instance\n"
             b"edge ('d1', 'h9') is not an edge of the instance\n"
+            b"edge ('d1', 'h9') has an undeclared endpoint\n"
+            b"edge ('d1', 'h9') is not an edge of the instance\n"
+            b"forbidden edge None is not an Edge\n"
+            b"unknown doctor ['x']\n"
         ), (seed, run.stderr)
 
 
@@ -857,9 +963,10 @@ def test_vertex_and_edge_are_plain_tuples():
     assert tuple(Edge("d1", "h1")) == ("d1", "h1")
 
 
-def _modules_loaded(*cli_args: str) -> set[str]:
-    """The modules loaded by a fresh `import superstab.cli` and then, when
-    given, one `main(cli_args)` run, without `site`.
+def _modules_loaded(*cli_args: str) -> tuple[int | None, set[str]]:
+    """The exit code of one `main(cli_args)` run, when given, and the
+    modules loaded by a fresh `import superstab.cli` and that run, without
+    `site`.
 
     -S leaves out `site`, whose `.pth` files may load `inspect` or `random`
     on their own (through `importlib.resources` on 3.13), so only the
@@ -867,12 +974,13 @@ def _modules_loaded(*cli_args: str) -> set[str]:
     code = (
         "import sys\n"
         "from superstab.cli import main\n"
-        f"if {list(cli_args)!r}: main({list(cli_args)!r})\n"
-        "print(' '.join(sorted(sys.modules)))"
+        f"code = main({list(cli_args)!r}) if {list(cli_args)!r} else None\n"
+        "print(code, ' '.join(sorted(sys.modules)))"
     )
     out = run_python(0, "-S", "-c", code)
     assert out.returncode == 0, out.stderr
-    return set(out.stdout.decode().splitlines()[-1].split())
+    code, *modules = out.stdout.decode().splitlines()[-1].split()
+    return None if code == "None" else int(code), set(modules)
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect(tmp_path):
@@ -880,7 +988,7 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect(tmp_path):
     # The cold code of `model`, `superstable` and `hardness`, the closure
     # writer and the cold commands.
     cold = {"superstab._objects", "superstab._writer", "superstab._commands"}
-    assert {"dataclasses", "inspect", *lazy, *cold} & _modules_loaded() == set()
+    assert {"dataclasses", "inspect", *lazy, *cold} & _modules_loaded()[1] == set()
     tie = str(DATA / "tie.ssm")
     bad = tmp_path / "bad.ssm"
     bad.write_text("doctors: d1\nhospitals: h1\npref d1: (h1\npref h1: d1\n")
@@ -911,7 +1019,9 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect(tmp_path):
     ]
     runs = {}
     for args, extra in table:
-        modules = runs[tuple(args)] = _modules_loaded(*args)
+        code, modules = _modules_loaded(*args)
+        runs[tuple(args)] = modules
+        assert code in ((2,) if args[-1] == str(bad) else (0, 1)), args
         tracked = {m for m in modules if m.split(".")[0] in {"superstab", "random", *parser} or m == "json"}
         assert tracked == {"superstab", "superstab.cli", "superstab.model", "superstab.superstable", *extra}, args
         assert {"dataclasses", "inspect"} & modules == set(), args
@@ -938,10 +1048,12 @@ def test_a_good_closure_run_never_loads_the_error_namer(tmp_path):
     good = tmp_path / "good.ssm"
     inst = generate_instance(40, 40, 0.2, 0.8, seed="no-diagnose")
     good.write_text(dressed_text(inst, random.Random("no-diagnose"), "\r\n"), encoding="utf-8")
-    assert "superstab._objects" not in _modules_loaded("closure", str(good), "--delete", "h1", "h2")
+    code, modules = _modules_loaded("closure", str(good), "--delete", "h1", "h2")
+    assert code == 0 and "superstab._objects" not in modules
     bad = tmp_path / "bad.ssm"
     bad.write_text("doctors: d1\nhospitals: h1\npref d1: h1\npref h1:\n")
-    assert "superstab._objects" in _modules_loaded("closure", str(bad))
+    code, modules = _modules_loaded("closure", str(bad))
+    assert code == 2 and "superstab._objects" in modules
 
 
 def test_package_names_load_through_the_import_statement():

@@ -239,6 +239,34 @@ def test_twins_from_shuffled_tables_answer_as_their_originals():
     assert reordered >= 10, reordered
 
 
+def test_trace_equality_reads_the_log_not_the_rounds(monkeypatch):
+    """Traces are equal exactly when their initial sets and rounds are, and
+    so are certificates when their fields are; deciding it builds no round."""
+    rng = random.Random("trace-equality")
+    certificates, traces = [], []
+    for inst, twin in twin_pairs():
+        deleted = as_hospitals(h for h in inst.hospitals if rng.random() < 0.3)
+        certificates += [solve_min_hospital_deletion(inst), solve_min_hospital_deletion(twin)]
+        traces += [closure(inst)[1], closure(twin, deleted)[1], closure(inst, deleted)[1]]
+    traces += [cert.trace for cert in certificates]
+    old = {id(t): (t.initial_forbidden, t.rounds) for t in traces}
+
+    def refuse(trace):
+        raise AssertionError("ClosureTrace.rounds read")
+
+    monkeypatch.setattr(ClosureTrace, "rounds", property(refuse))
+    seen = {True: 0, False: 0}  # pairs of distinct traces, by their equality
+    for i, a in enumerate(traces):
+        assert a == a
+        for b in traces[i + 1 : i + 8]:
+            assert (a == b) == (old[id(a)] == old[id(b)])
+            seen[a == b] += 1
+    fields = lambda cert: (cert.forbidden, cert.matching, cert.critical, old[id(cert.trace)])
+    for a, b in zip(certificates, certificates[1:]):
+        assert (a == b) == (fields(a) == fields(b))
+    assert min(seen.values()) > 50, seen
+
+
 def test_solver_reads_from_the_log_what_the_rescans_and_the_eager_rounds_give():
     rng = random.Random("closure-log-deletions")
     for inst in log_samples():
