@@ -366,9 +366,8 @@ def extract_matching(inst: Instance, forbidden: Iterable[Edge]) -> frozenset[Edg
     most one doctor's choice set.  Each doctor with choices left takes
     the one with the smallest hospital name.
     """
-    # A member that is no edge of `inst` forbids nothing; one that cannot be hashed is refused.
-    unhashable = lambda e: ValueError(f"forbidden edge {_edge_name(e)} cannot be hashed")
-    forbidden = _checked(forbidden, _hashable, unhashable)
+    # A pair of names that is no edge of `inst` forbids nothing.
+    forbidden = _edges_given(forbidden, "forbidden")
     choices = all_doctor_choices(inst, inst.edges.difference(forbidden))
     crowded = [h for h, c in Counter(e.hospital for e in choices).items() if c > 1]
     if crowded:
@@ -387,19 +386,18 @@ def critical_hospitals(
     A hospital is critical when `matching` leaves it empty although it
     has a forbidden edge or appears in some doctor's current choices.
     """
-    edge = lambda e: _pair(e) and not isinstance(e, Vertex)  # an Edge, or a plain pair of strings read as one
-    role = lambda word: lambda e: ValueError(f"{word} edge {_edge_name(e)} is not an Edge")
-    forbidden = frozenset(_checked(forbidden, edge, role("forbidden")))
+    forbidden = frozenset(_edges_given(forbidden, "forbidden"))
     wanted = {e[1] for e in forbidden | all_doctor_choices(inst, inst.edges - forbidden)}
-    wanted.difference_update(e[1] for e in _checked(matching, edge, role("matching")))
+    wanted.difference_update(e[1] for e in _edges_given(matching, "matching"))
     return frozenset(Vertex(HOSPITAL, h) for h in inst.hospitals if h in wanted)
 
 
-def _hashable(m: object) -> bool:
-    try:
-        return hash(m) is not None
-    except TypeError:
-        return False
+def _edges_given(members: Iterable[Edge], word: str) -> list:
+    """`members` as a list, once each is an Edge or a plain pair of strings,
+    read as one; else ValueError, by `_checked`, names the "{word} edge"
+    that is not an Edge."""
+    edge = lambda e: _pair(e) and not isinstance(e, Vertex)
+    return _checked(members, edge, lambda e: ValueError(f"{word} edge {_edge_name(e)} is not an Edge"))
 
 
 _OTHER_SIDE = {DOCTOR: HOSPITAL, HOSPITAL: DOCTOR}

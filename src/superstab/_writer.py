@@ -5,15 +5,14 @@ streams the JSON from the trace's log of edge ids; no other command runs
 it, so no other command compiles it.  `cli` reads `_write_closure` from
 here on first access (PEP 562).
 
-It loads no `json`: each name is quoted by `_json.encode_basestring_ascii`,
-the C function that `json.dumps` calls on a string, and the two small
-values, `deleted_hospitals` (names) and `stats` (`str` to `int`), are
-written here as `json.dumps(value, indent=2)` writes them.  Each edge's
-block is built once, at the rounds' depth, and a top-level list is
-re-indented from the same join (see `_write_closure`).  Like every
-command, it runs inside `cli.main`, with the cyclic collector off: the
-writer's per-edge lists hold no cycles, so a collection would free
-nothing.
+It loads no `json`: it takes `_quoted` and `_dumps` from `cli`, the one
+quoter and the one JSON writer of every command.  `_quoted` quotes each
+name, and `_dumps` writes the two small values, `deleted_hospitals`
+(names) and `stats` (`str` to `int`).  Each edge's block is built once,
+at the rounds' depth, and a top-level list is re-indented from the same
+join (see `_write_closure`).  Like every command, it runs inside
+`cli.main`, with the cyclic collector off: the writer's per-edge lists
+hold no cycles, so a collection would free nothing.
 """
 
 from __future__ import annotations
@@ -21,8 +20,7 @@ from __future__ import annotations
 import sys
 from itertools import compress
 
-from _json import encode_basestring_ascii as _quoted
-
+from .cli import _dumps, _quoted
 from .model import Instance, Vertex
 from .superstable import ClosureTrace
 
@@ -88,7 +86,7 @@ def _write_closure(
             for e in ids:
                 forbidden[at[e]] = 1
     write('{\n  "command": "closure",\n  "deleted_hospitals": ')
-    put(join(map(_quoted, sorted(gone))), top=True)
+    write(_dumps(sorted(gone), "  "))
     write(',\n  "initial_forbidden": ')
     put(join(compress(blocks, forbidden)), top=True)
     write(',\n  "rounds": [')
@@ -111,8 +109,7 @@ def _write_closure(
         sep = ","
     write('\n  ],\n  "forbidden": ')
     put(last, top=True)
-    fields = ",\n    ".join(f"{_quoted(name)}: {value}" for name, value in stats.items())
-    write(f',\n  "stats": {{\n    {fields}\n  }}\n}}\n')
+    write(f',\n  "stats": {_dumps(stats, "  ")}\n}}\n')
 
 
 def _places(names: tuple[str, ...]) -> list[int]:

@@ -12,8 +12,6 @@ imports.  This file keeps the plain reader, `main` and the handlers of
 load with it.  The rest loads on first use:
 
 - `_writer`, the round-by-round writer, in `closure`;
-- `json` in `_emit`, which every command that prints JSON calls except
-  `closure`;
 - `hardness` in `solve2` and `verify --mode problem2`;
 - `oracle` in `verify`;
 - `_commands` in `verify`, `gen`, `reduce`, `transpose` and for the
@@ -22,20 +20,22 @@ load with it.  The rest loads on first use:
 - `_objects` in `verify --mode existence`, `gen`, `reduce`,
   `transpose` and on bad input, and `random` in `gen`.
 
-The `closure` writer loads no `json`: it quotes names with the C
-function `json.dumps` uses, builds each edge's block once, at the
-rounds' depth, and writes a top-level list as the same join with four
-spaces less after each newline, which is exact because a quoted name
-holds no raw newline.
+No command loads `json`.  `_dumps` writes every JSON value the package
+prints, byte for byte as `json.dumps(value, indent=2)` would, and quotes
+each string with `_quoted`, the C function `json.dumps` calls on one;
+`_emit` prints its payload with `_dumps`.  The `closure` writer takes
+both from here: it builds each edge's block once, at the rounds' depth,
+and writes a top-level list as the same join with four spaces less
+after each newline, which is exact because a quoted name holds no raw
+newline.  `_dumps` stays here, not in `_writer`, so that the commands
+other than `closure` compile no `_writer`.
 
 `main` runs the command with the cyclic collector off and puts it back
 as the caller had it, on every way out.  No command leaves cyclic
-garbage that grows with its input: after `main`, `gc.collect()` finds
-nothing after `closure` and the same 33 objects (`json.dumps`'s
-closures) after the others, on a 4-edge file as on a 4,000-edge one.
-So the collector's passes over the per-edge containers a run keeps free
-nothing; in a 4,000-edge `closure` child they took about 2 ms (Python
-3.11, shared 2-vCPU host).
+garbage: after `main`, `gc.collect()` finds nothing, on a 4-edge file as
+on a 4,000-edge one.  So the collector's passes over the per-edge
+containers a run keeps would free nothing; in a 4,000-edge `closure`
+child they took about 2 ms (Python 3.11, shared 2-vCPU host).
 
 The table below holds only the names read on this module: the handlers
 and helpers kept elsewhere, `generate_instance`, and the two entry
@@ -61,6 +61,8 @@ import time
 from types import SimpleNamespace
 from typing import Sequence
 
+from _json import encode_basestring_ascii as _quoted
+
 from . import _lazy
 from .model import _removed_names, hospital, ordered_edges, parse_instance
 from .superstable import closure, exists_super_stable, solve_min_hospital_deletion
@@ -83,10 +85,31 @@ __getattr__ = _lazy(
 _cli = sys.modules[__name__]
 
 
-def _emit(payload: dict, note: str) -> None:
-    import json
+def _dumps(value: object, indent: str = "") -> str:
+    """`value` as `json.dumps(value, indent=2)` writes it, when `value` is a
+    `str`, an `int` other than `bool`, or a list, tuple or `str`-keyed dict
+    of such values, and `indent` is the indentation of the line it starts
+    on; else TypeError.  Strings are quoted by the C function `json.dumps`
+    calls on them."""
+    if isinstance(value, str):
+        return _quoted(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        items, brackets = [_dumps(item, inner) for item in value], "[]"
+    elif isinstance(value, dict):  # `_quoted` raises TypeError for a key that is no `str`
+        items, brackets = [f"{_quoted(key)}: {_dumps(item, inner)}" for key, item in value.items()], "{}"
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if not items:
+        return brackets
+    sep = ",\n" + inner
+    return f"{brackets[0]}\n{inner}{sep.join(items)}\n{indent}{brackets[1]}"
 
-    print(json.dumps(payload, indent=2))
+
+def _emit(payload: dict, note: str) -> None:
+    print(_dumps(payload))
     print(note, file=sys.stderr)
 
 

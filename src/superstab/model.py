@@ -21,10 +21,10 @@ super-stability predicates.  Every command compiles what it imports, so
 the hot ones compile none of that.  Each of those names that `__all__`
 here lists is read from `_objects` on first access (PEP 562).
 
-`parse_instance` reads good text in one pass, and every build runs bulk
-checks, in C; both say only that something is wrong.  The code that then
-names the first problem, with its line and column, is in `_objects`
-too, which good input never loads.
+`parse_instance` reads good text in one pass, and every build looks each
+list entry up once, by one dict per hospital; both say only that
+something is wrong.  The code that then names the first problem, with
+its line and column, is in `_objects` too, which good input never loads.
 
 An instance's integer core is its one store (see `Instance`); the
 solvers and the serializer read it by edge id.  `edges`, `rank`,
@@ -249,42 +249,52 @@ def _build(
     """The instance with these lists, one per declared doctor and hospital
     in declaration order, built without `_validate_instance`; or None when
     a list names an unknown partner or a partner twice, or some listing
-    is one-sided.  Each list must be in rank order, best first; the core
-    keeps that order (see `Instance`).
+    is one-sided.  The names on each side must be unique and every rank
+    positive.  Each list must be in rank order, best first; the core keeps
+    that order (see `Instance`).
 
-    The checks run in bulk, in C: a set-subset check for the hospitals
-    the doctors name, one id lookup per hospital entry for the doctors
-    the hospitals name and for mutual listing, and length comparisons
-    for duplicates.  On None, `_objects._list_problem` names the first
-    problem.
+    Each list entry is looked up once.  A doctor's entries map through the
+    hospital index, and fill one dict per hospital index, from each doctor
+    name that lists it to the edge id.  Each hospital's entries map through
+    its own dict, and their ranks are scattered into `_hl` by edge id.  An
+    unknown partner, or a hospital listing a doctor that does not list it,
+    fails a lookup.  Otherwise the hospital entries must number the edges
+    and leave no rank of `_hl` at 0: then they meet each edge exactly once,
+    so no list names a partner twice and every listing is mutual.  On None,
+    `_objects._list_problem` names the first problem.
     """
     partners = list(chain.from_iterable(map(itemgetter(0), doctor_lists)))
-    if not set(hospitals).issuperset(partners):
+    try:
+        eh = list(map(dict(zip(hospitals, count())).__getitem__, partners))
+    except KeyError:
         return None
     sizes = list(map(len, map(itemgetter(0), doctor_lists)))
     first = [0, *accumulate(sizes)]
-    # Per doctor name, the edge id of each hospital it lists.
-    ids = map(dict, map(zip, map(itemgetter(0), doctor_lists), map(range, first, first[1:])))
-    id_of = dict(zip(doctors, ids))
+    # Per hospital index, the edge id of each doctor name that lists it.
+    id_of: list[dict[str, int]] = [{} for _ in hospitals]
+    for d, start, stop in zip(doctors, first, first[1:]):
+        for e in range(start, stop):
+            id_of[eh[e]][d] = e
     try:
-        by_h = [
-            list(map(dict.__getitem__, map(id_of.__getitem__, names), repeat(h)))
-            for h, (names, _) in zip(hospitals, hospital_lists)
-        ]
+        by_h = [list(map(ids.__getitem__, names)) for ids, (names, _) in zip(id_of, hospital_lists)]
     except KeyError:
         return None
-    hl = dict(zip(chain.from_iterable(by_h), chain.from_iterable(map(itemgetter(1), hospital_lists))))
-    if not len(partners) == sum(map(len, id_of.values())) == len(hl) == sum(map(len, by_h)):
+    if sum(map(len, by_h)) != len(eh):
         return None
-    h_index = dict(zip(hospitals, count()))
+    hl = [0] * len(eh)
+    for ids, (_, ranks) in zip(by_h, hospital_lists):
+        for e, r in zip(ids, ranks):
+            hl[e] = r
+    if 0 in hl:
+        return None
     inst = object.__new__(Instance)
     inst.__dict__.update(
         doctors=doctors,
         hospitals=hospitals,
         _ed=list(chain.from_iterable(map(repeat, range(len(sizes)), sizes))),
-        _eh=list(map(h_index.__getitem__, partners)),
+        _eh=eh,
         _dl=list(chain.from_iterable(map(itemgetter(1), doctor_lists))),
-        _hl=list(map(hl.__getitem__, range(len(partners)))),
+        _hl=hl,
         _first=first,
         _by_h=by_h,
     )

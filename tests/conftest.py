@@ -5,7 +5,8 @@ import random
 import re
 import subprocess
 import sys
-from itertools import combinations
+from itertools import accumulate, chain, combinations, count, repeat
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
@@ -549,6 +550,45 @@ def reference_pref_list(body: str) -> tuple[list[str], list[int]] | None:
             names.append(token)
             levels.append(level)
     return None if start >= 0 else (names, levels)
+
+
+def reference_build(doctors, hospitals, doctor_lists, hospital_lists) -> Instance | None:
+    """The builder that `model._build` replaced: per doctor a dict from
+    each hospital it lists to the edge id, each hospital entry joined by
+    name through two lookups, `_hl` built through a dict, and length
+    comparisons for duplicates.  The instance with these lists, or None
+    when a list names an unknown partner or a partner twice, or some
+    listing is one-sided."""
+    partners = list(chain.from_iterable(map(itemgetter(0), doctor_lists)))
+    if not set(hospitals).issuperset(partners):
+        return None
+    sizes = list(map(len, map(itemgetter(0), doctor_lists)))
+    first = [0, *accumulate(sizes)]
+    ids = map(dict, map(zip, map(itemgetter(0), doctor_lists), map(range, first, first[1:])))
+    id_of = dict(zip(doctors, ids))
+    try:
+        by_h = [
+            list(map(dict.__getitem__, map(id_of.__getitem__, names), repeat(h)))
+            for h, (names, _) in zip(hospitals, hospital_lists)
+        ]
+    except KeyError:
+        return None
+    hl = dict(zip(chain.from_iterable(by_h), chain.from_iterable(map(itemgetter(1), hospital_lists))))
+    if not len(partners) == sum(map(len, id_of.values())) == len(hl) == sum(map(len, by_h)):
+        return None
+    h_index = dict(zip(hospitals, count()))
+    inst = object.__new__(Instance)
+    inst.__dict__.update(
+        doctors=doctors,
+        hospitals=hospitals,
+        _ed=list(chain.from_iterable(map(repeat, range(len(sizes)), sizes))),
+        _eh=list(map(h_index.__getitem__, partners)),
+        _dl=list(chain.from_iterable(map(itemgetter(1), doctor_lists))),
+        _hl=list(map(hl.__getitem__, range(len(partners)))),
+        _first=first,
+        _by_h=by_h,
+    )
+    return inst
 
 
 def _reference_name_ok(name: str) -> bool:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import inspect
 import json
 import random
 import re
@@ -674,10 +675,95 @@ def test_main_restores_the_collectors_state(capsys, strict_file, tie_file, tmp_p
     assert inside == [False, False, False]
 
 
+# Payloads as the commands build them, with names that `json.dumps`
+# escapes: a quote, a backslash, control characters, and non-ASCII letters
+# inside and outside the Basic Multilingual Plane.
+PINNED_PAYLOADS = [
+    {
+        "command": "solve1",
+        "answer": "yes",
+        "deleted_hospitals": ['h"1', "h\\2", "h\x01", "h\u00e9"],
+        "matching": [Edge("d\u2603", "h\U0001d11e"), Edge("d\n", "h\t\x7f")],
+        "stats": {"iterations": 3, "forbidden_size": 0, "budget": -1, "elapsed_ms": 10**20},
+    },
+    {"command": "check", "answer": "none", "stats": {}},
+    {"deleted_doctors": [], "deleted_hospitals": (), "matching": [[], {}, [[]]]},
+    {"stats": {"nested": {"deeper": [1, ("a", {"b": []})], "empty": {}}, "\u00e9\u2603\U0001d11e": "\"\\"}},
+    [],
+    {},
+    "",
+    0,
+]
+
+# Trees of what `cli._dumps` writes: strings, ints, lists, tuples and dicts.
+JSON_TREES = st.recursive(
+    st.text() | st.integers(),
+    lambda children: st.lists(children) | st.lists(children).map(tuple) | st.dictionaries(st.text(), children),
+    max_leaves=24,
+)
+
+# What `cli._dumps` refuses: what `json.dumps` writes otherwise or not at all.
+NOT_WRITTEN = [True, False, None, 1.5, {"a"}, {1: "a"}, {("a",): 1}, [None], {"stats": {"ok": True}}, b"a"]
+
+
+def _dumps_differences(dumps) -> list:
+    """The pinned payloads that `dumps` writes otherwise than `json.dumps`."""
+    return [value for value in PINNED_PAYLOADS if dumps(value) != json.dumps(value, indent=2)]
+
+
+def _refusals_missed(dumps) -> list:
+    """The values of NOT_WRITTEN for which `dumps` raises no TypeError."""
+    missed = []
+    for value in NOT_WRITTEN:
+        try:
+            dumps(value)
+        except TypeError:
+            continue
+        missed.append(value)
+    return missed
+
+
+def _dumps_mutant(old: str = "", new: str = "", **names):
+    """`cli._dumps` with `old` replaced by `new` in its source, compiled
+    over a copy of the module's names updated with `names`."""
+    source = inspect.getsource(superstab.cli._dumps)
+    if old:
+        assert source.count(old) == 1, old
+        source = source.replace(old, new)
+    space = {**vars(superstab.cli), **names}
+    exec(source, space)
+    return space["_dumps"]
+
+
+def test_dumps_writes_the_pinned_payloads_as_json_dumps_does():
+    assert _dumps_differences(superstab.cli._dumps) == []
+
+
+@given(JSON_TREES)
+def test_dumps_writes_drawn_trees_as_json_dumps_does(value):
+    assert superstab.cli._dumps(value) == json.dumps(value, indent=2)
+
+
+def test_dumps_refuses_every_other_type():
+    assert _refusals_missed(superstab.cli._dumps) == []
+
+
+def test_the_dumps_checks_catch_its_mutants():
+    assert _dumps_differences(_dumps_mutant()) == []
+    assert _refusals_missed(_dumps_mutant()) == []
+    # A pure-Python quoter, which escapes only quotes and backslashes.
+    plain = lambda text: '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    assert _dumps_differences(_dumps_mutant(_quoted=plain))
+    # One space too many per level.
+    assert _dumps_differences(_dumps_mutant('inner = indent + "  "', 'inner = indent + "   "'))
+    # A `bool` written as the `int` it is.
+    assert _refusals_missed(_dumps_mutant(" and not isinstance(value, bool)", ""))
+
+
 def test_main_leaves_no_cyclic_garbage_that_grows_with_the_input(capsys, tmp_path):
-    """What `gc.collect()` finds after `main` is no more on a 400x400 file
-    (4,000 edges) than on `tests/data/tie.ssm`.  `solve2` and `verify`
-    refuse the large file at their caps, after parsing it."""
+    """`gc.collect()` finds nothing after `main`, on a 400x400 file (4,000
+    edges) as on `tests/data/tie.ssm`.  `solve2` and `verify` refuse the
+    large file at their caps, after parsing it."""
     large = tmp_path / "large.ssm"
     large.write_text(serialize_instance(generate_instance(400, 400, 0.025, 0.8, seed="cyclic-garbage")))
     small = str(Path(__file__).resolve().parent / "data" / "tie.ssm")
@@ -686,14 +772,14 @@ def test_main_leaves_no_cyclic_garbage_that_grows_with_the_input(capsys, tmp_pat
     gc.disable()
     try:
         for command in commands:
-            found = {}
+            found = []
             # The first run of each file imports what the command loads.
             for path in (small, str(large), small, str(large)):
                 gc.collect()
                 main(["--no-timing", command[0], path, *command[1:]])
-                found[path] = gc.collect()
+                found.append(gc.collect())
             capsys.readouterr()
-            assert found[str(large)] <= found[small], (command, found)
+            assert found == [0, 0, 0, 0], (command, found)
     finally:
         if was:
             gc.enable()

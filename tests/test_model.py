@@ -19,6 +19,7 @@ from conftest import (
     instances,
     naive_is_super_stable,
     reference_parse_instance,
+    reference_build,
     reference_pref_list,
     run_python,
     sample_instances,
@@ -41,6 +42,7 @@ from superstab.model import (
     induced_instance,
     is_super_stable,
     make_instance,
+    _build,
     _pref_list,
     ordered_edges,
     parse_instance,
@@ -49,6 +51,7 @@ from superstab.model import (
 )
 from superstab.hardness import CoverageInstance, ReductionOutput, parse_coverage, reduce_min_coverage
 from superstab.oracle import all_matchings, count_matchings
+from superstab._objects import _lists
 from superstab.superstable import (
     ClosureRound,
     DeletionCertificate,
@@ -308,6 +311,99 @@ def test_pref_list_reads_drawn_bodies_as_the_token_reader_does(body):
     assert _pref_outcome(_pref_list, body) == _pref_outcome(reference_pref_list, body)
 
 
+# Faults that `_build` must refuse, one list at a time: a name that is no
+# partner (unknown, or of the list's own side), an entry listed twice, an
+# entry dropped from one side only, and an entry replaced by another of the
+# same list, so that it is listed twice and the replaced one not at all.
+# "unlink" drops one edge from both sides, which leaves the lists good.
+SPOILS = ["unknown", "duplicate", "one-sided", "twice-not-once"]
+
+
+def _spoil(doctors, hospitals, lists, rng, kind, side=None) -> bool:
+    """Put a fault of `kind` into one of `lists`, the doctors' and the
+    hospitals' lists as `_build` takes them, in place; False when no list
+    fits it.  `side` (0 doctors, 1 hospitals) fixes the side."""
+    sides = [side] if side is not None else rng.sample([0, 1], 2)
+    for at in sides:
+        need = {"unknown": 0, "twice-not-once": 2}.get(kind, 1)
+        owners = [k for k, (names, _) in enumerate(lists[at]) if len(names) >= need]
+        if not owners:
+            continue
+        k = rng.choice(owners)
+        names, ranks = lists[at][k]
+        if kind == "unknown":
+            names.append(rng.choice(["zz", *(doctors, hospitals)[at]]))
+            ranks.append(len(names))
+        elif kind == "duplicate":
+            i = rng.randrange(len(names))
+            names.insert(i, names[i])
+            ranks.insert(i, ranks[i])
+        elif kind == "twice-not-once":
+            i, j = rng.sample(range(len(names)), 2)
+            names[i] = names[j]
+        else:
+            i = rng.randrange(len(names))
+            partner = names.pop(i)
+            ranks.pop(i)
+            partners, own = (hospitals, doctors)[at], (doctors, hospitals)[at][k]
+            if kind == "unlink" and partner in partners:
+                other_names, other_ranks = lists[1 - at][partners.index(partner)]
+                if own in other_names:
+                    other_ranks.pop(other_names.index(own))
+                    other_names.remove(own)
+        return True
+    return False
+
+
+def _copied_lists(inst):
+    return [[(list(names), list(ranks)) for names, ranks in side] for side in _lists(inst)]
+
+
+def _build_outcome(build, doctors, hospitals, lists):
+    """What a builder makes of these lists: None, or the new instance's core."""
+    inst = build(doctors, hospitals, *lists)
+    return None if inst is None else inst.__dict__
+
+
+def test_build_matches_the_reference_builder_on_good_and_spoiled_lists():
+    rng = random.Random("build")
+    refused = {(kind, side): 0 for kind in SPOILS for side in (0, 1)}
+    built = 0
+    for inst in sample_instances(150, max_side=6, seed="build"):
+        names = inst.doctors, inst.hospitals
+        good = _build_outcome(_build, *names, _copied_lists(inst))
+        assert good is not None and good == _build_outcome(reference_build, *names, _copied_lists(inst))
+        for kind, side in refused:
+            lists = _copied_lists(inst)
+            if _spoil(*names, lists, rng, kind, side):
+                assert _build_outcome(_build, *names, lists) is None, (kind, side, lists)
+                assert _build_outcome(reference_build, *names, lists) is None, (kind, side, lists)
+                refused[kind, side] += 1
+        # A few faults, or unlinked edges, at once: the two builders agree.
+        lists = _copied_lists(inst)
+        for kind in rng.choices([*SPOILS, "unlink", "unlink"], k=rng.randint(1, 3)):
+            _spoil(*names, lists, rng, kind)
+        outcome = _build_outcome(_build, *names, lists)
+        assert outcome == _build_outcome(reference_build, *names, lists), lists
+        built += outcome is not None
+    assert min(refused.values()) >= 50 and built >= 20, (refused, built)
+
+
+@given(
+    instances(max_doctors=4, max_hospitals=4),
+    st.randoms(use_true_random=False),
+    st.lists(st.sampled_from([*SPOILS, "unlink"]), max_size=3),
+)
+def test_build_matches_the_reference_builder_on_drawn_lists(inst, rng, kinds):
+    names = inst.doctors, inst.hospitals
+    lists = _copied_lists(inst)
+    spoiled = [kind for kind in kinds if _spoil(*names, lists, rng, kind)]
+    outcome = _build_outcome(_build, *names, lists)
+    assert outcome == _build_outcome(reference_build, *names, lists)
+    if len(spoiled) == 1 and spoiled != ["unlink"]:
+        assert outcome is None
+
+
 @given(instances(), st.randoms(use_true_random=False))
 def test_pref_line_order_does_not_change_the_instance_or_its_closure(inst, rng):
     lines = serialize_instance(inst).splitlines(keepends=True)
@@ -488,11 +584,15 @@ RARE_ERRORS = [
         ValueError,
         "edge ('d1', ['x']) is not an edge of the instance",
     ),
-    (lambda: extract_matching(_strict(), [["d1", "h1"]]), ValueError, "forbidden edge ['d1', 'h1'] cannot be hashed"),
+    # `extract_matching` refuses what `critical_hospitals` refuses, by one rule.
+    (lambda: extract_matching(_strict(), [None]), ValueError, "forbidden edge None is not an Edge"),
+    (lambda: extract_matching(_strict(), [5]), ValueError, "forbidden edge 5 is not an Edge"),
+    (lambda: extract_matching(_strict(), ["ab"]), ValueError, "forbidden edge ('a', 'b') is not an Edge"),
+    (lambda: extract_matching(_strict(), [hospital("h1")]), ValueError, "forbidden edge ('H', 'h1') is not an Edge"),
     (
         lambda: extract_matching(_strict(), [Vertex("H", ["x"])]),
         ValueError,
-        "forbidden edge ('H', ['x']) cannot be hashed",
+        "forbidden edge ('H', ['x']) is not an Edge",
     ),
     (
         lambda: critical_hospitals(_strict(), [["d1", "h1"]], ()),
@@ -998,15 +1098,15 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect(tmp_path):
     # loads besides `cli`, `model` and `superstable`.  Bad input loads
     # `_objects`, which names its first problem.
     table = [
-        (["check", tie], {"json"}),
-        (["solve1", tie, "--q", "1"], {"json"}),
+        (["check", tie], set()),
+        (["solve1", tie, "--q", "1"], set()),
         (["closure", tie], {"superstab._writer"}),
-        (["solve2", tie, "--q1", "1", "--q2", "1"], {"superstab.hardness", "json"}),
-        (["verify", tie, "--mode", "problem1"], {"superstab._commands", "superstab.oracle", "json"}),
-        (["verify", tie, "--mode", "existence"], {"superstab._commands", "superstab.oracle", "superstab._objects", "json"}),
+        (["solve2", tie, "--q1", "1", "--q2", "1"], {"superstab.hardness"}),
+        (["verify", tie, "--mode", "problem1"], {"superstab._commands", "superstab.oracle"}),
+        (["verify", tie, "--mode", "existence"], {"superstab._commands", "superstab.oracle", "superstab._objects"}),
         (
             ["verify", tie, "--mode", "problem2", "--q1", "1", "--q2", "1"],
-            {"superstab._commands", "superstab.hardness", "superstab.oracle", "json"},
+            {"superstab._commands", "superstab.hardness", "superstab.oracle"},
         ),
         (["transpose", tie], {"superstab._commands", "superstab._objects"}),
         (["reduce", str(DATA / "cover.cov")], {"superstab._commands", "superstab._objects"}),
@@ -1034,11 +1134,9 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect(tmp_path):
             assert {"superstab._objects", "superstab._writer"} & modules == set(), command
     package = {m for m in loaded["closure"] if m.split(".")[0] == "superstab"}
     assert package == {"superstab", "superstab.cli", "superstab.model", "superstab.superstable", "superstab._writer"}
-    # Only the commands that print through `json.dumps` load `json`.
-    assert [command for command, modules in loaded.items() if "json" in modules] == ["check", "solve1", "solve2", "verify"]
-    help_modules = runs[("--help",)]
-    assert parser <= help_modules
-    assert "json" not in help_modules
+    # No command loads `json`: `cli._dumps` writes every JSON value.
+    assert [args for args, modules in runs.items() if "json" in modules] == []
+    assert parser <= runs[("--help",)]
     # The package loads its modules on first access; `dir` still lists every name.
     code = "import superstab; names = dir(superstab); print(set(superstab.__all__) <= set(names))"
     assert run_python(0, "-S", "-c", code).stdout == b"True\n"
