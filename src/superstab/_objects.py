@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from itertools import chain, combinations, count, filterfalse, groupby, repeat
+from itertools import chain, combinations, count, groupby, repeat
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -125,9 +125,8 @@ def _validate_instance(
     expected = {Vertex(DOCTOR, d) for d in doctors} | {Vertex(HOSPITAL, h) for h in hospitals}
     incident: dict[Vertex, set[Edge]] = {v: set() for v in expected}
     declared = lambda e: isinstance(e, Edge) and _pair(e) and e.doctor in dset and e.hospital in hset
-    edges = _checked(edges, declared, lambda e: ValueError(
-        f"edge {tuple(e)} has an undeclared endpoint" if isinstance(e, Edge) else f"edge {e!r} is not an Edge"
-    ))
+    problem = lambda e: "has an undeclared endpoint" if isinstance(e, Edge) else "is not an Edge"
+    edges = _checked(edges, declared, lambda e: ValueError(f"edge {_edge_name(e)} {problem(e)}"))
     for e in edges:
         incident[Vertex(DOCTOR, e.doctor)].add(e)
         incident[Vertex(HOSPITAL, e.hospital)].add(e)
@@ -276,17 +275,25 @@ def transpose_instance(inst: Instance) -> Instance:
 
 
 def _edge_name(e: object) -> str:
-    """How an error names an edge argument: a tuple, such as an Edge, or a
-    string by the plain tuple of its items, anything else by its repr."""
-    return repr(tuple(e)) if isinstance(e, (tuple, str)) else repr(e)
+    """How every error names an edge argument: a tuple, such as an Edge or a
+    Vertex, by the plain tuple of its items, anything else by its repr."""
+    return repr(tuple(e)) if isinstance(e, tuple) else repr(e)
 
 
-def _best_edges(table: dict[Edge, int], pool: Iterable[Edge], end: int) -> list[list[Edge]]:
-    """Per endpoint `e[end]` of the edges in `pool`, its best ones by `table`."""
-    outside = lambda e: ValueError(f"edge {_edge_name(e)} is not an edge of the instance")
-    pool = _checked(pool, lambda e: _pair(e) and e in table, outside)
+def _edges_given(inst: Instance, members: Iterable[Edge], what: str = "edge") -> list:
+    """`members` as a list, once each is an edge of `inst`, as an Edge or a
+    plain pair of strings; else ValueError, by `_checked`, says "{what} X is
+    not an edge of the instance"."""
+    outside = lambda e: ValueError(f"{what} {_edge_name(e)} is not an edge of the instance")
+    return _checked(members, lambda e: _pair(e) and e in inst.edges, outside)
+
+
+def _best_edges(inst: Instance, pool: Iterable[Edge], end: int) -> list[list[Edge]]:
+    """Per endpoint `e[end]` of the edges in `pool`, which must be edges of
+    `inst`, its best ones by that endpoint's ranks."""
+    table = inst.hospital_rank if end else inst.doctor_rank
     keep: dict[str, tuple[int, list[Edge]]] = {}
-    for e in pool:
+    for e in _edges_given(inst, pool):
         r = table[e]
         b = keep.get(e[end])
         if b is None or r < b[0]:
@@ -298,25 +305,22 @@ def _best_edges(table: dict[Edge, int], pool: Iterable[Edge], end: int) -> list[
 
 def all_doctor_choices(inst: Instance, pool: Iterable[Edge]) -> frozenset[Edge]:
     """Union of every doctor's weakly best edges within `pool`."""
-    return frozenset(e for es in _best_edges(inst.doctor_rank, pool, 0) for e in es)
+    return frozenset(e for es in _best_edges(inst, pool, 0) for e in es)
 
 
 def all_hospital_choices(inst: Instance, pool: Iterable[Edge]) -> frozenset[Edge]:
     """Union of every hospital's held edge within `pool` (strict bests only)."""
-    return frozenset(es[0] for es in _best_edges(inst.hospital_rank, pool, 1) if len(es) == 1)
+    return frozenset(es[0] for es in _best_edges(inst, pool, 1) if len(es) == 1)
 
 
 def _assignment(
     pool: frozenset[Edge], matching: Iterable[Edge]
 ) -> tuple[dict[str, Edge], dict[str, Edge], frozenset[Edge]]:
-    """Each side's partner in `matching`, which must be a matching of `pool`:
-    else ValueError names a member outside `pool`, by `_checked`, or says
-    that two edges share an endpoint."""
-    # Equal pairs, such as an Edge and its plain tuple, count once, as the first of them, the one a set keeps.
-    members = list(matching)
-    members = [*dict.fromkeys(filter(_pair, members)), *filterfalse(_pair, members)]
+    """Each side's partner in `matching`, which must be a matching of `pool`,
+    as Edges or plain pairs of strings: else ValueError names a member
+    outside `pool`, by `_checked`, or says that two edges share an endpoint."""
     outside = lambda e: ValueError(f"matching edge {_edge_name(e)} is not in the induced graph")
-    matching = frozenset(_checked(members, lambda e: _pair(e) and e in pool, outside))
+    matching = frozenset(_checked(matching, lambda e: _pair(e) and e in pool, outside))
     by_d = {e[0]: e for e in matching}
     by_h = {e[1]: e for e in matching}
     if not len(by_d) == len(by_h) == len(matching):
@@ -364,10 +368,10 @@ def extract_matching(inst: Instance, forbidden: Iterable[Edge]) -> frozenset[Edg
 
     Requires a completed closure result: every hospital may appear in at
     most one doctor's choice set.  Each doctor with choices left takes
-    the one with the smallest hospital name.
+    the one with the smallest hospital name.  Every forbidden member must
+    be an edge of `inst`, else ValueError names it.
     """
-    # A pair of names that is no edge of `inst` forbids nothing.
-    forbidden = _edges_given(forbidden, "forbidden")
+    forbidden = _edges_given(inst, forbidden, "forbidden edge")
     choices = all_doctor_choices(inst, inst.edges.difference(forbidden))
     crowded = [h for h, c in Counter(e.hospital for e in choices).items() if c > 1]
     if crowded:
@@ -386,18 +390,10 @@ def critical_hospitals(
     A hospital is critical when `matching` leaves it empty although it
     has a forbidden edge or appears in some doctor's current choices.
     """
-    forbidden = frozenset(_edges_given(forbidden, "forbidden"))
+    forbidden = frozenset(_edges_given(inst, forbidden, "forbidden edge"))
     wanted = {e[1] for e in forbidden | all_doctor_choices(inst, inst.edges - forbidden)}
-    wanted.difference_update(e[1] for e in _edges_given(matching, "matching"))
+    wanted.difference_update(e[1] for e in _edges_given(inst, matching, "matching edge"))
     return frozenset(Vertex(HOSPITAL, h) for h in inst.hospitals if h in wanted)
-
-
-def _edges_given(members: Iterable[Edge], word: str) -> list:
-    """`members` as a list, once each is an Edge or a plain pair of strings,
-    read as one; else ValueError, by `_checked`, names the "{word} edge"
-    that is not an Edge."""
-    edge = lambda e: _pair(e) and not isinstance(e, Vertex)
-    return _checked(members, edge, lambda e: ValueError(f"{word} edge {_edge_name(e)} is not an Edge"))
 
 
 _OTHER_SIDE = {DOCTOR: HOSPITAL, HOSPITAL: DOCTOR}

@@ -10,7 +10,10 @@ This module owns the data model and the instance text format: the
 vertex, edge and error types, `Instance` and its builder `_build`, the
 text reader and `_removed_names`, which is what `check`, `solve1`,
 `closure`, `solve2` and `verify --mode problem1` run.  Everything is
-immutable and side-effect free; `_checked` checks every vertex or edge given.
+immutable and side-effect free.  Every vertex or edge argument passes
+`_checked`: a pair of strings naming a vertex, or an edge, of the
+instance, whatever its tuple type; of several bad ones, the error whose
+message sorts first is raised.
 
 The Python-object side, which only library callers, tests and the cold
 commands run, is in `_objects`: `make_instance`, `serialize_instance`,
@@ -303,17 +306,13 @@ def _build(
 
 def _pref_list(body: str) -> _Entries | None:
     """The names of a `pref` line body in list order and the rank level of
-    each, or None when its tie groups are not well formed.  A body without
-    parentheses splits by whitespace.  One with them is read one tie group
-    at a time: split on '(', each piece after the first holds one group,
-    closed by its first ')', and the names that follow it, which rank
-    alone.  A ')' anywhere else, a group left open and an empty one are
-    refused; a second '(' inside a group leaves it open.  A name is not
-    checked here: one holding ':' is no declared name, so `_build`
+    each, or None when its tie groups are not well formed.  The body is
+    read one tie group at a time: split on '(', each piece after the first
+    holds one group, closed by its first ')', and the names that follow it,
+    which rank alone.  A ')' anywhere else, a group left open and an empty
+    one are refused; a second '(' inside a group leaves it open.  A name is
+    not checked here: one holding ':' is no declared name, so `_build`
     refuses it."""
-    if "(" not in body and ")" not in body:
-        names = body.split()
-        return names, range(1, len(names) + 1)
     head, *groups = body.split("(")
     if ")" in head:
         return None
@@ -399,14 +398,14 @@ def _pair(m: object) -> bool:
 
 
 def _checked(members: Iterable, ok: Callable[[object], bool], error: Callable[[object], Exception]) -> list:
-    """`members` as a list, once `ok` has accepted each; else `error` for the
-    refused member whose repr sorts first, so the one named never depends on
-    hashing.  A test that hashes a member asks `_pair` first, or tries the
-    hash, so a member that cannot be hashed is refused, not a TypeError."""
+    """`members` as a list, once `ok` has accepted each; else, of the
+    refused members' errors, the one whose message sorts first, which no
+    hashing changes.  A test that hashes a member asks `_pair` first, so a
+    member that cannot be hashed is refused, not a TypeError."""
     members = list(members)
     refused = [m for m in members if not ok(m)]
     if refused:
-        raise error(min(refused, key=repr))
+        raise min(map(error, refused), key=str)
     return members
 
 
@@ -414,15 +413,15 @@ def _removed_names(inst: Instance, removed: Iterable[Vertex]) -> tuple[set[str],
     """The doctor names and the hospital names of the vertices in `removed`;
     ValueError, by `_checked`, for a member that is not a vertex of `inst`."""
     known = {DOCTOR: inst.doctor_set, HOSPITAL: inst.hospital_set}
-    is_known = lambda v: isinstance(v, Vertex) and _pair(v) and v.name in known.get(v.side, ())
-    removed = _checked(removed, is_known, _unknown)
-    return {v.name for v in removed if v.side == DOCTOR}, {v.name for v in removed if v.side == HOSPITAL}
+    removed = _checked(removed, lambda v: _pair(v) and v[1] in known.get(v[0], ()), _unknown)
+    return {n for side, n in removed if side == DOCTOR}, {n for side, n in removed if side == HOSPITAL}
 
 
 def _unknown(v: object) -> ValueError:
-    """The error for `v`, which is not a vertex of the instance at hand."""
-    if isinstance(v, Vertex) and v.side in (DOCTOR, HOSPITAL):  # a tuple test: `v.side` may not hash
-        return ValueError(f"unknown {v.describe()}")
+    """The error for `v`, which is not a vertex of the instance at hand: a
+    2-tuple whose first item is a side is named by its side word."""
+    if isinstance(v, tuple) and len(v) == 2 and v[0] in (DOCTOR, HOSPITAL):  # a tuple test: `v[0]` may not hash
+        return ValueError(f"unknown {_SIDE_WORD[v[0]]} {v[1]!r}")
     return ValueError(f"unknown vertex {v!r}")
 
 

@@ -118,9 +118,10 @@ class ClosureTrace:
 
     def __eq__(self, other: object) -> bool:
         # Equal `rounds`, read from the log: equal initial sets, and per round equal new proposals and losses.
+        if not isinstance(other, ClosureTrace):
+            return NotImplemented
         steps = lambda trace: [(frozenset(new), frozenset(lost)) for _, new, lost in trace.changes()]
-        same = isinstance(other, ClosureTrace) and self.initial_forbidden == other.initial_forbidden
-        return same and steps(self) == steps(other)
+        return self.initial_forbidden == other.initial_forbidden and steps(self) == steps(other)
 
     def __hash__(self) -> int:
         return hash((self.initial_forbidden, self.iterations, self.result))
@@ -244,16 +245,17 @@ def closure(
 
     Returns the final forbidden edge set and the trace, whose rounds
     each equal one pass of the definition (see the module docstring).
-    `deleted` may only contain hospitals of the instance; a doctor or other
-    non-hospital is reported before an unknown hospital.  A doctor's
-    proposals carry over until all of its current tie group is forbidden,
-    and a hospital's pool of proposed and forbidden edges only grows, so
-    it decides again only when proposals arrive, from its best rank and
-    the number of edges at that rank.  Reaching the fixed point costs
-    O(|E| log |E|), and the trace keeps the loop's O(|E|) log.
+    `deleted` may only contain hospitals of the instance, each a Vertex or
+    a plain pair `("H", name)`; a doctor or other non-hospital is reported
+    before an unknown hospital.  A doctor's proposals carry over until all
+    of its current tie group is forbidden, and a hospital's pool of
+    proposed and forbidden edges only grows, so it decides again only when
+    proposals arrive, from its best rank and the number of edges at that
+    rank.  Reaching the fixed point costs O(|E| log |E|), and the trace
+    keeps the loop's O(|E|) log.
     """
-    hospitals_only = lambda v: ValueError(f"closure deletes hospitals only, got {v!r}")
-    deleted = _checked(deleted, lambda v: isinstance(v, Vertex) and v.side == HOSPITAL, hospitals_only)
+    a_hospital = lambda v: isinstance(v, tuple) and len(v) == 2 and v[0] == HOSPITAL
+    deleted = _checked(deleted, a_hospital, lambda v: ValueError(f"closure deletes hospitals only, got {v!r}"))
     _, gone = _removed_names(inst, deleted)
     edge = inst._edge
     initial = frozenset(edge[e] for h, ids in zip(inst.hospitals, inst._by_h) if h in gone for e in ids)

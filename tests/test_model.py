@@ -510,37 +510,63 @@ def _delete_a_record_field():
     del round_.index
 
 
+# Each row is (test id, call, error type, message).  Ids are fixed, so a
+# changed message renames no test: a row once keyed by its message keeps
+# that text as its id, and newer rows are named by entry point and input.
 RARE_ERRORS = [
     (
+        "doctor 'd1' lists a non-string entry 5",
         lambda: make_instance(["d1"], ["h1"], {"d1": [["h1", 5]]}, {"h1": ["d1"]}),
         ValueError,
         "doctor 'd1' lists a non-string entry 5",
     ),
-    (lambda: make_instance(["d1"], ["h1"], {"d1": [5]}), TypeError, "'int' object is not iterable"),
+    (
+        "'int' object is not iterable",
+        lambda: make_instance(["d1"], ["h1"], {"d1": [5]}), TypeError, "'int' object is not iterable",
+    ),
     # An earlier list's problem is met before the item that is not iterable.
     (
+        "doctor 'd1' has an empty tie group",
         lambda: make_instance(["d1", "d2"], ["h1"], {"d1": [[]], "d2": [5]}),
         ValueError,
         "doctor 'd1' has an empty tie group",
     ),
     (
+        "line 3: second 'hospitals:' line",
         lambda: parse_instance("doctors: d1\nhospitals: h1\nhospitals: h1\n"),
         FormatError,
         "line 3: second 'hospitals:' line",
     ),
-    (lambda: parse_instance(STRICT_2X2_TEXT).incident(doctor("zz")), ValueError, "unknown doctor 'zz'"),
-    (lambda: parse_instance(STRICT_2X2_TEXT).incident(("D", "zz")), ValueError, "unknown vertex ('D', 'zz')"),
-    (lambda: parse_instance(STRICT_2X2_TEXT).incident("h1"), ValueError, "unknown vertex 'h1'"),
-    (lambda: parse_instance(STRICT_2X2_TEXT).incident(5), ValueError, "unknown vertex 5"),
-    (lambda: parse_instance(STRICT_2X2_TEXT).incident(["D", "d1"]), ValueError, "unknown vertex ['D', 'd1']"),
-    (lambda: parse_instance(STRICT_2X2_TEXT).incident({"D": "d1"}), ValueError, "unknown vertex {'D': 'd1'}"),
+    (
+        "unknown doctor 'zz'",
+        lambda: parse_instance(STRICT_2X2_TEXT).incident(doctor("zz")), ValueError, "unknown doctor 'zz'",
+    ),
+    (
+        "unknown vertex ('D', 'zz')",
+        lambda: parse_instance(STRICT_2X2_TEXT).incident(("D", "zz")), ValueError, "unknown doctor 'zz'",
+    ),
+    (
+        "unknown vertex 'h1'",
+        lambda: parse_instance(STRICT_2X2_TEXT).incident("h1"), ValueError, "unknown vertex 'h1'",
+    ),
+    ("unknown vertex 5", lambda: parse_instance(STRICT_2X2_TEXT).incident(5), ValueError, "unknown vertex 5"),
+    (
+        "unknown vertex ['D', 'd1']",
+        lambda: parse_instance(STRICT_2X2_TEXT).incident(["D", "d1"]), ValueError, "unknown vertex ['D', 'd1']",
+    ),
+    (
+        "unknown vertex {'D': 'd1'}",
+        lambda: parse_instance(STRICT_2X2_TEXT).incident({"D": "d1"}), ValueError, "unknown vertex {'D': 'd1'}",
+    ),
     # Members that cannot be hashed are checked before any member is hashed.
     (
+        "closure deletes hospitals only, got ['H', 'h1']",
         lambda: closure(parse_instance(STRICT_2X2_TEXT), [["H", "h1"]]),
         ValueError,
         "closure deletes hospitals only, got ['H', 'h1']",
     ),
     (
+        "unknown vertex ['H', 'h1']",
         lambda: induced_instance(parse_instance(STRICT_2X2_TEXT), [["H", "h1"]]),
         ValueError,
         "unknown vertex ['H', 'h1']",
@@ -549,76 +575,154 @@ RARE_ERRORS = [
     # as `model._checked` does: an edge given as a list, or a vertex or edge
     # with a list for a name, is named by ValueError.
     (
+        "matching edge ['d1', 'h1'] is not in the induced graph0",
         lambda: blocking_edges(_strict(), (), [["d1", "h1"]]),
         ValueError,
         "matching edge ['d1', 'h1'] is not in the induced graph",
     ),
-    (lambda: blocking_edges(_strict(), [Vertex("D", ["x"])], ()), ValueError, "unknown doctor ['x']"),
     (
+        "unknown doctor ['x']0",
+        lambda: blocking_edges(_strict(), [Vertex("D", ["x"])], ()), ValueError, "unknown doctor ['x']",
+    ),
+    (
+        "matching edge ['d1', 'h1'] is not in the induced graph1",
         lambda: is_super_stable(_strict(), (), [["d1", "h1"]]),
         ValueError,
         "matching edge ['d1', 'h1'] is not in the induced graph",
     ),
     (
+        "matching edge ('d1', ['x']) is not in the induced graph",
         lambda: is_super_stable(_strict(), (), [Edge("d1", ["x"])]),
         ValueError,
         "matching edge ('d1', ['x']) is not in the induced graph",
     ),
     (
+        "edge ['d1', 'h1'] is not an edge of the instance0",
         lambda: all_doctor_choices(_strict(), [["d1", "h1"]]),
         ValueError,
         "edge ['d1', 'h1'] is not an edge of the instance",
     ),
     (
+        "edge ('D', ['x']) is not an edge of the instance",
         lambda: all_doctor_choices(_strict(), [Vertex("D", ["x"])]),
         ValueError,
         "edge ('D', ['x']) is not an edge of the instance",
     ),
     (
+        "edge ['d1', 'h1'] is not an edge of the instance1",
         lambda: all_hospital_choices(_strict(), [["d1", "h1"]]),
         ValueError,
         "edge ['d1', 'h1'] is not an edge of the instance",
     ),
     (
+        "edge ('d1', ['x']) is not an edge of the instance",
         lambda: all_hospital_choices(_strict(), [Edge("d1", ["x"])]),
         ValueError,
         "edge ('d1', ['x']) is not an edge of the instance",
     ),
-    # `extract_matching` refuses what `critical_hospitals` refuses, by one rule.
-    (lambda: extract_matching(_strict(), [None]), ValueError, "forbidden edge None is not an Edge"),
-    (lambda: extract_matching(_strict(), [5]), ValueError, "forbidden edge 5 is not an Edge"),
-    (lambda: extract_matching(_strict(), ["ab"]), ValueError, "forbidden edge ('a', 'b') is not an Edge"),
-    (lambda: extract_matching(_strict(), [hospital("h1")]), ValueError, "forbidden edge ('H', 'h1') is not an Edge"),
+    # `extract_matching` and `critical_hospitals` take edges of the instance only.
     (
+        "forbidden edge None is not an Edge",
+        lambda: extract_matching(_strict(), [None]),
+        ValueError,
+        "forbidden edge None is not an edge of the instance",
+    ),
+    (
+        "forbidden edge 5 is not an Edge",
+        lambda: extract_matching(_strict(), [5]),
+        ValueError,
+        "forbidden edge 5 is not an edge of the instance",
+    ),
+    (
+        "forbidden edge ('a', 'b') is not an Edge",
+        lambda: extract_matching(_strict(), ["ab"]),
+        ValueError,
+        "forbidden edge 'ab' is not an edge of the instance",
+    ),
+    (
+        "forbidden edge ('H', 'h1') is not an Edge",
+        lambda: extract_matching(_strict(), [hospital("h1")]),
+        ValueError,
+        "forbidden edge ('H', 'h1') is not an edge of the instance",
+    ),
+    (
+        "forbidden edge ('H', ['x']) is not an Edge",
         lambda: extract_matching(_strict(), [Vertex("H", ["x"])]),
         ValueError,
-        "forbidden edge ('H', ['x']) is not an Edge",
+        "forbidden edge ('H', ['x']) is not an edge of the instance",
     ),
     (
+        "extract_matching-non-edge-pair",
+        lambda: extract_matching(_strict(), [("d1", "h9")]),
+        ValueError,
+        "forbidden edge ('d1', 'h9') is not an edge of the instance",
+    ),
+    (
+        "forbidden edge ['d1', 'h1'] is not an Edge",
         lambda: critical_hospitals(_strict(), [["d1", "h1"]], ()),
         ValueError,
-        "forbidden edge ['d1', 'h1'] is not an Edge",
+        "forbidden edge ['d1', 'h1'] is not an edge of the instance",
     ),
     (
+        "critical_hospitals-non-edge-forbidden-pair",
+        lambda: critical_hospitals(_strict(), [("d1", "h9")], ()),
+        ValueError,
+        "forbidden edge ('d1', 'h9') is not an edge of the instance",
+    ),
+    (
+        "matching edge ('H', ['x']) is not an Edge",
         lambda: critical_hospitals(_strict(), (), [Vertex("H", ["x"])]),
         ValueError,
-        "matching edge ('H', ['x']) is not an Edge",
+        "matching edge ('H', ['x']) is not an edge of the instance",
     ),
     (
+        "matching edge ('H', 'h1') is not an Edge",
         lambda: critical_hospitals(_strict(), (), [hospital("h1")]),
         ValueError,
-        "matching edge ('H', 'h1') is not an Edge",
+        "matching edge ('H', 'h1') is not an edge of the instance",
     ),
-    (lambda: exists_super_stable(_strict(), [Vertex("D", ["x"])]), ValueError, "unknown doctor ['x']"),
-    (lambda: closure(_strict(), [Vertex("H", ["x"])]), ValueError, "unknown hospital ['x']"),
-    (lambda: induced_edges(_strict(), [Vertex("H", ["x"])]), ValueError, "unknown hospital ['x']"),
-    (lambda: count_matchings(_strict(), [Vertex("D", ["x"])]), ValueError, "unknown doctor ['x']"),
+    # A plain pair is read as the vertex it names, and named by its side word.
     (
+        "closure-plain-doctor-pair",
+        lambda: closure(_strict(), [("D", "d1")]),
+        ValueError,
+        "closure deletes hospitals only, got ('D', 'd1')",
+    ),
+    (
+        "exists_super_stable-plain-unknown-pair",
+        lambda: exists_super_stable(_strict(), [("H", "zz")]),
+        ValueError,
+        "unknown hospital 'zz'",
+    ),
+    (
+        "unknown doctor ['x']1",
+        lambda: exists_super_stable(_strict(), [Vertex("D", ["x"])]), ValueError, "unknown doctor ['x']",
+    ),
+    (
+        "unknown hospital ['x']0",
+        lambda: closure(_strict(), [Vertex("H", ["x"])]), ValueError, "unknown hospital ['x']",
+    ),
+    (
+        "unknown hospital ['x']1",
+        lambda: induced_edges(_strict(), [Vertex("H", ["x"])]), ValueError, "unknown hospital ['x']",
+    ),
+    (
+        "unknown doctor ['x']2",
+        lambda: count_matchings(_strict(), [Vertex("D", ["x"])]), ValueError, "unknown doctor ['x']",
+    ),
+    (
+        "edge ('d1', ['x']) has an undeclared endpoint",
         lambda: Instance(("d1", "d2"), ("h1", "h2"), [*_strict().edges, Edge("d1", ["x"])], _strict().rank),
         ValueError,
         "edge ('d1', ['x']) has an undeclared endpoint",
     ),
-    (_delete_a_record_field, AttributeError, "cannot delete field 'index'"),
+    (
+        "Instance-Vertex-as-edge",
+        lambda: Instance(("d1", "d2"), ("h1", "h2"), [*_strict().edges, hospital("h1")], _strict().rank),
+        ValueError,
+        "edge ('H', 'h1') is not an Edge",
+    ),
+    ("cannot delete field 'index'", _delete_a_record_field, AttributeError, "cannot delete field 'index'"),
 ]
 
 
@@ -626,7 +730,7 @@ def _strict() -> Instance:
     return parse_instance(STRICT_2X2_TEXT)
 
 
-@pytest.mark.parametrize("build,kind,message", RARE_ERRORS, ids=[m for _, _, m in RARE_ERRORS])
+@pytest.mark.parametrize("build,kind,message", [row[1:] for row in RARE_ERRORS], ids=[row[0] for row in RARE_ERRORS])
 def test_rare_errors_pin_their_type_and_message(build, kind, message):
     with pytest.raises(kind) as info:
         build()
@@ -642,6 +746,33 @@ def test_a_plain_pair_of_names_counts_as_its_edge():
         assert critical_hospitals(inst, [tuple(e) for e in forbidden], plain) == critical_hospitals(
             inst, forbidden, matching
         )
+
+
+def test_a_plain_pair_of_names_counts_as_its_vertex():
+    rng = random.Random("plain-vertex")
+    for i in range(60):
+        inst = generate_instance(5, 5, 0.5, 0.4, seed=f"plain-vertex-{i}")
+        vertices = list(inst.vertices())
+        for v in vertices:
+            assert inst.incident(tuple(v)) == inst.incident(v)
+        for _ in range(5):
+            removed = rng.sample(vertices, rng.randint(0, 4))
+            plain = [tuple(v) for v in removed]
+            assert exists_super_stable(inst, plain) == exists_super_stable(inst, removed)
+            assert induced_edges(inst, plain) == induced_edges(inst, removed)
+            assert induced_instance(inst, plain) == induced_instance(inst, removed)
+            assert count_matchings(inst, plain) == count_matchings(inst, removed)
+            hospitals = [v for v in removed if v.side == HOSPITAL]
+            assert closure(inst, [tuple(v) for v in hospitals]) == closure(inst, hospitals)
+
+
+def test_an_edge_error_names_the_same_edge_whatever_the_types_and_order():
+    inst = parse_instance((DATA / "tie.ssm").read_text())
+    for pool in ([Edge("d1", "h9"), ("d9", "h9")], [("d9", "h9"), Edge("d1", "h9")]):
+        for members in (pool, [tuple(e) if type(e) is Edge else Edge(*e) for e in pool]):
+            for scan in (all_doctor_choices, all_hospital_choices):
+                with pytest.raises(ValueError, match=r"^edge \('d1', 'h9'\) is not an edge of the instance$"):
+                    scan(inst, members)
 
 
 def test_make_instance_reports_list_problems_before_one_sided_entries():
@@ -805,15 +936,21 @@ def test_induced_rejects_unknown_vertex(strict_2x2):
         induced_edges(strict_2x2, {Vertex("X", "h1")})
 
 
-def test_induced_names_the_unknown_vertex_whose_repr_sorts_first(strict_2x2):
+def test_induced_names_the_unknown_vertex_whose_message_sorts_first(strict_2x2):
     bad = [hospital("zz"), hospital("h9"), hospital("h8"), doctor("d1")]
     for removed in (bad, bad[::-1], set(bad)):
         with pytest.raises(ValueError, match="^unknown hospital 'h8'$"):
             induced_edges(strict_2x2, removed)
         with pytest.raises(ValueError, match="^unknown hospital 'h8'$"):
             induced_instance(strict_2x2, removed)
+    # "unknown hospital" sorts before "unknown vertex", whatever the type.
+    with pytest.raises(ValueError, match="^unknown hospital 'h8'$"):
+        induced_edges(strict_2x2, bad + [Vertex("A", "h1"), Vertex("X", "h1"), "h0"])
     with pytest.raises(ValueError, match="^unknown vertex Vertex\\(side='A'"):
-        induced_edges(strict_2x2, bad + [Vertex("A", "h1"), Vertex("X", "h1")])
+        induced_edges(strict_2x2, [Vertex("X", "h1"), Vertex("A", "h1")])
+    for removed in ([hospital("h8"), ("H", "h0")], [("H", "h8"), hospital("h0")]):
+        with pytest.raises(ValueError, match="^unknown hospital 'h0'$"):
+            induced_instance(strict_2x2, removed)
 
 
 def test_package_lists_every_module_name_once():
@@ -948,9 +1085,9 @@ def test_blocking_rejects_invalid_matchings(strict_2x2):
 
 
 def test_blocking_error_does_not_depend_on_hash_seed():
-    # Of several edges outside the graph, the one whose repr sorts first is
-    # named, also when another cannot be hashed, and an edge outside the
-    # graph is named before a shared endpoint.
+    # Of several edges outside the graph, the one whose message sorts first
+    # is named, also when another cannot be hashed or the set mixes types,
+    # and an edge outside the graph is named before a shared endpoint.
     path = str(Path(__file__).parent / "data" / "tie.ssm")
     code = (
         "import sys\n"
@@ -960,6 +1097,7 @@ def test_blocking_error_does_not_depend_on_hash_seed():
         "    [Edge('d1', 'h9'), Edge('d2', 'h8'), Edge('d9', 'h1')],\n"
         "    [Edge('d1', 'h1'), Edge('d1', 'h2'), Edge('d9', 'h2')],\n"
         "    [Edge('d1', 'h1'), ['d1', 'h1'], Edge('d9', 'h2')],\n"
+        "    [*{('d9', 'h9'), Edge('d2', 'h8'), 'd1h1', ('d0', 'h0')}, ['d1', 'h1']],\n"
         "]\n"
         "for matching in cases:\n"
         "    try:\n"
@@ -973,13 +1111,15 @@ def test_blocking_error_does_not_depend_on_hash_seed():
             b"matching edge ('d1', 'h9') is not in the induced graph\n"
             b"matching edge ('d9', 'h2') is not in the induced graph\n"
             b"matching edge ('d9', 'h2') is not in the induced graph\n"
+            b"matching edge 'd1h1' is not in the induced graph\n"
         ), (seed, run.stderr)
 
 
 def test_instance_and_choice_errors_do_not_depend_on_hash_seed():
     # Of several edges that are not Edges, have an undeclared endpoint or
-    # lie outside the instance, the one whose repr sorts first is named,
-    # also when another cannot be hashed; so is a vertex of a deleted set.
+    # lie outside the instance, the one whose message sorts first is named,
+    # also when another cannot be hashed or the set mixes plain tuples,
+    # Edges or Vertexes and strings; so is a vertex of a deleted set.
     path = str(Path(__file__).parent / "data" / "tie.ssm")
     code = (
         "import sys\n"
@@ -988,6 +1128,7 @@ def test_instance_and_choice_errors_do_not_depend_on_hash_seed():
         "inst = parse_instance(open(sys.argv[1]).read())\n"
         "foreign = {Edge('d2', 'h8'), Edge('d1', 'h9'), Edge('d9', 'h1'), Edge('d3', 'h3')}\n"
         "unhashable = [*foreign, ['d0', 'h0']]\n"
+        "mixed = [*{('d9', 'h9'), Edge('d1', 'h9'), 'd0', Vertex('H', 'h0')}, ['d0', 'h0']]\n"
         "calls = [\n"
         "    lambda: Instance(inst.doctors, inst.hospitals, inst.edges | foreign, inst.rank),\n"
         "    lambda: Instance(inst.doctors, inst.hospitals, inst.edges | foreign | {('d2', 'h7')}, inst.rank),\n"
@@ -997,6 +1138,11 @@ def test_instance_and_choice_errors_do_not_depend_on_hash_seed():
         "    lambda: all_doctor_choices(inst, [*inst.edges, *unhashable]),\n"
         "    lambda: critical_hospitals(inst, [None, ['d1', 'h1']], ()),\n"
         "    lambda: exists_super_stable(inst, [Vertex('H', 'h9'), Vertex('D', ['x'])]),\n"
+        "    lambda: Instance(inst.doctors, inst.hospitals, [*inst.edges, *mixed], inst.rank),\n"
+        "    lambda: all_hospital_choices(inst, [*inst.edges, *mixed]),\n"
+        "    lambda: critical_hospitals(inst, mixed, ()),\n"
+        "    lambda: all_doctor_choices(inst, [*{('d9', 'h9'), Edge('d1', 'h9'), Vertex('H', 'h0')}, ['d0', 'h0']]),\n"
+        "    lambda: exists_super_stable(inst, [*{('H', 'h9'), Vertex('D', 'd9'), 'd0', ('D', 'd8')}, ['D', 'd1']]),\n"
         "]\n"
         "for call in calls:\n"
         "    try:\n"
@@ -1008,13 +1154,18 @@ def test_instance_and_choice_errors_do_not_depend_on_hash_seed():
         run = run_python(seed, "-c", code, path)
         assert run.stdout == (
             b"edge ('d1', 'h9') has an undeclared endpoint\n"
-            b"edge ('d2', 'h7') is not an Edge\n"
+            b"edge ('d1', 'h9') has an undeclared endpoint\n"
             b"edge ('d1', 'h9') is not an edge of the instance\n"
             b"edge ('d1', 'h9') is not an edge of the instance\n"
             b"edge ('d1', 'h9') has an undeclared endpoint\n"
             b"edge ('d1', 'h9') is not an edge of the instance\n"
-            b"forbidden edge None is not an Edge\n"
+            b"forbidden edge None is not an edge of the instance\n"
             b"unknown doctor ['x']\n"
+            b"edge 'd0' is not an Edge\n"
+            b"edge 'd0' is not an edge of the instance\n"
+            b"forbidden edge 'd0' is not an edge of the instance\n"
+            b"edge ('H', 'h0') is not an edge of the instance\n"
+            b"unknown doctor 'd8'\n"
         ), (seed, run.stderr)
 
 

@@ -4,6 +4,7 @@ import logging
 import random
 import tracemalloc
 from itertools import chain, combinations, islice, product
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -119,7 +120,7 @@ def test_closure_rejects_bad_deletions(strict_2x2):
         closure(strict_2x2, {hospital("h9")})
 
 
-def test_deletion_errors_name_the_member_whose_repr_sorts_first(strict_2x2):
+def test_deletion_errors_name_the_member_whose_message_sorts_first(strict_2x2):
     bad = {hospital("zz"), hospital("h9"), hospital("h8"), hospital("h1")}
     with pytest.raises(ValueError, match="^unknown hospital 'h8'$"):
         closure(strict_2x2, bad)
@@ -127,8 +128,27 @@ def test_deletion_errors_name_the_member_whose_repr_sorts_first(strict_2x2):
         closure(strict_2x2, bad | {doctor("d1"), Vertex("X", "h1")})
     with pytest.raises(ValueError, match="^unknown doctor 'd9'$"):
         exists_super_stable(strict_2x2, bad | {doctor("d9"), doctor("d1")})
-    with pytest.raises(ValueError, match="^unknown vertex 'h0'$"):
+    # "unknown hospital" sorts before "unknown vertex"; a plain pair is a vertex.
+    with pytest.raises(ValueError, match="^unknown hospital 'h8'$"):
         exists_super_stable(strict_2x2, bad | {"h0"})
+    with pytest.raises(ValueError, match="^unknown doctor 'd0'$"):
+        exists_super_stable(strict_2x2, bad | {("D", "d0"), "h0"})
+    with pytest.raises(ValueError, match="^unknown hospital 'h0'$"):
+        closure(strict_2x2, bad | {("H", "h0")})
+
+
+def test_rescans_take_edges_of_the_instance_only():
+    inst = parse_instance("doctors: d1\nhospitals: h1 h2\npref d1: h1\npref h1: d1\npref h2:\n")
+    cert = solve_min_hospital_deletion(inst)
+    assert critical_hospitals(inst, cert.forbidden, cert.matching) == frozenset()
+    assert critical_hospitals(inst, cert.forbidden, ()) == {hospital("h1")}
+    # A pair that is no edge neither wants its hospital nor fills one.
+    with pytest.raises(ValueError, match=r"^forbidden edge \('nobody', 'h2'\) is not an edge of the instance$"):
+        critical_hospitals(inst, {*cert.forbidden, ("nobody", "h2")}, cert.matching)
+    with pytest.raises(ValueError, match=r"^matching edge \('nobody', 'h1'\) is not an edge of the instance$"):
+        critical_hospitals(inst, cert.forbidden, [("nobody", "h1")])
+    with pytest.raises(ValueError, match=r"^forbidden edge \('nobody', 'h1'\) is not an edge of the instance$"):
+        extract_matching(inst, [("nobody", "h1")])
 
 
 def test_empty_trace_result_falls_back_to_the_seed():
@@ -265,6 +285,10 @@ def test_trace_equality_reads_the_log_not_the_rounds(monkeypatch):
     for a, b in zip(certificates, certificates[1:]):
         assert (a == b) == (fields(a) == fields(b))
     assert min(seen.values()) > 50, seen
+    # Against another type a trace defers, as a certificate and an instance do.
+    cert = certificates[0]
+    assert cert == mock.ANY and cert.trace == mock.ANY and inst == mock.ANY
+    assert cert.trace != cert.forbidden and (cert.trace == cert.forbidden) is False
 
 
 def test_solver_reads_from_the_log_what_the_rescans_and_the_eager_rounds_give():
