@@ -1,23 +1,18 @@
 """The command handlers and helpers that the hot commands never run.
 
-`check`, `solve1`, `solve2` and `closure` run from `cli` alone.  The
-handlers of `verify`, `gen`, `reduce` and `transpose`, with
-`generate_instance` and the argparse parser, live here, so those four
-hot commands do not compile them; `cli` reads each from here on first
-access (PEP 562).  The handlers look up `parse_instance`,
-`solve_two_side_deletion` and `oracle_min_hospital_deletion` on `cli`
-itself, so a value set there, such as a tracing wrapper, is what they
-call.  Every other name from a module that not all of these commands
-load (`oracle`, `_objects`) is imported where it runs, so each command
-loads only its row of the README's table: `verify --mode problem1` does
-not load `_objects`, and `gen` does not load `oracle`.
+`check`, `solve1`, `solve2` and `closure` run from `cli` alone, and
+`verify` from `oracle`.  The handlers of `gen`, `reduce` and
+`transpose`, with `generate_instance` and the argparse parser, live
+here, so no benchmark workload compiles them; `cli` reads each from here
+on first access (PEP 562).  `transpose` looks up `parse_instance` on
+`cli` itself, so a value set there, such as a tracing wrapper, is what
+it calls.  Every name from `_objects` is imported where it runs, so
+`--help` does not load it.
 """
 
 from __future__ import annotations
 
-import os
 import sys
-import time
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
@@ -25,9 +20,8 @@ if TYPE_CHECKING:
     import argparse
 
 # `_cli` is the running `cli`, also when `python -m superstab.cli` runs it.
-from .cli import _COMMANDS, _NO_TIMING_HELP, _cli, _emit, _finish_stats, _read
-from .model import Instance, _removed_names
-from .superstable import exists_super_stable, solve_min_hospital_deletion
+from .cli import _COMMANDS, _NO_TIMING_HELP, _cli, _read
+from .model import Instance
 
 
 def generate_instance(
@@ -73,77 +67,6 @@ def generate_instance(
     doctor_prefs = {d: tie_up(partners_d[d]) for d in doctors}
     hospital_prefs = {h: tie_up(partners_h[h]) for h in hospitals}
     return make_instance(doctors, hospitals, doctor_prefs, hospital_prefs)
-
-
-def _oracle_caps(keyword: str) -> dict[str, int]:
-    """The oracle keyword arguments for `verify`: `{keyword: cap}` when the
-    cap variable is set, else none, so the oracle's own default holds."""
-    from .oracle import CAP_ENV
-
-    raw = os.environ.get(CAP_ENV)
-    if raw is None:
-        return {}
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValueError(f"{CAP_ENV} must be an integer, got {raw!r}") from None
-    if cap < 0:
-        raise ValueError(f"{CAP_ENV} must be non-negative")
-    return {keyword: cap}
-
-
-def _cmd_verify(ns: SimpleNamespace) -> int:
-    inst = _cli.parse_instance(_read(ns.file))
-    t0 = time.perf_counter()
-    stats: dict = {}
-    if ns.mode == "existence":
-        from .oracle import count_matchings, enumerate_super_stable
-
-        caps = _oracle_caps("max_edges")
-        solver_yes = exists_super_stable(inst) is not None
-        oracle_found = enumerate_super_stable(inst, **caps)
-        oracle_yes = bool(oracle_found)
-        agree = solver_yes == oracle_yes
-        stats = {
-            "solver_answer": "yes" if solver_yes else "no",
-            "oracle_answer": "yes" if oracle_yes else "no",
-            "search_space": count_matchings(inst, **caps),
-        }
-    elif ns.mode == "problem1":
-        caps = _oracle_caps("max_hospitals")
-        cert = solve_min_hospital_deletion(inst)
-        oracle_min, _ = _cli.oracle_min_hospital_deletion(inst, **caps)
-        agree = len(cert.critical) == oracle_min
-        stats = {"solver_min": len(cert.critical), "oracle_min": oracle_min}
-    else:
-        from .oracle import oracle_two_side_deletion
-
-        if ns.q1 is None or ns.q2 is None:
-            raise ValueError("--mode problem2 needs --q1 and --q2")
-        if ns.q1 < 0 or ns.q2 < 0:
-            raise ValueError("--q1 and --q2 must be non-negative")
-        caps = _oracle_caps("max_vertices")
-        solver_witness = _cli.solve_two_side_deletion(inst, ns.q1, ns.q2)
-        oracle_witness = oracle_two_side_deletion(inst, ns.q1, ns.q2, **caps)
-        agree = (solver_witness is None) == (oracle_witness is None)
-        for witness in (solver_witness, oracle_witness):
-            if witness is None:
-                continue
-            ds, hs = map(sorted, _removed_names(inst, witness))
-            if len(ds) > ns.q1 or len(hs) > ns.q2 or exists_super_stable(inst, witness) is None:
-                agree = False
-        stats = {
-            "solver_answer": "yes" if solver_witness is not None else "no",
-            "oracle_answer": "yes" if oracle_witness is not None else "no",
-        }
-    payload = {
-        "command": "verify",
-        "mode": ns.mode,
-        "answer": "yes" if agree else "no",
-        "stats": _finish_stats(stats, t0, ns),
-    }
-    _emit(payload, "AGREE" if agree else "DISAGREE")
-    return 0 if agree else 1
 
 
 def _cmd_gen(ns: SimpleNamespace) -> int:

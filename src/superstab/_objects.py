@@ -1,10 +1,10 @@
-"""The cold code of `model`, `superstable` and `hardness`.
+"""The cold code of `model`, `superstable`, `hardness` and `oracle`.
 
 Nothing here runs in `check`, `solve1`, `closure`, `solve2` or
 `verify --mode problem1` on good input, so those commands never compile
-it.  `model`, `superstable` and `hardness` read these names from this
-module on first access (PEP 562), and each public one stays in the
-`__all__` of its public module.  It holds:
+it.  `model`, `superstable`, `hardness` and `oracle` read these names
+from this module on first access (PEP 562), and each public one stays
+in the `__all__` of its public module.  It holds:
 
 - the builders that start from Python objects: `make_instance` and its
   list checks, and `Instance(...)`'s validation of its four fields;
@@ -22,6 +22,8 @@ module on first access (PEP 562), and each public one stays in the
   `_text_problem` reads text line by line, scanning each line's tokens
   once for its names and their columns, and hands the lists to
   `_list_problem`, which scans them entry by entry;
+- the oracles that only `verify --mode existence` and `--mode problem2`
+  run: `_walk`, the matching enumerators and `oracle_two_side_deletion`;
 - the coverage side of `hardness`: coverage data, its file format, and
   the instance family built from it, which only `reduce` runs.
 
@@ -36,7 +38,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from itertools import chain, combinations, count, groupby, repeat
-from operator import itemgetter
+from operator import index, itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .model import (
@@ -52,10 +54,12 @@ from .model import (
     _Entries,
     _Record,
     _checked,
+    _member_name,
     _pair,
     _removed_names,
     doctor,
     hospital,
+    ordered_edges,
 )
 
 # Names must survive the text format: one token, no grouping or delimiter
@@ -126,7 +130,7 @@ def _validate_instance(
     incident: dict[Vertex, set[Edge]] = {v: set() for v in expected}
     declared = lambda e: isinstance(e, Edge) and _pair(e) and e.doctor in dset and e.hospital in hset
     problem = lambda e: "has an undeclared endpoint" if isinstance(e, Edge) else "is not an Edge"
-    edges = _checked(edges, declared, lambda e: ValueError(f"edge {_edge_name(e)} {problem(e)}"))
+    edges = _checked(edges, declared, lambda e: ValueError(f"edge {_member_name(e)} {problem(e)}"))
     for e in edges:
         incident[Vertex(DOCTOR, e.doctor)].add(e)
         incident[Vertex(HOSPITAL, e.hospital)].add(e)
@@ -274,26 +278,20 @@ def transpose_instance(inst: Instance) -> Instance:
     return _build(inst.hospitals, inst.doctors, hospital_lists, doctor_lists)
 
 
-def _edge_name(e: object) -> str:
-    """How every error names an edge argument: a tuple, such as an Edge or a
-    Vertex, by the plain tuple of its items, anything else by its repr."""
-    return repr(tuple(e)) if isinstance(e, tuple) else repr(e)
-
-
 def _edges_given(inst: Instance, members: Iterable[Edge], what: str = "edge") -> list:
     """`members` as a list, once each is an edge of `inst`, as an Edge or a
     plain pair of strings; else ValueError, by `_checked`, says "{what} X is
     not an edge of the instance"."""
-    outside = lambda e: ValueError(f"{what} {_edge_name(e)} is not an edge of the instance")
+    outside = lambda e: ValueError(f"{what} {_member_name(e)} is not an edge of the instance")
     return _checked(members, lambda e: _pair(e) and e in inst.edges, outside)
 
 
 def _best_edges(inst: Instance, pool: Iterable[Edge], end: int) -> list[list[Edge]]:
-    """Per endpoint `e[end]` of the edges in `pool`, which must be edges of
-    `inst`, its best ones by that endpoint's ranks."""
+    """Per endpoint `e[end]` of the edges in `pool`, edges of `inst` that
+    are already checked, its best ones by that endpoint's ranks."""
     table = inst.hospital_rank if end else inst.doctor_rank
     keep: dict[str, tuple[int, list[Edge]]] = {}
-    for e in _edges_given(inst, pool):
+    for e in pool:
         r = table[e]
         b = keep.get(e[end])
         if b is None or r < b[0]:
@@ -303,14 +301,19 @@ def _best_edges(inst: Instance, pool: Iterable[Edge], end: int) -> list[list[Edg
     return [es for _, es in keep.values()]
 
 
+def _doctor_choices(inst: Instance, pool: Iterable[Edge]) -> frozenset[Edge]:
+    """`all_doctor_choices` of edges of `inst` that are already checked."""
+    return frozenset(chain.from_iterable(_best_edges(inst, pool, 0)))
+
+
 def all_doctor_choices(inst: Instance, pool: Iterable[Edge]) -> frozenset[Edge]:
     """Union of every doctor's weakly best edges within `pool`."""
-    return frozenset(e for es in _best_edges(inst, pool, 0) for e in es)
+    return _doctor_choices(inst, _edges_given(inst, pool))
 
 
 def all_hospital_choices(inst: Instance, pool: Iterable[Edge]) -> frozenset[Edge]:
     """Union of every hospital's held edge within `pool` (strict bests only)."""
-    return frozenset(es[0] for es in _best_edges(inst, pool, 1) if len(es) == 1)
+    return frozenset(es[0] for es in _best_edges(inst, _edges_given(inst, pool), 1) if len(es) == 1)
 
 
 def _assignment(
@@ -319,7 +322,7 @@ def _assignment(
     """Each side's partner in `matching`, which must be a matching of `pool`,
     as Edges or plain pairs of strings: else ValueError names a member
     outside `pool`, by `_checked`, or says that two edges share an endpoint."""
-    outside = lambda e: ValueError(f"matching edge {_edge_name(e)} is not in the induced graph")
+    outside = lambda e: ValueError(f"matching edge {_member_name(e)} is not in the induced graph")
     matching = frozenset(_checked(matching, lambda e: _pair(e) and e in pool, outside))
     by_d = {e[0]: e for e in matching}
     by_h = {e[1]: e for e in matching}
@@ -372,7 +375,7 @@ def extract_matching(inst: Instance, forbidden: Iterable[Edge]) -> frozenset[Edg
     be an edge of `inst`, else ValueError names it.
     """
     forbidden = _edges_given(inst, forbidden, "forbidden edge")
-    choices = all_doctor_choices(inst, inst.edges.difference(forbidden))
+    choices = _doctor_choices(inst, inst.edges.difference(forbidden))
     crowded = [h for h, c in Counter(e.hospital for e in choices).items() if c > 1]
     if crowded:
         raise ValueError(
@@ -391,9 +394,140 @@ def critical_hospitals(
     has a forbidden edge or appears in some doctor's current choices.
     """
     forbidden = frozenset(_edges_given(inst, forbidden, "forbidden edge"))
-    wanted = {e[1] for e in forbidden | all_doctor_choices(inst, inst.edges - forbidden)}
+    wanted = {e[1] for e in forbidden | _doctor_choices(inst, inst.edges - forbidden)}
     wanted.difference_update(e[1] for e in _edges_given(inst, matching, "matching edge"))
     return frozenset(Vertex(HOSPITAL, h) for h in inst.hospitals if h in wanted)
+
+
+def _walk(pool: list[Edge], ranks: tuple[dict, dict] | None = None) -> Iterator[tuple[dict, dict]]:
+    """Visit every matching within `pool` once, and yield it as
+    (doctor -> edge, hospital -> edge).  Each edge is left out before it
+    is taken.
+
+    The dicts are live: read them before resuming.  Given the doctor and
+    hospital rank tables, skip every branch that leaves out an edge whose
+    endpoints are both matched elsewhere and neither strictly prefers its
+    partner: that edge blocks every matching below, at a matched hospital.
+    """
+    by_d: dict[str, Edge] = {}
+    by_h: dict[str, Edge] = {}
+    # Entries: next pool index, matched edges to keep, edge to add or None.
+    stack: list[tuple[int, int, Edge | None]] = [(0, 0, None)]
+    while stack:
+        i, keep, add = stack.pop()
+        while len(by_d) > keep:
+            del by_h[by_d.popitem()[1].hospital]  # popitem drops the newest
+        if add is not None:
+            by_d[add.doctor] = by_h[add.hospital] = add
+        if i == len(pool):
+            yield by_d, by_h
+            continue
+        e = pool[i]
+        md = by_d.get(e.doctor)
+        mh = by_h.get(e.hospital)
+        if md is None and mh is None:
+            stack.append((i + 1, len(by_d), e))
+        if (
+            md is None or mh is None or ranks is None
+            or ranks[0][md] < ranks[0][e] or ranks[1][mh] < ranks[1][e]
+        ):
+            stack.append((i + 1, len(by_d), None))
+
+
+def _super_stable(pool: list[Edge], ranks: tuple[dict, dict], by_d: dict, by_h: dict) -> bool:
+    """Whether no edge in `pool` blocks the matching."""
+    dr, hr = ranks
+    for e in pool:
+        md = by_d.get(e.doctor)
+        if md == e or (md is not None and dr[md] < dr[e]):
+            continue
+        mh = by_h.get(e.hospital)
+        if mh is None or hr[e] <= hr[mh]:
+            return False
+    return True
+
+
+def all_matchings(inst: Instance, deleted: Iterable[Vertex] = ()) -> Iterator[frozenset[Edge]]:
+    """Yield every matching of the graph minus `deleted`, each exactly once."""
+    for by_d, _ in _walk(ordered_edges(_check_edge_cap(inst, deleted, None))):
+        yield frozenset(by_d.values())
+
+
+def count_matchings(inst: Instance, deleted: Iterable[Vertex] = (), *, max_edges: int = 20) -> int:
+    """How many matchings the graph minus `deleted` has."""
+    return sum(1 for _ in _walk(ordered_edges(_check_edge_cap(inst, deleted, max_edges))))
+
+
+def _check_edge_cap(inst: Instance, deleted: Iterable[Vertex], max_edges: int | None) -> frozenset[Edge]:
+    pool = induced_edges(inst, deleted)
+    if max_edges is not None and len(pool) > max_edges:
+        from .oracle import _cap_exceeded
+
+        raise _cap_exceeded(len(pool), "edges", "enumeration", "max_edges", max_edges)
+    return pool
+
+
+def enumerate_super_stable(
+    inst: Instance, deleted: Iterable[Vertex] = (), *, max_edges: int | None = 20
+) -> list[frozenset[Edge]]:
+    """Every super-stable matching of the graph minus `deleted`.
+
+    Deterministic order.  Membership is exactly `is_super_stable`; the
+    search walks all matchings and keeps the ones with no blocking edge.
+    """
+    pool = ordered_edges(_check_edge_cap(inst, deleted, max_edges))
+    ranks = (inst.doctor_rank, inst.hospital_rank)
+    return [
+        frozenset(by_d.values())
+        for by_d, by_h in _walk(pool, ranks)
+        if _super_stable(pool, ranks, by_d, by_h)
+    ]
+
+
+def oracle_two_side_deletion(
+    inst: Instance,
+    doctor_budget: int,
+    hospital_budget: int,
+    *,
+    max_vertices: int = 14,
+) -> frozenset[Vertex] | None:
+    """Some vertex set within both budgets whose removal restores
+    super-stability, or None.
+
+    The witness is the first hit of a scan over doctor and hospital sets
+    (D', H') by total size, doctor count, then names.  Each D' within the
+    doctor budget takes one `_least_blocking` walk on G minus D', and the
+    least key (|D'| + |H'|, |D'|, D', H') within the hospital budget wins.
+    That is the scan's first hit: there the minimum deletion of G minus D'
+    is |H'|, or the scan would have hit earlier, and H' is the walk's first
+    set of that size in name order.  Sizes of D' stop at the best total,
+    which a larger D' could only tie with more doctors.
+    """
+    from .oracle import _cap_exceeded, _least_blocking
+
+    if doctor_budget < 0 or hospital_budget < 0:
+        raise ValueError("budgets must be non-negative")
+    total_vertices = len(inst.doctors) + len(inst.hospitals)
+    if total_vertices > max_vertices:
+        raise _cap_exceeded(
+            total_vertices, "vertices", "subset-search", "max_vertices", max_vertices
+        )
+    names = sorted(inst.doctors)
+    doctor_budget, hospital_budget = index(doctor_budget), index(hospital_budget)
+    pool = ordered_edges(inst.edges)
+    best = None
+    for size in range(min(doctor_budget, len(names)) + 1):
+        if best is not None and size >= best[0]:
+            break
+        for combo in combinations(names, size):
+            hs = _least_blocking(inst, [e for e in pool if e.doctor not in combo])
+            key = (size + len(hs), size, combo, hs)
+            if len(hs) <= hospital_budget and (best is None or key < best):
+                best = key
+    if best is None:
+        return None
+    _, _, combo, hs = best
+    return frozenset(doctor(n) for n in combo) | frozenset(hospital(n) for n in hs)
 
 
 _OTHER_SIDE = {DOCTOR: HOSPITAL, HOSPITAL: DOCTOR}

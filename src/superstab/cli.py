@@ -13,12 +13,11 @@ load with it.  The rest loads on first use:
 
 - `_writer`, the round-by-round writer, in `closure`;
 - `hardness` in `solve2` and `verify --mode problem2`;
-- `oracle` in `verify`;
-- `_commands` in `verify`, `gen`, `reduce`, `transpose` and for the
-  argparse parser: their handlers, `generate_instance` and
-  `_build_parser`;
-- `_objects` in `verify --mode existence`, `gen`, `reduce`,
-  `transpose` and on bad input, and `random` in `gen`.
+- `oracle`, with the handler of `verify`, in `verify`;
+- `_commands` in `gen`, `reduce`, `transpose` and for the argparse
+  parser: their handlers, `generate_instance` and `_build_parser`;
+- `_objects` in `verify --mode existence` and `--mode problem2`, `gen`,
+  `reduce`, `transpose` and on bad input, and `random` in `gen`.
 
 No command loads `json`.  `_dumps` writes every JSON value the package
 prints, byte for byte as `json.dumps(value, indent=2)` would, and quotes
@@ -42,8 +41,8 @@ and helpers kept elsewhere, `generate_instance`, and the two entry
 points that `bench/tracer.py` wraps.  Each is imported on first access
 (PEP 562), and the commands look it up on the module when they run, so
 a value set on the module, such as a tracing wrapper, is what they call.
-The handlers in `_commands` look up `parse_instance` and those two entry
-points on this module too, and import every other name where it runs.
+The handlers in `_commands` and `oracle` look up `parse_instance` and
+those two entry points on this module too.
 
 `argparse` loads only for `--help` and for command lines that the plain
 reader declines.  A plain command line is the command, then its FILE
@@ -73,10 +72,10 @@ __getattr__ = _lazy(
     {
         "solve_two_side_deletion": "hardness",
         "oracle_min_hospital_deletion": "oracle",
+        "_cmd_verify": "oracle",
         "_write_closure": "_writer",
         **dict.fromkeys(
-            ("_cmd_verify", "_cmd_gen", "_cmd_reduce", "_cmd_transpose", "generate_instance", "_build_parser"),
-            "_commands",
+            ("_cmd_gen", "_cmd_reduce", "_cmd_transpose", "generate_instance", "_build_parser"), "_commands"
         ),
     }.get,
 )
@@ -316,6 +315,6 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    # `_commands` imports this module by name; let it find the running one.
+    # `_commands` and the `verify` handler import this module by name; let them find the running one.
     sys.modules[__spec__.name] = _cli
     sys.exit(main())

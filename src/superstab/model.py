@@ -422,7 +422,13 @@ def _unknown(v: object) -> ValueError:
     2-tuple whose first item is a side is named by its side word."""
     if isinstance(v, tuple) and len(v) == 2 and v[0] in (DOCTOR, HOSPITAL):  # a tuple test: `v[0]` may not hash
         return ValueError(f"unknown {_SIDE_WORD[v[0]]} {v[1]!r}")
-    return ValueError(f"unknown vertex {v!r}")
+    return ValueError(f"unknown vertex {_member_name(v)}")
+
+
+def _member_name(m: object) -> str:
+    """How every error names a vertex or edge argument: a tuple by the plain
+    tuple of its items, anything else by its repr."""
+    return repr(tuple(m)) if isinstance(m, tuple) else repr(m)
 
 
 __all__ = [

@@ -1,11 +1,11 @@
 """Exhaustive ground truth for desk-scale instances.
 
-Everything here enumerates, in iterative walks that no recursion limit
-bounds: `_walk` takes or leaves each edge in turn, and `_least_blocking`
-settles one doctor at a time.  Nothing shares logic with the fixed-point
-solver, which is the point; use these to cross-check it, never for real
-workloads.  Hard caps guard against runaway searches and raise
-CapExceeded instead of truncating silently.
+Every oracle enumerates, in iterative walks that no recursion limit
+bounds: `_objects._walk` takes or leaves each edge in turn, and
+`_least_blocking` settles one doctor at a time.  Nothing shares logic
+with the fixed-point solver, which is the point; use these to
+cross-check it, never for real workloads.  Hard caps guard against
+runaway searches and raise CapExceeded instead of truncating silently.
 
 Minimum hospital deletion takes one walk.  For a matching M of G, let
 B(M) be the hospitals of the edges that block M in G.  Deleting
@@ -30,18 +30,24 @@ is the demanded hospitals left unmatched.
 Two-side deletion is a loop over doctor subsets D', each running that
 walk on G minus D', whose ranks keep their order too.
 
-`verify --mode problem1` loads this module.  `_check_edge_cap`, the one
-caller of `induced_edges`, imports it where it runs, so that command
-never loads `_objects`.
+This module holds what `verify --mode problem1` runs: that walk, the
+cap rule and the `verify` handler, which imports `cli` and `superstable`
+where it runs.  The enumerators and `oracle_two_side_deletion` live in
+`_objects`; `__all__` here lists them, read from there on first access.
 """
 
 from __future__ import annotations
 
-import operator
-from itertools import combinations
-from typing import Iterable, Iterator
+import os
+import time
+from types import SimpleNamespace
 
-from .model import CapExceeded, Edge, Instance, Vertex, doctor, hospital, ordered_edges
+from . import _lazy
+from .model import CapExceeded, Edge, Instance, Vertex, _removed_names, hospital, ordered_edges
+
+# Each name of `__all__` that this file does not define, the enumerating
+# oracles, is read from `_objects` on first access.
+__getattr__ = _lazy(globals(), listed="_objects")
 
 CAP_ENV = "SUPERSTAB_ORACLE_CAP"
 
@@ -51,92 +57,6 @@ def _cap_exceeded(count: int, what: str, search: str, keyword: str, cap: int) ->
         f"{count} {what} exceed the {search} cap of {cap}; raise {keyword}, "
         f"or set {CAP_ENV} for `superstab verify`"
     )
-
-
-def _walk(pool: list[Edge], ranks: tuple[dict, dict] | None = None) -> Iterator[tuple[dict, dict]]:
-    """Visit every matching within `pool` once, and yield it as
-    (doctor -> edge, hospital -> edge).  Each edge is left out before it
-    is taken.
-
-    The dicts are live: read them before resuming.  Given the doctor and
-    hospital rank tables, skip every branch that leaves out an edge whose
-    endpoints are both matched elsewhere and neither strictly prefers its
-    partner: that edge blocks every matching below, at a matched hospital.
-    """
-    by_d: dict[str, Edge] = {}
-    by_h: dict[str, Edge] = {}
-    # Entries: next pool index, matched edges to keep, edge to add or None.
-    stack: list[tuple[int, int, Edge | None]] = [(0, 0, None)]
-    while stack:
-        i, keep, add = stack.pop()
-        while len(by_d) > keep:
-            del by_h[by_d.popitem()[1].hospital]  # popitem drops the newest
-        if add is not None:
-            by_d[add.doctor] = by_h[add.hospital] = add
-        if i == len(pool):
-            yield by_d, by_h
-            continue
-        e = pool[i]
-        md = by_d.get(e.doctor)
-        mh = by_h.get(e.hospital)
-        if md is None and mh is None:
-            stack.append((i + 1, len(by_d), e))
-        if (
-            md is None or mh is None or ranks is None
-            or ranks[0][md] < ranks[0][e] or ranks[1][mh] < ranks[1][e]
-        ):
-            stack.append((i + 1, len(by_d), None))
-
-
-def _super_stable(pool: list[Edge], ranks: tuple[dict, dict], by_d: dict, by_h: dict) -> bool:
-    """Whether no edge in `pool` blocks the matching."""
-    dr, hr = ranks
-    for e in pool:
-        md = by_d.get(e.doctor)
-        if md == e or (md is not None and dr[md] < dr[e]):
-            continue
-        mh = by_h.get(e.hospital)
-        if mh is None or hr[e] <= hr[mh]:
-            return False
-    return True
-
-
-def all_matchings(inst: Instance, deleted: Iterable[Vertex] = ()) -> Iterator[frozenset[Edge]]:
-    """Yield every matching of the graph minus `deleted`, each exactly once."""
-    for by_d, _ in _walk(ordered_edges(_check_edge_cap(inst, deleted, None))):
-        yield frozenset(by_d.values())
-
-
-def count_matchings(inst: Instance, deleted: Iterable[Vertex] = (), *, max_edges: int = 20) -> int:
-    """How many matchings the graph minus `deleted` has."""
-    pool = _check_edge_cap(inst, deleted, max_edges)
-    return sum(1 for _ in _walk(ordered_edges(pool)))
-
-
-def _check_edge_cap(inst: Instance, deleted: Iterable[Vertex], max_edges: int | None) -> frozenset[Edge]:
-    from ._objects import induced_edges
-
-    pool = induced_edges(inst, deleted)
-    if max_edges is not None and len(pool) > max_edges:
-        raise _cap_exceeded(len(pool), "edges", "enumeration", "max_edges", max_edges)
-    return pool
-
-
-def enumerate_super_stable(
-    inst: Instance, deleted: Iterable[Vertex] = (), *, max_edges: int | None = 20
-) -> list[frozenset[Edge]]:
-    """Every super-stable matching of the graph minus `deleted`.
-
-    Deterministic order.  Membership is exactly `is_super_stable`; the
-    search walks all matchings and keeps the ones with no blocking edge.
-    """
-    pool = ordered_edges(_check_edge_cap(inst, deleted, max_edges))
-    ranks = (inst.doctor_rank, inst.hospital_rank)
-    return [
-        frozenset(by_d.values())
-        for by_d, by_h in _walk(pool, ranks)
-        if _super_stable(pool, ranks, by_d, by_h)
-    ]
 
 
 def _least_blocking(inst: Instance, pool: list[Edge]) -> list[str]:
@@ -196,48 +116,79 @@ def oracle_min_hospital_deletion(
     return len(best), frozenset(hospital(n) for n in best)
 
 
-def oracle_two_side_deletion(
-    inst: Instance,
-    doctor_budget: int,
-    hospital_budget: int,
-    *,
-    max_vertices: int = 14,
-) -> frozenset[Vertex] | None:
-    """Some vertex set within both budgets whose removal restores
-    super-stability, or None.
+def _oracle_caps(keyword: str) -> dict[str, int]:
+    """The oracle keyword arguments for `verify`: `{keyword: cap}` when the
+    cap variable is set, else none, so the oracle's own default holds."""
+    raw = os.environ.get(CAP_ENV)
+    if raw is None:
+        return {}
+    try:
+        cap = int(raw)
+    except ValueError:
+        raise ValueError(f"{CAP_ENV} must be an integer, got {raw!r}") from None
+    if cap < 0:
+        raise ValueError(f"{CAP_ENV} must be non-negative")
+    return {keyword: cap}
 
-    The witness is the first hit of a scan over doctor and hospital sets
-    (D', H') by total size, doctor count, then names.  Each D' within the
-    doctor budget takes one `_least_blocking` walk on G minus D', and the
-    least key (|D'| + |H'|, |D'|, D', H') within the hospital budget wins.
-    That is the scan's first hit: there the minimum deletion of G minus D'
-    is |H'|, or the scan would have hit earlier, and H' is the walk's first
-    set of that size in name order.  Sizes of D' stop at the best total,
-    which a larger D' could only tie with more doctors.
-    """
-    if doctor_budget < 0 or hospital_budget < 0:
-        raise ValueError("budgets must be non-negative")
-    total_vertices = len(inst.doctors) + len(inst.hospitals)
-    if total_vertices > max_vertices:
-        raise _cap_exceeded(
-            total_vertices, "vertices", "subset-search", "max_vertices", max_vertices
-        )
-    names = sorted(inst.doctors)
-    doctor_budget, hospital_budget = operator.index(doctor_budget), operator.index(hospital_budget)
-    pool = ordered_edges(inst.edges)
-    best = None
-    for size in range(min(doctor_budget, len(names)) + 1):
-        if best is not None and size >= best[0]:
-            break
-        for combo in combinations(names, size):
-            hs = _least_blocking(inst, [e for e in pool if e.doctor not in combo])
-            key = (size + len(hs), size, combo, hs)
-            if len(hs) <= hospital_budget and (best is None or key < best):
-                best = key
-    if best is None:
-        return None
-    _, _, combo, hs = best
-    return frozenset(doctor(n) for n in combo) | frozenset(hospital(n) for n in hs)
+
+def _cmd_verify(ns: SimpleNamespace) -> int:
+    """The `verify` command.  It looks up `parse_instance`,
+    `oracle_min_hospital_deletion` and `solve_two_side_deletion` on `cli`,
+    so a value set there, such as a tracing wrapper, is what it calls."""
+    # `_cli` is the running `cli`, also when `python -m superstab.cli` runs it.
+    from .cli import _cli, _emit, _finish_stats, _read
+    from .superstable import exists_super_stable, solve_min_hospital_deletion
+
+    inst = _cli.parse_instance(_read(ns.file))
+    t0 = time.perf_counter()
+    stats: dict = {}
+    if ns.mode == "existence":
+        from ._objects import count_matchings, enumerate_super_stable
+
+        caps = _oracle_caps("max_edges")
+        solver_yes = exists_super_stable(inst) is not None
+        oracle_yes = bool(enumerate_super_stable(inst, **caps))
+        agree = solver_yes == oracle_yes
+        stats = {
+            "solver_answer": "yes" if solver_yes else "no",
+            "oracle_answer": "yes" if oracle_yes else "no",
+            "search_space": count_matchings(inst, **caps),
+        }
+    elif ns.mode == "problem1":
+        caps = _oracle_caps("max_hospitals")
+        cert = solve_min_hospital_deletion(inst)
+        oracle_min, _ = _cli.oracle_min_hospital_deletion(inst, **caps)
+        agree = len(cert.critical) == oracle_min
+        stats = {"solver_min": len(cert.critical), "oracle_min": oracle_min}
+    else:
+        from ._objects import oracle_two_side_deletion
+
+        if ns.q1 is None or ns.q2 is None:
+            raise ValueError("--mode problem2 needs --q1 and --q2")
+        if ns.q1 < 0 or ns.q2 < 0:
+            raise ValueError("--q1 and --q2 must be non-negative")
+        caps = _oracle_caps("max_vertices")
+        solver_witness = _cli.solve_two_side_deletion(inst, ns.q1, ns.q2)
+        oracle_witness = oracle_two_side_deletion(inst, ns.q1, ns.q2, **caps)
+        agree = (solver_witness is None) == (oracle_witness is None)
+        for witness in (solver_witness, oracle_witness):
+            if witness is None:
+                continue
+            ds, hs = map(sorted, _removed_names(inst, witness))
+            if len(ds) > ns.q1 or len(hs) > ns.q2 or exists_super_stable(inst, witness) is None:
+                agree = False
+        stats = {
+            "solver_answer": "yes" if solver_witness is not None else "no",
+            "oracle_answer": "yes" if oracle_witness is not None else "no",
+        }
+    payload = {
+        "command": "verify",
+        "mode": ns.mode,
+        "answer": "yes" if agree else "no",
+        "stats": _finish_stats(stats, t0, ns),
+    }
+    _emit(payload, "AGREE" if agree else "DISAGREE")
+    return 0 if agree else 1
 
 
 __all__ = [

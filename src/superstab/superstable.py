@@ -44,7 +44,7 @@ from functools import cached_property
 from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from . import _lazy
-from .model import HOSPITAL, Edge, Instance, Vertex, _checked, _Record, _removed_names
+from .model import HOSPITAL, Edge, Instance, Vertex, _checked, _member_name, _Record, _removed_names
 
 # Each name of `__all__` that this file does not define, the plain
 # rescans, is read from `_objects` on first access.  So are the choice
@@ -255,7 +255,8 @@ def closure(
     keeps the loop's O(|E|) log.
     """
     a_hospital = lambda v: isinstance(v, tuple) and len(v) == 2 and v[0] == HOSPITAL
-    deleted = _checked(deleted, a_hospital, lambda v: ValueError(f"closure deletes hospitals only, got {v!r}"))
+    not_hospital = lambda v: ValueError(f"closure deletes hospitals only, got {_member_name(v)}")
+    deleted = _checked(deleted, a_hospital, not_hospital)
     _, gone = _removed_names(inst, deleted)
     edge = inst._edge
     initial = frozenset(edge[e] for h, ids in zip(inst.hospitals, inst._by_h) if h in gone for e in ids)

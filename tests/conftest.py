@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import superstab
 from superstab.cli import generate_instance
-from superstab._objects import _from_lists, _ListError
+from superstab._objects import _ListError, _from_lists, _walk
 from superstab.model import (
     DOCTOR,
     HOSPITAL,
@@ -31,7 +31,7 @@ from superstab.model import (
     make_instance,
     parse_instance,
 )
-from superstab.oracle import _walk, all_matchings, enumerate_super_stable
+from superstab.oracle import all_matchings, enumerate_super_stable
 from superstab.superstable import ClosureRound, _count, _loop, solve_min_hospital_deletion
 
 STRICT_2X2_TEXT = """doctors: d1 d2

@@ -124,7 +124,7 @@ def test_deletion_errors_name_the_member_whose_message_sorts_first(strict_2x2):
     bad = {hospital("zz"), hospital("h9"), hospital("h8"), hospital("h1")}
     with pytest.raises(ValueError, match="^unknown hospital 'h8'$"):
         closure(strict_2x2, bad)
-    with pytest.raises(ValueError, match="^closure deletes hospitals only, got Vertex\\(side='D'"):
+    with pytest.raises(ValueError, match="^closure deletes hospitals only, got \\('D', 'd1'\\)$"):
         closure(strict_2x2, bad | {doctor("d1"), Vertex("X", "h1")})
     with pytest.raises(ValueError, match="^unknown doctor 'd9'$"):
         exists_super_stable(strict_2x2, bad | {doctor("d9"), doctor("d1")})
@@ -149,6 +149,30 @@ def test_rescans_take_edges_of_the_instance_only():
         critical_hospitals(inst, cert.forbidden, [("nobody", "h1")])
     with pytest.raises(ValueError, match=r"^forbidden edge \('nobody', 'h1'\) is not an edge of the instance$"):
         extract_matching(inst, [("nobody", "h1")])
+
+
+def test_rescans_check_each_given_edge_once(monkeypatch):
+    # Each member that a caller passes is checked once; the pool a rescan
+    # builds from `inst.edges` is not checked again.
+    from superstab import _objects
+
+    check, seen = _objects._edges_given, []
+
+    def counting(inst, members, *what):
+        members = list(members)
+        seen.append(len(members))
+        return check(inst, members, *what)
+
+    monkeypatch.setattr(_objects, "_edges_given", counting)
+    inst = generate_instance(12, 12, 0.4, 0.6, seed="check-once")
+    forbidden, _ = closure(inst)
+    assert forbidden and inst.edges - forbidden
+    matching = extract_matching(inst, forbidden)
+    assert seen == [len(forbidden)]
+    critical_hospitals(inst, forbidden, matching)
+    assert seen == [len(forbidden), len(forbidden), len(matching)]
+    all_doctor_choices(inst, inst.edges - forbidden)
+    assert seen[3:] == [len(inst.edges - forbidden)]
 
 
 def test_empty_trace_result_falls_back_to_the_seed():
