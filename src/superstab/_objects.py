@@ -1,10 +1,10 @@
-"""The cold code of `model`, `superstable`, `hardness` and `oracle`.
+"""The cold code of `model`, `superstable`, `hardness`, `oracle` and `cli`.
 
 Nothing here runs in `check`, `solve1`, `closure`, `solve2` or
 `verify --mode problem1` on good input, so those commands never compile
-it.  `model`, `superstable`, `hardness` and `oracle` read these names
-from this module on first access (PEP 562), and each public one stays
-in the `__all__` of its public module.  It holds:
+it.  `model`, `superstable`, `hardness`, `oracle` and `cli` read these
+names from this module on first access (PEP 562), and each public one
+stays in the `__all__` of its public module.  It holds:
 
 - the builders that start from Python objects: `make_instance` and its
   list checks, and `Instance(...)`'s validation of its four fields;
@@ -25,21 +25,28 @@ in the `__all__` of its public module.  It holds:
 - the oracles that only `verify --mode existence` and `--mode problem2`
   run: `_walk`, the matching enumerators and `oracle_two_side_deletion`;
 - the coverage side of `hardness`: coverage data, its file format, and
-  the instance family built from it, which only `reduce` runs.
+  the instance family built from it, which only `reduce` runs;
+- the cold commands: `generate_instance`, the handlers of `gen`,
+  `reduce` and `transpose`, and the argparse parser, built only for
+  `--help` and for the command lines that `cli`'s plain reader declines.
+  They import the names they need from `cli` where they run, so
+  importing this module loads no `cli`.
 
 A private module stands apart only where some command loads its public
 module without it.  The error namer and the coverage side both read the
 name checks and the line splitter here, so every run that needed one of
-them loaded this module too, and they live in it.
+them loaded this module too, and they live in it.  So do the cold
+commands: every one but `--help` builds or serializes an instance here.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from collections import Counter
 from itertools import chain, combinations, count, groupby, repeat
 from operator import index, itemgetter
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from .model import (
     DOCTOR,
@@ -60,7 +67,12 @@ from .model import (
     doctor,
     hospital,
     ordered_edges,
+    parse_instance,
 )
+
+if TYPE_CHECKING:
+    import argparse
+    from types import SimpleNamespace
 
 # Names must survive the text format: one token, no grouping or delimiter
 # chars.  `\s` matches exactly the characters `str.isspace` accepts.
@@ -873,3 +885,113 @@ def oracle_min_coverage(cov: CoverageInstance, *, max_families: int = 20) -> boo
         if len(union) <= cov.cover_limit:
             return True
     return False
+
+
+def generate_instance(
+    n_doctors: int, n_hospitals: int, density: float, tie_prob: float, seed: object
+) -> Instance:
+    """Random instance: same arguments, same instance, bit for bit.
+
+    Each doctor-hospital pair becomes an edge with probability `density`;
+    every preference list is a shuffled permutation whose adjacent
+    entries merge into a tie with probability `tie_prob` per boundary.
+    """
+    if n_doctors < 0 or n_hospitals < 0:
+        raise ValueError("vertex counts must be non-negative")
+    if not 0.0 <= density <= 1.0:
+        raise ValueError("density must be within [0, 1]")
+    if not 0.0 <= tie_prob <= 1.0:
+        raise ValueError("tie probability must be within [0, 1]")
+    import random
+
+    rng = random.Random(seed)
+    doctors = tuple(f"d{i}" for i in range(1, n_doctors + 1))
+    hospitals = tuple(f"h{j}" for j in range(1, n_hospitals + 1))
+    partners_d: dict[str, list[str]] = {d: [] for d in doctors}
+    partners_h: dict[str, list[str]] = {h: [] for h in hospitals}
+    for d in doctors:
+        for h in hospitals:
+            if rng.random() < density:
+                partners_d[d].append(h)
+                partners_h[h].append(d)
+
+    def tie_up(partners: list[str]) -> list[list[str]]:
+        rng.shuffle(partners)
+        groups: list[list[str]] = []
+        for name in partners:
+            if groups and rng.random() < tie_prob:
+                groups[-1].append(name)
+            else:
+                groups.append([name])
+        return groups
+
+    doctor_prefs = {d: tie_up(partners_d[d]) for d in doctors}
+    hospital_prefs = {h: tie_up(partners_h[h]) for h in hospitals}
+    return make_instance(doctors, hospitals, doctor_prefs, hospital_prefs)
+
+
+def _cmd_gen(ns: SimpleNamespace) -> int:
+    inst = generate_instance(ns.doctors, ns.hospitals, ns.density, ns.tie_prob, ns.seed)
+    sys.stdout.write(serialize_instance(inst))
+    print(
+        f"generated {len(inst.doctors)} doctors, {len(inst.hospitals)} hospitals, "
+        f"{len(inst.edges)} edges",
+        file=sys.stderr,
+    )
+    return 0
+
+
+def _cmd_reduce(ns: SimpleNamespace) -> int:
+    from .cli import _read
+
+    red = reduce_min_coverage(parse_coverage(_read(ns.file)))
+    sys.stdout.write(serialize_instance(red.instance))
+    sys.stdout.write(f"# q1={red.doctor_budget} q2={red.hospital_budget}\n")
+    print(
+        f"reduced to {len(red.instance.doctors)} doctors, "
+        f"{len(red.instance.hospitals)} hospitals; budgets q1={red.doctor_budget} "
+        f"q2={red.hospital_budget}",
+        file=sys.stderr,
+    )
+    return 0
+
+
+def _cmd_transpose(ns: SimpleNamespace) -> int:
+    from .cli import _read
+
+    sys.stdout.write(serialize_instance(transpose_instance(parse_instance(_read(ns.file)))))
+    print(
+        "sides swapped; deletion problems are side-specific, so solver answers "
+        "on the transpose answer the doctor-side question",
+        file=sys.stderr,
+    )
+    return 0
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    import argparse
+
+    from .cli import _COMMANDS, _NO_TIMING_HELP
+
+    parser = argparse.ArgumentParser(
+        prog="superstab",
+        description="Super-stable matchings with ties: existence, deletion minimization, "
+        "and brute-force cross-checks.",
+    )
+    parser.add_argument("--no-timing", action="store_true", help=_NO_TIMING_HELP)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (run, help_line, takes_file, options) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_line)
+        if takes_file:
+            p.add_argument("file")
+        for flag, spec in options.items():
+            p.add_argument(flag, **spec)
+        p.set_defaults(run=run)
+        # Accept --no-timing after the subcommand too.  SUPPRESS keeps an
+        # omitted sub-level flag from clobbering a value set before the
+        # subcommand, since absent attributes are not copied onto the
+        # parent namespace.
+        p.add_argument(
+            "--no-timing", action="store_true", default=argparse.SUPPRESS, help=_NO_TIMING_HELP
+        )
+    return parser

@@ -14,10 +14,10 @@ load with it.  The rest loads on first use:
 - `_writer`, the round-by-round writer, in `closure`;
 - `hardness` in `solve2` and `verify --mode problem2`;
 - `oracle`, with the handler of `verify`, in `verify`;
-- `_commands` in `gen`, `reduce`, `transpose` and for the argparse
-  parser: their handlers, `generate_instance` and `_build_parser`;
-- `_objects` in `verify --mode existence` and `--mode problem2`, `gen`,
-  `reduce`, `transpose` and on bad input, and `random` in `gen`.
+- `_objects` in `verify --mode existence` and `--mode problem2`, on bad
+  input, and in `gen`, `reduce`, `transpose` and for the argparse
+  parser, whose handlers, `generate_instance` and `_build_parser` it
+  holds; and `random` in `gen`.
 
 No command loads `json`.  `_dumps` writes every JSON value the package
 prints, byte for byte as `json.dumps(value, indent=2)` would, and quotes
@@ -41,7 +41,7 @@ and helpers kept elsewhere, `generate_instance`, and the two entry
 points that `bench/tracer.py` wraps.  Each is imported on first access
 (PEP 562), and the commands look it up on the module when they run, so
 a value set on the module, such as a tracing wrapper, is what they call.
-The handlers in `_commands` and `oracle` look up `parse_instance` and
+The handler of `verify`, in `oracle`, looks up `parse_instance` and
 those two entry points on this module too.
 
 `argparse` loads only for `--help` and for command lines that the plain
@@ -75,7 +75,7 @@ __getattr__ = _lazy(
         "_cmd_verify": "oracle",
         "_write_closure": "_writer",
         **dict.fromkeys(
-            ("_cmd_gen", "_cmd_reduce", "_cmd_transpose", "generate_instance", "_build_parser"), "_commands"
+            ("_cmd_gen", "_cmd_reduce", "_cmd_transpose", "generate_instance", "_build_parser"), "_objects"
         ),
     }.get,
 )
@@ -315,6 +315,6 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    # `_commands` and the `verify` handler import this module by name; let them find the running one.
+    # `oracle`, `_objects` and `_writer` import names from this module; let them find the running one.
     sys.modules[__spec__.name] = _cli
     sys.exit(main())

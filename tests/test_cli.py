@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import inspect
 import json
 import random
@@ -547,6 +548,22 @@ def test_gen_is_deterministic(capsys):
     assert captured.out == first
     rc, _, captured = run_cli(capsys, *(args[:-1] + ["s2"]))
     assert captured.out != first
+
+
+@pytest.mark.parametrize(
+    "args, edges, digest",
+    [
+        (("12", "12", "0.6", "0.5", "2"), 88, "8c5822f979dc0f9eac0aad1d410646df327c7d3a0651fde439ebfac6e0b9d1a9"),
+        (("20", "20", "0.3", "0.6", "0"), 115, "029fd7862fdc9d421e8474bd4b77fe8fb8987d2840f18657b75c439a671e557c"),
+    ],
+)
+def test_gen_writes_the_pinned_bytes(capsys, args, edges, digest):
+    # Same input, same bytes, on every Python version: these are the files CI generates.
+    flags = ("--doctors", "--hospitals", "--density", "--tie-prob", "--seed")
+    rc, _, captured = run_cli(capsys, "gen", *(token for pair in zip(flags, args) for token in pair))
+    assert rc == 0
+    assert captured.err == f"generated {args[0]} doctors, {args[1]} hospitals, {edges} edges\n"
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
 
 
 def test_gen_full_density_no_ties_is_complete_and_strict(capsys):

@@ -986,20 +986,22 @@ def test_package_lists_every_module_name_once():
         owner = next((m for m in modules if name in m.__all__), superstab)
         assert getattr(superstab, name) is getattr(owner, name), name
     # A fresh import of a module loads the private module that holds a name
-    # of its only when that name is first read.
-    private = ["superstab._objects", "superstab._writer", "superstab._commands"]
+    # of its only when that name is first read, and no other module loads
+    # `cli` on the way.
+    private = ["superstab._objects", "superstab._writer"]
+    tracked = [*private, "superstab.cli"]
     for module, name, loads in (
         ("model", "make_instance", ["superstab._objects"]),
         ("superstable", "extract_matching", ["superstab._objects"]),
         ("hardness", "parse_coverage", ["superstab._objects"]),
         ("oracle", "count_matchings", ["superstab._objects"]),
-        ("cli", "generate_instance", ["superstab._commands"]),
+        ("cli", "generate_instance", ["superstab._objects"]),
     ):
         code = (
             f"import sys, superstab.{module} as m\n"
-            f"print([p for p in {private!r} if p in sys.modules])\n"
+            f"print([p for p in {tracked!r} if p in sys.modules and p != m.__name__])\n"
             f"m.{name}\n"
-            f"print([p for p in {private!r} if p in sys.modules])\n"
+            f"print([p for p in {tracked!r} if p in sys.modules and p != m.__name__])\n"
         )
         out = run_python(0, "-S", "-c", code)
         assert out.stdout.decode() == f"[]\n{loads!r}\n", (module, out.stderr)
@@ -1016,7 +1018,7 @@ def test_package_lists_every_module_name_once():
 def test_modules_resolve_only_the_names_read_on_them():
     # A name that no code reads on a module raises AttributeError there,
     # naming that module, and loads no private module.
-    private = [f"superstab.{m}" for m in ("_objects", "_writer", "_commands")]
+    private = [f"superstab.{m}" for m in ("_objects", "_writer")]
     for module, name in (
         ("cli", "count_matchings"),
         ("cli", "parse_coverage"),
@@ -1266,21 +1268,19 @@ def _modules_loaded(*cli_args: str) -> tuple[int | None, set[str]]:
     return None if code == "None" else int(code), set(modules)
 
 
-def test_importing_the_cli_loads_neither_dataclasses_nor_inspect(tmp_path):
-    lazy = {"superstab.hardness", "superstab.oracle", "random"}
-    # The cold code of `model`, `superstable` and `hardness`, the closure
-    # writer and the cold commands.
-    cold = {"superstab._objects", "superstab._writer", "superstab._commands"}
-    assert {"dataclasses", "inspect", *lazy, *cold} & _modules_loaded()[1] == set()
+# argparse, and the gettext it imports, load only for help and usage errors.
+PARSER = {"argparse", "gettext"}
+
+
+def _module_table(tmp_path: Path) -> list[tuple[list[str], set[str]]]:
+    """Every row of the README's module table: a command line and what it
+    loads besides `cli`, `model` and `superstable`.  The last row's file
+    fails its bulk checks, which loads `_objects` to name its first
+    problem."""
     tie = str(DATA / "tie.ssm")
     bad = tmp_path / "bad.ssm"
     bad.write_text("doctors: d1\nhospitals: h1\npref d1: (h1\npref h1: d1\n")
-    # argparse, and the gettext it imports, load only for help and usage errors.
-    parser = {"argparse", "gettext"}
-    # Every row of the README's module table: a command line and what it
-    # loads besides `cli`, `model` and `superstable`.  Bad input loads
-    # `_objects`, which names its first problem.
-    table = [
+    return [
         (["check", tie], set()),
         (["solve1", tie, "--q", "1"], set()),
         (["closure", tie], {"superstab._writer"}),
@@ -1291,38 +1291,61 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect(tmp_path):
             ["verify", tie, "--mode", "problem2", "--q1", "1", "--q2", "1"],
             {"superstab.hardness", "superstab.oracle", "superstab._objects"},
         ),
-        (["transpose", tie], {"superstab._commands", "superstab._objects"}),
-        (["reduce", str(DATA / "cover.cov")], {"superstab._commands", "superstab._objects"}),
+        (["transpose", tie], {"superstab._objects"}),
+        (["reduce", str(DATA / "cover.cov")], {"superstab._objects"}),
         (
             ["gen", "--doctors", "3", "--hospitals", "3", "--density", "0.5", "--tie-prob", "0.5"],
-            {"superstab._commands", "superstab._objects", "random"},
+            {"superstab._objects", "random"},
         ),
-        (["--help"], {"superstab._commands", *parser}),
+        (["--help"], {"superstab._objects", *PARSER}),
         (["check", str(bad)], {"superstab._objects"}),
     ]
+
+
+def _exit_codes(args: list[str]) -> tuple[int, ...]:
+    return (2,) if args[-1].endswith("bad.ssm") else (0, 1)
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect(tmp_path):
+    lazy = {"superstab.hardness", "superstab.oracle", "random"}
+    # The cold code of `model`, `superstable`, `hardness` and `cli`, and the
+    # closure writer.
+    cold = {"superstab._objects", "superstab._writer"}
+    assert {"dataclasses", "inspect", *lazy, *cold} & _modules_loaded()[1] == set()
+    table = _module_table(tmp_path)
     runs = {}
     for args, extra in table:
         code, modules = _modules_loaded(*args)
         runs[tuple(args)] = modules
-        assert code in ((2,) if args[-1] == str(bad) else (0, 1)), args
-        tracked = {m for m in modules if m.split(".")[0] in {"superstab", "random", *parser} or m == "json"}
+        assert code in _exit_codes(args), args
+        tracked = {m for m in modules if m.split(".")[0] in {"superstab", "random", *PARSER} or m == "json"}
         assert tracked == {"superstab", "superstab.cli", "superstab.model", "superstab.superstable", *extra}, args
         assert {"dataclasses", "inspect"} & modules == set(), args
     loaded = {args[0]: runs[tuple(args)] for args, _ in table[:5]}
     assert "superstab.oracle" not in loaded["solve2"]
     assert "superstab.hardness" not in loaded["verify"]
     for command, modules in loaded.items():
-        assert parser & modules == set(), command
+        assert PARSER & modules == set(), command
         if command != "closure":
             assert {"superstab._objects", "superstab._writer"} & modules == set(), command
     package = {m for m in loaded["closure"] if m.split(".")[0] == "superstab"}
     assert package == {"superstab", "superstab.cli", "superstab.model", "superstab.superstable", "superstab._writer"}
     # No command loads `json`: `cli._dumps` writes every JSON value.
     assert [args for args, modules in runs.items() if "json" in modules] == []
-    assert parser <= runs[("--help",)]
+    assert PARSER <= runs[("--help",)]
     # The package loads its modules on first access; `dir` still lists every name.
     code = "import superstab; names = dir(superstab); print(set(superstab.__all__) <= set(names))"
     assert run_python(0, "-S", "-c", code).stdout == b"True\n"
+
+
+def test_python_m_compiles_the_cli_once(tmp_path):
+    # `python -m superstab.cli` runs `cli` as `__main__`, which registers
+    # itself as `superstab.cli`; the handlers that import names from `cli`
+    # find it there, so no row of the module table compiles `cli` again.
+    for args, _ in _module_table(tmp_path):
+        out = run_python(0, "-X", "importtime", "-m", "superstab.cli", *args)
+        assert out.returncode in _exit_codes(args), (args, out.stderr)
+        assert re.search(rb"^import time:.*\| +superstab\.cli$", out.stderr, re.M) is None, args
 
 
 def test_a_good_closure_run_never_loads_the_error_namer(tmp_path):

@@ -22,6 +22,7 @@ from conftest import (
     verify_enumeration,
 )
 from superstab.cli import generate_instance
+from superstab.hardness import solve_two_side_deletion
 from superstab.model import (
     Edge,
     Instance,
@@ -43,7 +44,7 @@ from superstab.oracle import (
     oracle_min_hospital_deletion,
     oracle_two_side_deletion,
 )
-from superstab.superstable import exists_super_stable, solve_min_hospital_deletion
+from superstab.superstable import closure, exists_super_stable, solve_min_hospital_deletion
 
 
 def edges(*pairs):
@@ -341,14 +342,30 @@ def test_two_side_witness_respects_budgets():
                 assert exists_super_stable(inst, witness) is not None
 
 
-def test_oracle_keeps_no_instance_alive():
+def test_no_entry_keeps_an_instance_alive():
+    # No process-global cache keeps an instance alive: each entry's result
+    # is held while the instance it came from is dropped and collected.
     text = (Path(__file__).parent / "data" / "tie.ssm").read_text()
-    inst = parse_instance(text)
-    ref = weakref.ref(inst)
-    assert oracle_min_hospital_deletion(inst) == (2, frozenset({hospital("h1"), hospital("h2")}))
-    del inst
-    gc.collect()
-    assert ref() is None
+    kept = {doctor("d2"), hospital("h2")}
+    for entry, args in (
+        (oracle_min_hospital_deletion, ()),
+        (closure, ()),
+        (solve_min_hospital_deletion, ()),
+        (exists_super_stable, (kept,)),
+        (solve_two_side_deletion, (1, 1)),
+        (induced_instance, (kept,)),
+        (transpose_instance, ()),
+        (enumerate_super_stable, (kept,)),
+        (oracle_two_side_deletion, (1, 1)),
+    ):
+        inst = parse_instance(text)
+        ref = weakref.ref(inst)
+        result = entry(inst, *args)
+        del inst
+        gc.collect()
+        assert ref() is None, entry.__name__
+        assert result, entry.__name__
+    assert oracle_min_hospital_deletion(parse_instance(text)) == (2, frozenset({hospital("h1"), hospital("h2")}))
 
 
 def two_side_oracle_samples():
