@@ -10,10 +10,11 @@ stays in the `__all__` of its public module.  It holds:
   list checks, and `Instance(...)`'s validation of its four fields;
 - what turns an instance back into lists or text: `serialize_instance`,
   `induced_instance` and `transpose_instance`;
-- the definitional scans: the choice scans of one closure round,
-  the blocking-edge predicate, and `extract_matching` and
-  `critical_hospitals`, which rescan the edges with the choice scans
-  where the solver reads its own log;
+- the definitional scans: the choice scans of one closure round;
+  `_blocking`, the one blocking rule, which `blocking_edges`,
+  `enumerate_super_stable` and `_walk`'s cut all ask; and
+  `extract_matching` and `critical_hospitals`, which rescan the edges
+  with the choice scans where the solver reads its own log;
 - the error namer: `model` reads instance text in one pass and builds
   instances with checks that run in bulk and say only that something is
   wrong.  When one of them fails, `_text_problem` or `_list_problem`
@@ -328,9 +329,7 @@ def all_hospital_choices(inst: Instance, pool: Iterable[Edge]) -> frozenset[Edge
     return frozenset(es[0] for es in _best_edges(inst, _edges_given(inst, pool), 1) if len(es) == 1)
 
 
-def _assignment(
-    pool: frozenset[Edge], matching: Iterable[Edge]
-) -> tuple[dict[str, Edge], dict[str, Edge], frozenset[Edge]]:
+def _assignment(pool: frozenset[Edge], matching: Iterable[Edge]) -> tuple[dict[str, Edge], dict[str, Edge]]:
     """Each side's partner in `matching`, which must be a matching of `pool`,
     as Edges or plain pairs of strings: else ValueError names a member
     outside `pool`, by `_checked`, or says that two edges share an endpoint."""
@@ -340,7 +339,22 @@ def _assignment(
     by_h = {e[1]: e for e in matching}
     if not len(by_d) == len(by_h) == len(matching):
         raise ValueError("two matching edges share an endpoint")
-    return by_d, by_h, matching
+    return by_d, by_h
+
+
+def _blocking(pool: Iterable[Edge], ranks: tuple[dict, dict], by_d: dict, by_h: dict) -> Iterator[Edge]:
+    """The edges of `pool` outside the matching (doctor -> edge, hospital ->
+    edge) that block it, by the doctor and hospital rank tables `ranks`:
+    neither endpoint strictly prefers its partner, and being unmatched
+    loses to anything.  No other code compares a blocking edge's ranks."""
+    dr, hr = ranks
+    for e in pool:
+        md = by_d.get(e.doctor)
+        if md == e or (md is not None and dr[md] < dr[e]):
+            continue
+        mh = by_h.get(e.hospital)
+        if mh is None or hr[e] <= hr[mh]:
+            yield e
 
 
 def blocking_edges(
@@ -354,21 +368,8 @@ def blocking_edges(
     graph.
     """
     pool = induced_edges(inst, removed)
-    by_d, by_h, matching = _assignment(pool, matching)
-    dr = inst.doctor_rank
-    hr = inst.hospital_rank
-    out: list[Edge] = []
-    for e in pool:
-        if e in matching:
-            continue
-        md = by_d.get(e.doctor)
-        if md is not None and dr[md] < dr[e]:
-            continue
-        mh = by_h.get(e.hospital)
-        if mh is not None and hr[mh] < hr[e]:
-            continue
-        out.append(e)
-    return frozenset(out)
+    by_d, by_h = _assignment(pool, matching)
+    return frozenset(_blocking(pool, (inst.doctor_rank, inst.hospital_rank), by_d, by_h))
 
 
 def is_super_stable(
@@ -418,8 +419,8 @@ def _walk(pool: list[Edge], ranks: tuple[dict, dict] | None = None) -> Iterator[
 
     The dicts are live: read them before resuming.  Given the doctor and
     hospital rank tables, skip every branch that leaves out an edge whose
-    endpoints are both matched elsewhere and neither strictly prefers its
-    partner: that edge blocks every matching below, at a matched hospital.
+    endpoints are both matched elsewhere and that `_blocking` yields: that
+    edge blocks every matching below, at a matched hospital.
     """
     by_d: dict[str, Edge] = {}
     by_h: dict[str, Edge] = {}
@@ -439,24 +440,8 @@ def _walk(pool: list[Edge], ranks: tuple[dict, dict] | None = None) -> Iterator[
         mh = by_h.get(e.hospital)
         if md is None and mh is None:
             stack.append((i + 1, len(by_d), e))
-        if (
-            md is None or mh is None or ranks is None
-            or ranks[0][md] < ranks[0][e] or ranks[1][mh] < ranks[1][e]
-        ):
+        if md is None or mh is None or ranks is None or not any(_blocking((e,), ranks, by_d, by_h)):
             stack.append((i + 1, len(by_d), None))
-
-
-def _super_stable(pool: list[Edge], ranks: tuple[dict, dict], by_d: dict, by_h: dict) -> bool:
-    """Whether no edge in `pool` blocks the matching."""
-    dr, hr = ranks
-    for e in pool:
-        md = by_d.get(e.doctor)
-        if md == e or (md is not None and dr[md] < dr[e]):
-            continue
-        mh = by_h.get(e.hospital)
-        if mh is None or hr[e] <= hr[mh]:
-            return False
-    return True
 
 
 def all_matchings(inst: Instance, deleted: Iterable[Vertex] = ()) -> Iterator[frozenset[Edge]]:
@@ -484,15 +469,17 @@ def enumerate_super_stable(
 ) -> list[frozenset[Edge]]:
     """Every super-stable matching of the graph minus `deleted`.
 
-    Deterministic order.  Membership is exactly `is_super_stable`; the
-    search walks all matchings and keeps the ones with no blocking edge.
+    Deterministic order.  The search walks all matchings and keeps the
+    ones that `_blocking` finds no blocking edge of, the rule that
+    `is_super_stable` asks too, so membership is `is_super_stable` by
+    construction.
     """
     pool = ordered_edges(_check_edge_cap(inst, deleted, max_edges))
     ranks = (inst.doctor_rank, inst.hospital_rank)
     return [
         frozenset(by_d.values())
         for by_d, by_h in _walk(pool, ranks)
-        if _super_stable(pool, ranks, by_d, by_h)
+        if not any(_blocking(pool, ranks, by_d, by_h))
     ]
 
 
@@ -971,14 +958,15 @@ def _cmd_transpose(ns: SimpleNamespace) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     import argparse
 
-    from .cli import _COMMANDS, _NO_TIMING_HELP
+    from .cli import _COMMANDS
 
+    no_timing_help = "omit elapsed_ms from stats so outputs are byte-stable"
     parser = argparse.ArgumentParser(
         prog="superstab",
         description="Super-stable matchings with ties: existence, deletion minimization, "
         "and brute-force cross-checks.",
     )
-    parser.add_argument("--no-timing", action="store_true", help=_NO_TIMING_HELP)
+    parser.add_argument("--no-timing", action="store_true", help=no_timing_help)
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (run, help_line, takes_file, options) in _COMMANDS.items():
         p = sub.add_parser(command, help=help_line)
@@ -992,6 +980,6 @@ def _build_parser() -> argparse.ArgumentParser:
         # subcommand, since absent attributes are not copied onto the
         # parent namespace.
         p.add_argument(
-            "--no-timing", action="store_true", default=argparse.SUPPRESS, help=_NO_TIMING_HELP
+            "--no-timing", action="store_true", default=argparse.SUPPRESS, help=no_timing_help
         )
     return parser

@@ -232,8 +232,6 @@ _COMMANDS = {
     "transpose": ("_cmd_transpose", "swap the doctor and hospital sides", True, {}),
 }
 
-_NO_TIMING_HELP = "omit elapsed_ms from stats so outputs are byte-stable"
-
 
 def _read_plain(argv: Sequence[str]) -> SimpleNamespace | None:
     """The namespace `_build_parser().parse_args(argv)` returns, when argv

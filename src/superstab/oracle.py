@@ -2,10 +2,12 @@
 
 Every oracle enumerates, in iterative walks that no recursion limit
 bounds: `_objects._walk` takes or leaves each edge in turn, and
-`_least_blocking` settles one doctor at a time.  Nothing shares logic
-with the fixed-point solver, which is the point; use these to
-cross-check it, never for real workloads.  Hard caps guard against
-runaway searches and raise CapExceeded instead of truncating silently.
+`_least_blocking` settles one doctor at a time.  `enumerate_super_stable`
+and `_walk`'s cut ask `_objects._blocking` whether an edge blocks, the
+rule that `blocking_edges` reads too.  Nothing shares logic with the
+fixed-point solver, which is the point; use these to cross-check it,
+never for real workloads.  Hard caps guard against runaway searches
+and raise CapExceeded instead of truncating silently.
 
 Minimum hospital deletion takes one walk.  For a matching M of G, let
 B(M) be the hospitals of the edges that block M in G.  Deleting

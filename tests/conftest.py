@@ -179,10 +179,13 @@ def naive_is_super_stable(inst: Instance, removed, matching) -> bool:
 
 def verify_enumeration(inst: Instance, deleted=()) -> bool:
     """The fused enumeration must equal filtering all matchings through the
-    public predicate."""
+    public predicate, and through the naive one, which shares no code with
+    the library's blocking rule."""
     fused = enumerate_super_stable(inst, deleted, max_edges=None)
-    plain = [m for m in all_matchings(inst, deleted) if is_super_stable(inst, deleted, m)]
-    return fused == plain
+    matchings = list(all_matchings(inst, deleted))
+    plain = [m for m in matchings if is_super_stable(inst, deleted, m)]
+    naive = [m for m in matchings if naive_is_super_stable(inst, deleted, m)]
+    return fused == plain == naive
 
 
 def reference_min_hospital_deletion(inst: Instance) -> tuple[int, frozenset[Vertex]]:

@@ -35,6 +35,7 @@ from superstab.model import (
     parse_instance,
     serialize_instance,
 )
+from superstab.oracle import enumerate_super_stable
 from superstab.superstable import ClosureTrace, closure, solve_min_hospital_deletion
 from test_hardness import COVER_TEXT
 
@@ -488,6 +489,37 @@ def test_verify_problem2_agrees_on_no(capsys, tie_file):
     assert rc == 0
     assert payload["stats"]["solver_answer"] == payload["stats"]["oracle_answer"] == "no"
     assert captured.err == "AGREE\n"
+
+
+@pytest.mark.parametrize(
+    "gen_args, edges, verify_args, stats, found",
+    [
+        (  # 19 edges: the existence oracle enumerates 624 matchings and keeps one
+            ("5", "5", "0.8", "0", "5"), 19, ("--mode", "existence"),
+            {"solver_answer": "yes", "oracle_answer": "yes", "search_space": 624}, 1,
+        ),
+        (  # 20 edges, the existence oracle's cap
+            ("5", "5", "0.8", "0.5", "12"), 20, ("--mode", "existence"),
+            {"solver_answer": "no", "oracle_answer": "no", "search_space": 725}, 0,
+        ),
+        (  # 14 vertices, the two-side oracle's cap
+            ("7", "7", "0.4", "0.5", "1"), 20, ("--mode", "problem2", "--q1", "2", "--q2", "2"),
+            {"solver_answer": "yes", "oracle_answer": "yes"}, None,
+        ),
+    ],
+)
+def test_verify_at_the_oracle_caps(capsys, tmp_path, gen_args, edges, verify_args, stats, found):
+    flags = ("--doctors", "--hospitals", "--density", "--tie-prob", "--seed")
+    rc, _, captured = run_cli(capsys, "gen", *(token for pair in zip(flags, gen_args) for token in pair))
+    assert rc == 0
+    assert captured.err == f"generated {gen_args[0]} doctors, {gen_args[1]} hospitals, {edges} edges\n"
+    path = tmp_path / "capped.ssm"
+    path.write_text(captured.out)
+    rc, _, captured = run_cli(capsys, "--no-timing", "verify", str(path), *verify_args)
+    expected = {"command": "verify", "mode": verify_args[1], "answer": "yes", "stats": stats}
+    assert (rc, captured.out, captured.err) == (0, json.dumps(expected, indent=2) + "\n", "AGREE\n")
+    if found is not None:
+        assert len(enumerate_super_stable(parse_instance(path.read_text()))) == found
 
 
 def test_verify_problem2_needs_budgets(capsys, tie_file):

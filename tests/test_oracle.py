@@ -121,6 +121,8 @@ def test_fused_walk_equals_plain_filtering():
         assert verify_enumeration(inst)
         if inst.hospitals:
             assert verify_enumeration(inst, {hospital(inst.hospitals[0])})
+        if inst.doctors and inst.hospitals:
+            assert verify_enumeration(inst, {doctor(inst.doctors[-1]), hospital(inst.hospitals[-1])})
 
 
 @given(instances())
