@@ -11,8 +11,8 @@ stays in the `__all__` of its public module.  It holds:
 - what turns an instance back into lists or text: `serialize_instance`,
   `induced_instance` and `transpose_instance`;
 - the definitional scans: the choice scans of one closure round;
-  `_blocking`, the one blocking rule, which `blocking_edges`,
-  `enumerate_super_stable` and `_walk`'s cut all ask; and
+  `_blocking`, the one blocking rule, which `blocking_edges` and
+  `enumerate_super_stable` both ask; and
   `extract_matching` and `critical_hospitals`, which rescan the edges
   with the choice scans where the solver reads its own log;
 - the error namer: `model` reads instance text in one pass and builds
@@ -342,12 +342,12 @@ def _assignment(pool: frozenset[Edge], matching: Iterable[Edge]) -> tuple[dict[s
     return by_d, by_h
 
 
-def _blocking(pool: Iterable[Edge], ranks: tuple[dict, dict], by_d: dict, by_h: dict) -> Iterator[Edge]:
+def _blocking(inst: Instance, pool: Iterable[Edge], by_d: dict, by_h: dict) -> Iterator[Edge]:
     """The edges of `pool` outside the matching (doctor -> edge, hospital ->
-    edge) that block it, by the doctor and hospital rank tables `ranks`:
-    neither endpoint strictly prefers its partner, and being unmatched
-    loses to anything.  No other code compares a blocking edge's ranks."""
-    dr, hr = ranks
+    edge) that block it, by the rank tables of `inst`: neither endpoint
+    strictly prefers its partner, and being unmatched loses to anything.
+    No other code compares a blocking edge's ranks."""
+    dr, hr = inst.doctor_rank, inst.hospital_rank
     for e in pool:
         md = by_d.get(e.doctor)
         if md == e or (md is not None and dr[md] < dr[e]):
@@ -369,7 +369,7 @@ def blocking_edges(
     """
     pool = induced_edges(inst, removed)
     by_d, by_h = _assignment(pool, matching)
-    return frozenset(_blocking(pool, (inst.doctor_rank, inst.hospital_rank), by_d, by_h))
+    return frozenset(_blocking(inst, pool, by_d, by_h))
 
 
 def is_super_stable(
@@ -412,16 +412,10 @@ def critical_hospitals(
     return frozenset(Vertex(HOSPITAL, h) for h in inst.hospitals if h in wanted)
 
 
-def _walk(pool: list[Edge], ranks: tuple[dict, dict] | None = None) -> Iterator[tuple[dict, dict]]:
+def _walk(pool: list[Edge]) -> Iterator[tuple[dict, dict]]:
     """Visit every matching within `pool` once, and yield it as
     (doctor -> edge, hospital -> edge).  Each edge is left out before it
-    is taken.
-
-    The dicts are live: read them before resuming.  Given the doctor and
-    hospital rank tables, skip every branch that leaves out an edge whose
-    endpoints are both matched elsewhere and that `_blocking` yields: that
-    edge blocks every matching below, at a matched hospital.
-    """
+    is taken.  The dicts are live: read them before resuming."""
     by_d: dict[str, Edge] = {}
     by_h: dict[str, Edge] = {}
     # Entries: next pool index, matched edges to keep, edge to add or None.
@@ -436,12 +430,9 @@ def _walk(pool: list[Edge], ranks: tuple[dict, dict] | None = None) -> Iterator[
             yield by_d, by_h
             continue
         e = pool[i]
-        md = by_d.get(e.doctor)
-        mh = by_h.get(e.hospital)
-        if md is None and mh is None:
+        if e.doctor not in by_d and e.hospital not in by_h:
             stack.append((i + 1, len(by_d), e))
-        if md is None or mh is None or ranks is None or not any(_blocking((e,), ranks, by_d, by_h)):
-            stack.append((i + 1, len(by_d), None))
+        stack.append((i + 1, len(by_d), None))
 
 
 def all_matchings(inst: Instance, deleted: Iterable[Vertex] = ()) -> Iterator[frozenset[Edge]]:
@@ -450,8 +441,11 @@ def all_matchings(inst: Instance, deleted: Iterable[Vertex] = ()) -> Iterator[fr
         yield frozenset(by_d.values())
 
 
-def count_matchings(inst: Instance, deleted: Iterable[Vertex] = (), *, max_edges: int = 20) -> int:
-    """How many matchings the graph minus `deleted` has."""
+def count_matchings(
+    inst: Instance, deleted: Iterable[Vertex] = (), *, max_edges: int | None = 20
+) -> int:
+    """How many matchings the graph minus `deleted` has.  More than
+    `max_edges` edges raise CapExceeded; None lifts the cap."""
     return sum(1 for _ in _walk(ordered_edges(_check_edge_cap(inst, deleted, max_edges))))
 
 
@@ -469,17 +463,17 @@ def enumerate_super_stable(
 ) -> list[frozenset[Edge]]:
     """Every super-stable matching of the graph minus `deleted`.
 
-    Deterministic order.  The search walks all matchings and keeps the
+    Deterministic order.  The search walks every matching and keeps the
     ones that `_blocking` finds no blocking edge of, the rule that
     `is_super_stable` asks too, so membership is `is_super_stable` by
-    construction.
+    construction.  More than `max_edges` edges raise CapExceeded; None
+    lifts the cap.
     """
     pool = ordered_edges(_check_edge_cap(inst, deleted, max_edges))
-    ranks = (inst.doctor_rank, inst.hospital_rank)
     return [
         frozenset(by_d.values())
-        for by_d, by_h in _walk(pool, ranks)
-        if not any(_blocking(pool, ranks, by_d, by_h))
+        for by_d, by_h in _walk(pool)
+        if not any(_blocking(inst, pool, by_d, by_h))
     ]
 
 

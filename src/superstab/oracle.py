@@ -1,10 +1,10 @@
 """Exhaustive ground truth for desk-scale instances.
 
 Every oracle enumerates, in iterative walks that no recursion limit
-bounds: `_objects._walk` takes or leaves each edge in turn, and
+bounds: `_objects._walk` leaves or takes each edge in turn, and
 `_least_blocking` settles one doctor at a time.  `enumerate_super_stable`
-and `_walk`'s cut ask `_objects._blocking` whether an edge blocks, the
-rule that `blocking_edges` reads too.  Nothing shares logic with the
+asks `_objects._blocking` about every matching of the walk, the rule
+that `blocking_edges` reads too.  Nothing shares logic with the
 fixed-point solver, which is the point; use these to cross-check it,
 never for real workloads.  Hard caps guard against runaway searches
 and raise CapExceeded instead of truncating silently.

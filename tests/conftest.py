@@ -178,14 +178,14 @@ def naive_is_super_stable(inst: Instance, removed, matching) -> bool:
 
 
 def verify_enumeration(inst: Instance, deleted=()) -> bool:
-    """The fused enumeration must equal filtering all matchings through the
+    """The enumeration must equal filtering all matchings through the
     public predicate, and through the naive one, which shares no code with
     the library's blocking rule."""
-    fused = enumerate_super_stable(inst, deleted, max_edges=None)
+    listed = enumerate_super_stable(inst, deleted, max_edges=None)
     matchings = list(all_matchings(inst, deleted))
     plain = [m for m in matchings if is_super_stable(inst, deleted, m)]
     naive = [m for m in matchings if naive_is_super_stable(inst, deleted, m)]
-    return fused == plain == naive
+    return listed == plain == naive
 
 
 def reference_min_hospital_deletion(inst: Instance) -> tuple[int, frozenset[Vertex]]:
@@ -230,7 +230,7 @@ def reference_least_blocking(inst: Instance, pool: list[Edge]) -> list[str]:
     edge before leaving it out; the order changes no least set."""
     ranks = (inst.doctor_rank, inst.hospital_rank)
     best = sorted(inst.hospitals)  # deleting them all leaves the empty matching
-    for by_d, by_h in _walk(pool, ranks):
+    for by_d, by_h in _walk(pool):
         found = _reference_blocking_hospitals(pool, ranks, by_d, by_h, len(best))
         if found is not None and (len(found), sorted(found)) < (len(best), best):
             best = sorted(found)

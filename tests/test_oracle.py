@@ -4,7 +4,7 @@ import gc
 import random
 import time
 import weakref
-from itertools import combinations, count, islice
+from itertools import combinations, compress, count, islice, product
 from pathlib import Path
 
 import pytest
@@ -28,6 +28,7 @@ from superstab.model import (
     Instance,
     doctor,
     hospital,
+    induced_edges,
     induced_instance,
     is_super_stable,
     make_instance,
@@ -79,6 +80,32 @@ def test_all_matchings_is_deterministic(tie_2x2):
     assert list(all_matchings(tie_2x2)) == list(all_matchings(tie_2x2))
 
 
+def test_walk_yields_the_matching_subsets_in_product_order():
+    """The walk leaves each edge out before it takes it, so it must yield
+    the subsets of the ordered edges that are matchings, in the order of
+    `product((False, True), repeat=n)`, and nothing else."""
+    cases = 0
+    for inst in sample_instances(60, max_side=4):
+        if len(inst.edges) > 12:
+            continue
+        deletions = [frozenset()]
+        if inst.doctors:
+            deletions.append(frozenset({doctor(inst.doctors[0])}))
+        if inst.hospitals:
+            deletions.append(frozenset({hospital(inst.hospitals[-1])}))
+        for deleted in deletions:
+            pool = ordered_edges(induced_edges(inst, deleted))
+            want = []
+            for picks in product((False, True), repeat=len(pool)):
+                subset = list(compress(pool, picks))
+                if len({e.doctor for e in subset}) == len({e.hospital for e in subset}) == len(subset):
+                    want.append(frozenset(subset))
+            assert list(all_matchings(inst, deleted)) == want, (inst, deleted)
+            assert count_matchings(inst, deleted, max_edges=None) == len(want)
+            cases += 1
+    assert cases >= 100, cases
+
+
 def test_enumerate_frozen_values(strict_2x2, tie_2x2, one_pair):
     assert enumerate_super_stable(strict_2x2) == [edges(("d1", "h1"), ("d2", "h2"))]
     assert enumerate_super_stable(tie_2x2) == []
@@ -116,7 +143,7 @@ def test_enumeration_members_pass_the_naive_checker():
             assert naive_is_super_stable(inst, set(), m)
 
 
-def test_fused_walk_equals_plain_filtering():
+def test_enumeration_equals_filtering_every_matching():
     for inst in sample_instances(25, seed="oracle-fused"):
         assert verify_enumeration(inst)
         if inst.hospitals:
@@ -127,7 +154,7 @@ def test_fused_walk_equals_plain_filtering():
 
 @given(instances())
 @settings(max_examples=50)
-def test_fused_walk_equals_plain_filtering_property(inst):
+def test_enumeration_equals_filtering_every_matching_property(inst):
     assert verify_enumeration(inst)
 
 

@@ -649,6 +649,24 @@ def test_solver_matching_is_super_stable_after_the_deletions():
         assert is_super_stable(sub, set(), cert.matching)
 
 
+def test_solver_matchings_are_super_stable_past_the_oracle_caps():
+    """Far above what the oracles can enumerate, the naive checker, which
+    shares no code with the solver, still judges its matchings."""
+    for inst in [
+        generate_instance(400, 400, 0.025, 0.8, seed="large-0"),
+        generate_instance(400, 400, 0.025, 0.8, seed="large-1"),
+        master_list_instance(200),
+    ]:
+        cert = solve_min_hospital_deletion(inst)
+        assert naive_is_super_stable(inst, cert.critical, cert.matching)
+    inst = generate_instance(20, 20, 0.3, 0.6, seed="0")
+    for q1, q2 in [(8, 1), (7, 2)]:
+        witness = solve_two_side_deletion(inst, q1, q2)
+        assert witness is not None, (q1, q2)
+        matching = exists_super_stable(inst, witness)
+        assert matching is not None and naive_is_super_stable(inst, witness, matching)
+
+
 def test_exists_examples(strict_2x2, tie_2x2, one_pair):
     assert exists_super_stable(strict_2x2) == edges(("d1", "h1"), ("d2", "h2"))
     assert exists_super_stable(tie_2x2) is None
